@@ -9,7 +9,7 @@ import argparse
 from fractions import Fraction
 
 from ceildyn.chains import chain_stop_mass, squaring_census
-from ceildyn.multmaps import stopping_time_mult
+from ceildyn.multmaps import mult_records, stopping_time_mult
 from ceildyn.squaring import theta_denominator2
 from ceildyn.window import stopping_time_windowed
 
@@ -53,12 +53,8 @@ def table_mult(bound: int) -> None:
         print(n, rep.theta, rep.reached)
     print(f"# records of theta_{{4/3}}(n), n <= {bound}")
     print("n theta")
-    best = -1
-    for n in range(bound + 1):
-        rep = stopping_time_mult(r, n)
-        if rep.theta is not None and rep.theta > best:
-            print(n, rep.theta)
-            best = rep.theta
+    for n, theta in mult_records(r, 0, bound):
+        print(n, theta)
 
 
 def table_dist(depth: int) -> None:

@@ -8,7 +8,8 @@ OEIS-style b-file; runs can be cached on disk, and long scans split across
 worker processes with a deterministic ordered merge.
 
 Exit codes: 0 success (rows may still be marked unresolved), 2 invalid
-arguments or an impossible output request, 3 internal consistency failure.
+arguments, an impossible output request, or a theta_mult record scan with a
+start unresolved at --max-steps, 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -245,20 +246,14 @@ def _records_block(block) -> list[tuple[int, int]]:
     kind, lo, hi, window, r_text, max_steps = block
     if kind == "theta_d3":
         return list(chainlib.squaring_census(3, hi, window, lo).records)
+    if kind == "theta_mult":
+        return multmaps.mult_records(parse_rational(r_text), lo, hi, max_steps)
     out: list[tuple[int, int]] = []
     best = -1
-    if kind == "theta_succ":
-        for d in range(lo, hi + 1):
-            theta = _theta_windowed_row(d + 1, d, window, auto_grow=True).theta
-            if theta is not None and theta > best:
-                out.append((d, theta))
-                best = theta
-        return out
-    r = parse_rational(r_text)
-    for n in range(lo, hi + 1):
-        theta = multmaps.stopping_time_mult(r, n, max_steps).theta
+    for d in range(lo, hi + 1):
+        theta = _theta_windowed_row(d + 1, d, window, auto_grow=True).theta
         if theta is not None and theta > best:
-            out.append((n, theta))
+            out.append((d, theta))
             best = theta
     return out
 

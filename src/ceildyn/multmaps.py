@@ -11,6 +11,15 @@ about the rational dynamics become divisibility questions (is some iterate
 divisible by d?) about the integer dynamics, which is what makes the
 residue-class sieve below possible.
 
+One level-synchronous pass over residue classes serves every scan: a class
+mod d^(k+1) carries the exact k-th iterate of its residue, and refining it
+one level keeps only the children that meet the scanned interval.
+Exceptional sieves and censuses run it to a fixed depth; record scans of
+x -> r*ceil(x) run it until every class holds one start, reading off the
+least start with theta > k at each level, and finish the few survivors one
+at a time.  A record scan never skips a start its step budget leaves
+unresolved: it raises ValueError naming the smallest such start.
+
 Conventions: the multiplicative stopping time counts from k = 1 (an
 integer ratio gives theta = 1, not 0), unlike the squaring stopping time
 which counts from 0.  "Exceptional" always means the j >= 1 iterates; the
@@ -20,6 +29,7 @@ starting value itself may be divisible by d.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,7 +133,7 @@ def stopping_time_mult(r, n: int, max_steps: int = 512) -> StoppingReport:
 
 
 # ---------------------------------------------------------------------------
-# Residue-class sieve for exceptional sets
+# Residue-class sieve for exceptional sets and record scans
 #
 # h(b + d*m) = h(b) + l*m, hence h^(j)(b + d^j * m) = h^(j)(b) + l^j * m:
 # the j-th iterate of a class mod d^(j+1) is well defined mod d.  Refining a
@@ -136,50 +146,129 @@ def _refine(
     m: PeriodicallyLinearMap,
     classes: list[tuple[int, int]],
     level: int,
-    bound: int | None = None,
+    lo: int,
+    hi: int,
 ) -> list[tuple[int, int]]:
     """One sieve level: (residue mod d^(level+1), carried iterate value) pairs
     become the surviving (residue mod d^(level+2), value) pairs.
 
-    With a bound, children whose class has no member in [-bound, bound] are
-    dropped after the divisibility kill (they cannot matter to a census).
+    Only children whose class has a member in [lo, hi] are built; every
+    child still counts towards the one-child-dies check.
     """
     d = m.d
     step_mod = d ** (level + 1)
     child_mod = step_mod * d
     lpow = m.l ** (level + 1)
+    span = hi - lo
+    every_child_meets = child_mod <= span + 1
     out: list[tuple[int, int]] = []
     for residue, value in classes:
-        value_next = m.apply(value)
-        kept = []
+        child_value = m.apply(value)
+        child = residue
         killed = 0
-        for t in range(d):
-            child_value = value_next + lpow * t
+        for _ in range(d):
             if child_value % d == 0:
                 killed += 1
-            else:
-                kept.append((residue + step_mod * t, child_value))
+            elif every_child_meets or (child - lo) % child_mod <= span:
+                out.append((child, child_value))
+            child_value += lpow
+            child += step_mod
         if killed != 1:
             raise InternalCheckError(
                 f"refinement killed {killed} children of class {residue} "
                 f"(mod {step_mod}); exactly one is required"
             )
-        if bound is None:
-            out.extend(kept)
-        else:
-            out.extend(
-                (c, v) for c, v in kept if c <= bound or c >= child_mod - bound
-            )
     return out
 
 
 def _sieve_classes(
-    m: PeriodicallyLinearMap, depth_k: int, bound: int | None = None
+    m: PeriodicallyLinearMap, depth_k: int, lo: int, hi: int
 ) -> list[tuple[int, int]]:
     classes = [(b, b) for b in range(m.d)]
     for level in range(depth_k):
-        classes = _refine(m, classes, level, bound)
+        classes = _refine(m, classes, level, lo, hi)
     return classes
+
+
+def _members(
+    m: PeriodicallyLinearMap, classes: list[tuple[int, int]], level: int, lo: int, hi: int
+) -> Iterator[tuple[int, int]]:
+    """Every member x in [lo, hi] of the classes mod d^(level+1), paired with
+    its iterate h^level(x), in class order."""
+    modulus = m.d ** (level + 1)
+    shift = m.l**level * m.d  # h^level(x + modulus) - h^level(x)
+    for residue, value in classes:
+        x = lo + (residue - lo) % modulus
+        value += shift * ((x - residue) // modulus)
+        while x <= hi:
+            yield x, value
+            x += modulus
+            value += shift
+
+
+def mult_records(r, lo: int, hi: int, max_steps: int = 512) -> list[tuple[int, int]]:
+    """Record stopping times (n, theta(n)) of x -> r*ceil(x) over lo <= n <= hi.
+
+    The starts are the conjugate class x = 0 (mod d) cut to [d*lo, d*hi].
+    Its members surviving k sieve levels are exactly the starts with
+    theta > k, so f(k), the least of them, is read off the classes level by
+    level.  Once d^k exceeds hi - lo every class holds one start, and the
+    survivors finish one at a time from h^k(x) = h^k(c) + l^k * (x - c)/d^k.
+    The records are the distinct f(k), each valued k+1 at the last k it is
+    f(k).  A start still unresolved after max_steps steps would outrank
+    every record after it, so the smallest one raises ValueError.
+    """
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    r = Fraction(r)
+    if hi < lo:
+        return []
+    if r.denominator == 1:
+        return [(lo, 1)]
+    g = conjugate_g(r)
+    d = g.d
+    a, b = d * lo, d * hi
+
+    def unresolved(n: int) -> ValueError:
+        return ValueError(
+            f"start {n} is unresolved after max_steps={max_steps} steps, "
+            "so no record from it on is certain"
+        )
+
+    records: list[tuple[int, int]] = []
+
+    def note(n: int, theta: int) -> None:
+        if records and records[-1][0] == n:
+            records.pop()
+        records.append((n, theta))
+
+    classes = [(0, 0)]
+    k, modulus = 0, d  # classes are mod d^(k+1) after k levels
+    while classes and modulus <= b - a:
+        least = (a + min((c - a) % modulus for c, _ in classes)) // d
+        if k == max_steps:
+            raise unresolved(least)
+        note(least, k + 1)
+        classes = _refine(g, classes, k, a, b)
+        k, modulus = k + 1, modulus * d
+    finished = []
+    for x, value in _members(g, classes, k, a, b):
+        for step in range(k + 1, max_steps + 1):
+            value = g.apply(value)
+            if value % d == 0:
+                break
+        else:
+            step = None
+        finished.append((x // d, step))
+    finished.sort()
+    best = k
+    for n, theta in finished:
+        if theta is None:
+            raise unresolved(n)
+        if theta > best:
+            note(n, theta)
+            best = theta
+    return records
 
 
 def exceptional_sieve(m: PeriodicallyLinearMap, depth_k: int) -> frozenset[int]:
@@ -190,7 +279,7 @@ def exceptional_sieve(m: PeriodicallyLinearMap, depth_k: int) -> frozenset[int]:
     """
     if depth_k < 1:
         raise ValueError("depth_k must be >= 1")
-    classes = _sieve_classes(m, depth_k)
+    classes = _sieve_classes(m, depth_k, 0, m.d ** (depth_k + 1) - 1)
     expected = m.d * (m.d - 1) ** depth_k
     if len(classes) != expected:
         raise InternalCheckError(
@@ -239,15 +328,17 @@ def exceptional_census(
         raise ValueError(
             f"depth_k={depth_k} is below the minimum {floor_depth} for x={x}"
         )
-    classes = _sieve_classes(m, depth_k, bound=x)
-    modulus = d ** (depth_k + 1)
+    # Refine while a class can hold several members of [-x, x]; past that,
+    # stepping each member alone is cheaper than splitting its class d ways.
+    level = min(depth_k, min_depth_for_census(d, 2 * x + 1) - 1)
     members: list[int] = []
-    for residue, _ in classes:
-        first = residue - ((residue + x) // modulus) * modulus
-        n = first
-        while n <= x:
+    for n, value in _members(m, _sieve_classes(m, level, -x, x), level, -x, x):
+        for _ in range(level, depth_k):
+            value = m.apply(value)
+            if value % d == 0:
+                break
+        else:
             members.append(n)
-            n += modulus
     members.sort()
     beta = math.log(d - 1) / math.log(d)
     return ExceptionalCensus(
@@ -287,10 +378,11 @@ def exceptional_denominator2(
     if m.d != 2:
         raise ValueError("the nested-class chase applies to d = 2 maps only")
     classes = [(0, 0), (1, 1)]
+    top = 2 ** (depth_K + 1) - 1
     last_rep: dict[int, int | None] = {0: None, 1: None}
     streak = {0: 0, 1: 0}
     for level in range(depth_K):
-        classes = _refine(m, classes, level)
+        classes = _refine(m, classes, level, 0, top)
         if len(classes) != 2 or {c % 2 for c, _ in classes} != {0, 1}:
             raise InternalCheckError("d=2 sieve must keep one even and one odd class")
         modulus = 2 ** (level + 2)

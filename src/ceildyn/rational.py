@@ -42,11 +42,15 @@ def frac_part(q) -> Fraction:
     return q - math.floor(q)
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for all n < 3.3e24."""
+    """Deterministic Miller-Rabin; exact for all n < 3.3e24.
+
+    The first thirteen prime bases are exact below 3317044064679887385961981;
+    twelve would admit the strong pseudoprime 318665857834031151167461.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_acceptance import MULT_RECORDS
 
+from ceildyn import multmaps
 from ceildyn.cli import CLIError, COMMANDS, export_bfile, main
 from ceildyn.rational import InternalCheckError
 
@@ -117,6 +120,41 @@ def test_records_table(capsys):
         cells = dict(part.split("=", 1) for part in line.split())
         pairs.append((int(cells["arg"]), int(cells["record"])))
     assert pairs == [(3, 0), (4, 2), (5, 6), (28, 22)]
+
+
+def test_mult_records_print_the_pinned_4_thirds_table(capsys):
+    code, out = run_cli(capsys, "records", "--kind", "theta_mult", "--r", "4/3", "--bound", "491729")
+    assert code == 0
+    assert out == "".join(f"arg={n} record={theta}\n" for n, theta in MULT_RECORDS)
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_mult_records_exit_2_on_an_unresolved_start(workers, capsys):
+    # start 1 of 1/3 is a fixed point; a silent skip would print arg=7 record=2
+    code = main(["records", "--kind", "theta_mult", "--r", "1/3", "--bound", "10", "--workers", workers])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "start 1 is unresolved after max_steps=512 steps" in captured.err
+
+
+# slope 6 is not a unit mod 3, so no child dies; offsets (0, 1, 1) make a
+# step non-integral.  Either way a theorem check must fail loudly.
+@pytest.mark.parametrize("l,offsets", [(6, (0, 0, 0)), (4, (0, 1, 1))])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exceptional", "--r", "4/3", "--bound", "50"),
+        ("records", "--kind", "theta_mult", "--r", "4/3", "--bound", "50"),
+    ],
+)
+def test_broken_sieve_map_exits_3(argv, l, offsets, monkeypatch, capsys):
+    broken = multmaps.conjugate_g(Fraction(4, 3))
+    object.__setattr__(broken, "l", l)
+    object.__setattr__(broken, "offsets", offsets)
+    monkeypatch.setattr(multmaps, "conjugate_g", lambda r: broken)
+    assert main(list(argv)) == 3
+    assert "internal check failed" in capsys.readouterr().err
 
 
 def test_padic_tree_json(capsys):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ceildyn.cli import _split_range
 from ceildyn.multmaps import (
     PeriodicallyLinearMap,
     ceiling_map,
@@ -22,6 +24,7 @@ from ceildyn.multmaps import (
     mahler_witness,
     make_map,
     min_depth_for_census,
+    mult_records,
     sigma_literal,
     sigma_prime,
     stopping_time_mult,
@@ -92,6 +95,56 @@ def test_integral_ratio_stops_immediately():
     assert (rep.theta, rep.reached) == (1, 21)
 
 
+def _records_outcome(r, lo, hi, max_steps):
+    """mult_records over [lo, hi], or the start its unresolved error names."""
+    try:
+        return mult_records(r, lo, hi, max_steps)
+    except ValueError as exc:
+        return ("unresolved", int(re.match(r"start (-?\d+) ", str(exc)).group(1)))
+
+
+def _records_by_scalar_loop(r, lo, hi, max_steps):
+    out, best = [], -1
+    for n in range(lo, hi + 1):
+        theta = stopping_time_mult(r, n, max_steps).theta
+        if theta is None:
+            return ("unresolved", n)
+        if theta > best:
+            out.append((n, theta))
+            best = theta
+    return out
+
+
+@st.composite
+def expanding_ratios(draw):
+    d = draw(st.integers(min_value=2, max_value=7))
+    l = draw(st.integers(min_value=d + 1, max_value=40).filter(lambda l: math.gcd(l, d) == 1))
+    return Fraction(draw(st.sampled_from((l, -l))), d)
+
+
+@given(
+    expanding_ratios(),
+    st.integers(min_value=-200, max_value=300),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from((6, 512)),
+)
+@settings(max_examples=60, deadline=None)
+def test_mult_records_match_the_scalar_loop_on_every_block(r, lo, length, workers, max_steps):
+    hi = lo + length
+    for a, b in [(lo, hi)] + _split_range(lo, hi, workers):
+        assert _records_outcome(r, a, b, max_steps) == _records_by_scalar_loop(r, a, b, max_steps)
+
+
+def test_mult_records_name_the_smallest_unresolved_start():
+    # ceil(1/3) = 1, so start 1 is a fixed point that never reaches an integer
+    with pytest.raises(ValueError, match=r"start 1 is unresolved after max_steps=512 steps"):
+        mult_records(Fraction(1, 3), 0, 10)
+    assert mult_records(Fraction(1, 3), 0, 0) == [(0, 1)]
+    assert mult_records(Fraction(3), 5, 9) == [(5, 1)]
+    assert mult_records(Fraction(4, 3), 9, 8) == []
+
+
 def test_sieve_counts_and_membership():
     m = conjugate_g(Fraction(4, 3))
     for k in (1, 2, 3):
@@ -149,6 +202,27 @@ def test_census_members_are_genuinely_exceptional():
     missing = set(range(1, 28)) - set(census.survivors)
     for n in missing:
         assert not certified_exceptional(m, n)
+
+
+@st.composite
+def census_maps(draw):
+    """The conjugate of a random l/d, or a map with random valid offsets."""
+    d = draw(st.integers(min_value=2, max_value=7))
+    l = draw(st.integers(min_value=-12, max_value=12).filter(lambda l: l and math.gcd(l, d) == 1))
+    if draw(st.booleans()):
+        return conjugate_g(Fraction(l, d))
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    return make_map(l, d, [(-l * b) % d + d * s for b, s in enumerate(shifts)])
+
+
+@given(census_maps(), st.integers(min_value=1, max_value=300), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_census_matches_brute_force_iteration(m, x, extra_depth):
+    depth = min_depth_for_census(m.d, x) + extra_depth
+    brute = [n for n in range(-x, x + 1) if all(v % m.d for v in m.orbit(n, depth))]
+    census = exceptional_census(m, x, depth)
+    assert census.survivors == tuple(brute)
+    assert census.count == len(brute)
 
 
 def test_census_depth_floor():

@@ -70,6 +70,12 @@ def test_is_prime_large_known_values():
     assert not is_prime(2**67 - 1)
 
 
+def test_is_prime_rejects_the_strong_pseudoprime_to_bases_2_through_37():
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+
+
 def test_padic_valuation_known_values():
     assert padic_valuation(12, 2) == 2
     assert padic_valuation(12, 3) == 1
