@@ -8,6 +8,17 @@ digit expansion adapted to a chain, the two digit transition laws, counts
 of arithmetic progressions realizing a chain, the density exponents
 alpha_d and beta_d, limiting stopping-time distributions, and censuses of
 starts by stopping time.
+
+Censuses, distributions and record scans share one residue sieve,
+_stop_classes.  Whether l/d is integral after k steps depends only on
+l mod d^(k+1), so the sieve works level by level on classes: each class c
+mod d^(k+1) with theta > k splits into d children mod d^(k+2), and the
+plain-int window kernel decides each child from its residue alone.  A
+child that dies at level k+1 settles all of its members in the range at
+once.  For prime d exactly one child of every live class dies (hence the
+masses (1/p)(1-1/p)^j); the sieve raises InternalCheckError otherwise.
+Composite d may kill 0..d children.  Once d^(k+2) exceeds the range the
+few surviving starts finish one at a time through the kernel.
 """
 
 from __future__ import annotations
@@ -16,9 +27,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ceildyn.rational import InternalCheckError, big_omega, euler_phi
+from ceildyn.rational import InternalCheckError, big_omega, euler_phi, is_prime
 from ceildyn.squaring import stopping_time_exact
-from ceildyn.window import stopping_time_windowed
+from ceildyn.window import _window_theta, stopping_time_windowed
 
 
 @dataclass(frozen=True)
@@ -342,31 +353,88 @@ class StopDistribution:
     empirical_counts: dict[int, int]
 
 
-def stop_distribution(d: int, x_scan: int, depth: int, window: int = 48) -> StopDistribution:
+def stop_distribution(d: int, x_scan: int, depth: int) -> StopDistribution:
     """Exact limiting masses for stopping times 0..depth plus an empirical
-    histogram over starts l/d, l <= x_scan, from the digit-window engine."""
+    histogram over starts l/d, l <= x_scan, counted by the residue sieve."""
     if d < 2 or depth < 0 or x_scan < 0:
         raise ValueError("need d >= 2, depth >= 0, x_scan >= 0")
     probabilities = {j: chain_stop_mass(d, j) for j in range(depth + 1)}
     unresolved = 1 - sum(probabilities.values(), Fraction(0))
     if unresolved < 0:
         raise InternalCheckError("stop masses exceed total probability 1")
-    counts = {j: 0 for j in range(depth + 1)}
-    for l in range(1, x_scan + 1):
-        if l % d == 0:
-            theta = 0
-        elif l < d:
-            continue  # fixed subunit start, never stops
-        else:
-            theta = stopping_time_windowed(l, d, window, auto_grow=True).theta
-        if theta is not None and theta <= depth:
-            counts[theta] += 1
+    counts = stop_counts(d, 1, x_scan, depth)
     return StopDistribution(d, depth, probabilities, unresolved, x_scan, counts)
 
 
 # ---------------------------------------------------------------------------
-# Census of starts by stopping time
+# Residue sieve and census of starts by stopping time
 # ---------------------------------------------------------------------------
+
+
+def _stop_classes(d: int, lo: int, hi: int, depth: int):
+    """Yield (first, step, theta) for the starts l/d, lo <= l <= hi, with
+    stopping time theta <= depth: every start of range(first, hi + 1, step)
+    has that theta, and each such start is covered exactly once.
+
+    Starts below d are fixed points: the kernel never finds them integral,
+    so they are never yielded.
+    """
+    n = hi - lo + 1
+    yield lo + (-lo) % d, d, 0
+    one_child_dies = is_prime(d)
+    live = range(1, d)
+    level = 0
+    modulus = d  # live classes are residues mod d^(level+1), theta > level
+    while level < depth and modulus * d <= n:
+        child_mod = modulus * d
+        survivors = []
+        for c in live:
+            killed = 0
+            for child in range(c, child_mod, modulus):
+                theta = _window_theta(child, d, level + 1)
+                if theta is None:
+                    survivors.append(child)
+                    continue
+                if theta != level + 1:
+                    raise InternalCheckError(
+                        f"class {child} mod {child_mod} stops at {theta}, "
+                        f"but its parent survived {level} steps"
+                    )
+                killed += 1
+                yield lo + (child - lo) % child_mod, child_mod, theta
+            if one_child_dies and killed != 1:
+                raise InternalCheckError(
+                    f"sieve killed {killed} children of class {c} mod {modulus}; "
+                    f"exactly one is required for prime d={d}"
+                )
+        live = survivors
+        modulus = child_mod
+        level += 1
+    if level < depth:
+        for c in live:
+            for l in range(lo + (c - lo) % modulus, hi + 1, modulus):
+                theta = _window_theta(l, d, depth)
+                if theta is not None:
+                    yield l, n, theta
+
+
+def stop_counts(d: int, lo: int, hi: int, depth: int) -> dict[int, int]:
+    """Number of starts l/d, lo <= l <= hi, with stopping time j, for j = 0..depth."""
+    counts = dict.fromkeys(range(depth + 1), 0)
+    for first, step, theta in _stop_classes(d, lo, hi, depth):
+        counts[theta] += len(range(first, hi + 1, step))
+    return counts
+
+
+def census_thetas(d: int, lo: int, hi: int, window: int) -> list[int | None]:
+    """Stopping times of l/d for lo <= l <= hi, None where above window or
+    where l < d (a fixed start in (0, 1))."""
+    n = hi - lo + 1
+    out: list[int | None] = [None] * n
+    for first, step, theta in _stop_classes(d, lo, hi, window):
+        i = first - lo
+        out[i::step] = [theta] * len(range(i, n, step))
+    return out
 
 
 @dataclass(frozen=True)
@@ -384,32 +452,49 @@ def squaring_census(d: int, x: int, window: int = 25, lo: int = 1) -> CensusRepo
     """Stopping times of l/d for l in [lo, x] at a fixed digit window.
 
     Starts below d (value in (0,1), provably fixed) and starts the window
-    cannot resolve are reported unresolved; records list each l achieving a
-    new largest resolved stopping time.
+    cannot resolve are reported unresolved.  Records follow squaring_records:
+    an unresolved start is regrown before it is ranked.
     """
-    if d < 2 or lo < 1 or x < lo:
-        raise ValueError("need d >= 2 and 1 <= lo <= x")
-    thetas: dict[int, int | None] = {}
+    if d < 2 or lo < 1 or x < lo or window < 1:
+        raise ValueError("need d >= 2, 1 <= lo <= x and window >= 1")
+    theta_list = census_thetas(d, lo, x, window)
+    thetas = dict(zip(range(lo, x + 1), theta_list))
     histogram: dict[int, int] = {}
     unresolved: list[int] = []
-    records: list[tuple[int, int]] = []
-    best = -1
-    for l in range(lo, x + 1):
-        if l % d == 0:
-            theta: int | None = 0
-        elif l < d:
-            theta = None
-        else:
-            theta = stopping_time_windowed(l, d, window).theta
-        thetas[l] = theta
+    for l, theta in thetas.items():
         if theta is None:
             unresolved.append(l)
-            continue
-        histogram[theta] = histogram.get(theta, 0) + 1
+        else:
+            histogram[theta] = histogram.get(theta, 0) + 1
+    records = _records(d, lo, theta_list, window)
+    return CensusReport(d, x, window, thetas, histogram, tuple(unresolved), tuple(records))
+
+
+def squaring_records(d: int, lo: int, hi: int, window: int = 25) -> list[tuple[int, int]]:
+    """Record stopping times (l, theta) of l/d over lo <= l <= hi.
+
+    A start the window leaves unresolved is regrown by stopping_time_windowed's
+    auto_grow; one still unresolved at its cap raises ValueError naming it.
+    Starts below d are fixed and hold no stopping time.
+    """
+    return _records(d, lo, census_thetas(d, lo, hi, window), window)
+
+
+def _records(d: int, lo: int, thetas: list[int | None], window: int) -> list[tuple[int, int]]:
+    records: list[tuple[int, int]] = []
+    best = -1
+    for l, theta in enumerate(thetas, start=lo):
+        if theta is None:
+            if l < d:
+                continue
+            report = stopping_time_windowed(l, d, window, True)
+            theta = report.theta
+            if theta is None:
+                raise ValueError(f"start {l}/{d} is unresolved at window {report.unresolved_at}")
         if theta > best:
             records.append((l, theta))
             best = theta
-    return CensusReport(d, x, window, thetas, histogram, tuple(unresolved), tuple(records))
+    return records
 
 
 def bad_at_size(l: int, d: int, x: int) -> bool:

@@ -8,14 +8,16 @@ OEIS-style b-file; runs can be cached on disk, and long scans split across
 worker processes with a deterministic ordered merge.
 
 Exit codes: 0 success (rows may still be marked unresolved), 2 invalid
-arguments, an impossible output request, or a theta_mult record scan with a
-start unresolved at --max-steps, 3 internal consistency failure.
+arguments, an impossible output request, or a record scan with a start
+unresolved at --max-steps (theta_mult) or at the largest window
+(theta_d3), 3 internal consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -32,7 +34,6 @@ from ceildyn.rational import InternalCheckError, format_rational, parse_rational
 from ceildyn.squaring import StoppingReport, stopping_time_exact, theta_denominator2, trajectory
 from ceildyn.window import stopping_time_windowed
 
-ENGINE_VERSION = "ceildyn-0.1.0"
 FORMATS = ("table", "json", "csv", "bfile")
 
 
@@ -81,13 +82,27 @@ class ExperimentConfig:
 
     def cache_key(self) -> str:
         payload = {
-            "engine": ENGINE_VERSION,
+            "engine": _source_digest(),
             "command": self.command,
             "params": dict(self.params),
             "format": self.fmt,
         }
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the ceildyn source files, so a cached result never
+    outlives the code that produced it.  Computed once, on first use."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            digest.update(name.encode("utf-8") + b"\0")
+            with open(os.path.join(package, name), "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
 
 
 def cache_load(config: ExperimentConfig) -> str | None:
@@ -106,7 +121,7 @@ def cache_store(config: ExperimentConfig, output: str) -> None:
         return
     os.makedirs(config.cache_dir, exist_ok=True)
     payload = {
-        "engine": ENGINE_VERSION,
+        "engine": _source_digest(),
         "command": config.command,
         "params": dict(config.params),
         "format": config.fmt,
@@ -226,26 +241,18 @@ def _theta_windowed_row(l: int, d: int, window: int, auto_grow: bool) -> Stoppin
     return stopping_time_windowed(l, d, window, auto_grow=auto_grow)
 
 
-def _census_block(block) -> list[tuple[int, int | None]]:
-    d, lo, hi, window = block
-    report = chainlib.squaring_census(d, hi, window, lo)
-    return [(l, report.thetas[l]) for l in range(lo, hi + 1)]
+def _census_block(block) -> list[int | None]:
+    return chainlib.census_thetas(*block)
 
 
 def _dist_block(block) -> dict[int, int]:
-    d, lo, hi, depth, window = block
-    counts = dict.fromkeys(range(depth + 1), 0)
-    for l in range(lo, hi + 1):
-        theta = _theta_windowed_row(l, d, window, auto_grow=True).theta
-        if theta is not None and theta <= depth:
-            counts[theta] += 1
-    return counts
+    return chainlib.stop_counts(*block)
 
 
 def _records_block(block) -> list[tuple[int, int]]:
     kind, lo, hi, window, r_text, max_steps = block
     if kind == "theta_d3":
-        return list(chainlib.squaring_census(3, hi, window, lo).records)
+        return chainlib.squaring_records(3, lo, hi, window)
     if kind == "theta_mult":
         return multmaps.mult_records(parse_rational(r_text), lo, hi, max_steps)
     out: list[tuple[int, int]] = []
@@ -318,8 +325,8 @@ def cmd_census(args) -> list[dict]:
         raise CLIError("census needs --den >= 2")
     blocks = [(d, a, b, args.window) for a, b in _split_range(args.lo, args.scan, args.workers)]
     rows = []
-    for chunk in _run_blocks(_census_block, blocks, args.workers):
-        for l, theta in chunk:
+    for (_, a, _, _), chunk in zip(blocks, _run_blocks(_census_block, blocks, args.workers)):
+        for l, theta in enumerate(chunk, start=a):
             rows.append(
                 {"input": f"{l}/{d}", "l": l, "theta": theta, "unresolved": theta is None}
             )
@@ -332,9 +339,7 @@ def cmd_dist(args) -> list[dict]:
         raise CLIError("dist needs --den >= 2")
     exact = {j: chainlib.chain_stop_mass(d, j) for j in range(args.depth + 1)}
     counts = dict.fromkeys(range(args.depth + 1), 0)
-    blocks = [
-        (d, a, b, args.depth, args.window) for a, b in _split_range(1, args.scan, args.workers)
-    ]
+    blocks = [(d, a, b, args.depth) for a, b in _split_range(1, args.scan, args.workers)]
     for chunk in _run_blocks(_dist_block, blocks, args.workers):
         for j, n in chunk.items():
             counts[j] += n
@@ -588,7 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--den", type=_positive, required=True)
     p.add_argument("--depth", type=_nonnegative, default=5)
     p.add_argument("--scan", type=_nonnegative, default=10000, help="empirical sample bound")
-    p.add_argument("--window", type=_positive, default=48)
+    p.add_argument(
+        "--window", type=_positive, default=48, help="accepted but unused: counts are exact"
+    )
 
     p = sub.add_parser("chains", parents=[common], help="denominator chain of num/den")
     p.add_argument("--num", type=int, required=True)

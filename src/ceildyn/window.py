@@ -8,6 +8,12 @@ known one digit less precisely, so a window of W valid digits supports
 W - 1 steps; the valid_digits counter enforces that bookkeeping rather
 than trusting any a-priori bound on the stopping time.
 
+DigitWindow and step_window are the validated single-step API.  Scans run
+the same loop on bare ints through _window_theta, which returns theta from
+the residue u mod d^(W+1) alone: stopping_time_windowed calls it, and so
+does the residue sieve in chains, which decides whole classes of starts
+with it because theta <= k depends only on l mod d^(k+1).
+
 track_magnitude reports log10 of a deep iterate with a rigorous error
 bound: it iterates the numerator exactly until a digit cap, after which
 log10 x_{k+1} = log10 x_k + log10 ceil(x_k) collapses to doubling because
@@ -102,16 +108,32 @@ def stopping_time_windowed(
     """
     if d < 2 or l <= d or l % d == 0:
         raise ValueError("windowed engine needs a noninteger start l/d > 1")
+    if M < 1:
+        raise ValueError("window size M must be >= 1")
     window = M
     while True:
-        w = window_from_rational(l, d, window)
-        while w.valid_digits >= 2:
-            w = step_window(w)
-            if w.integral:
-                return StoppingReport(theta=w.steps_taken)
+        theta = _window_theta(l, d, window)
+        if theta is not None:
+            return StoppingReport(theta=theta)
         if not auto_grow or window >= max_window:
             return StoppingReport(theta=None, unresolved_at=window)
         window = min(2 * window, max_window)
+
+
+def _window_theta(u: int, d: int, W: int) -> int | None:
+    """First k in 1..W at which the iterate of u/d is integral, or None.
+
+    Uses u mod d^(W+1) only, stepping u -> u*ceil(u/d) mod d^(W+1-k) on
+    plain ints: step_window's loop without a DigitWindow per step.
+    """
+    mod = d**W
+    u %= mod * d
+    for k in range(1, W + 1):
+        u = u * ((u + d - 1) // d) % mod
+        if u % d == 0:
+            return k
+        mod //= d
+    return None
 
 
 _LOG10_2 = Decimal("0.30102999566398119521373889472449302676818988146211")

@@ -6,9 +6,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_window import step_window_theta
 
+from ceildyn import chains
 from ceildyn.chains import (
     Chain,
     alpha_d,
@@ -16,6 +18,7 @@ from ceildyn.chains import (
     ap_count_for_chain,
     bad_at_size,
     beta_d,
+    census_thetas,
     chain_of,
     chain_stop_mass,
     enumerate_stop_mass,
@@ -23,10 +26,15 @@ from ceildyn.chains import (
     mixed_radix_value,
     prime_stop_mass,
     squaring_census,
+    squaring_records,
+    stop_counts,
     stop_distribution,
     theta_residues,
     verify_digit_laws,
 )
+from ceildyn.cli import _split_range
+from ceildyn.rational import InternalCheckError
+from ceildyn.squaring import StoppingReport
 
 small_d = st.integers(min_value=2, max_value=6)
 small_l = st.integers(min_value=0, max_value=400)
@@ -185,7 +193,7 @@ def test_theta_residues_depend_only_on_the_class():
 
 
 def test_stop_distribution_combines_exact_and_empirical():
-    dist = stop_distribution(3, 3000, 3, window=32)
+    dist = stop_distribution(3, 3000, 3)
     assert dist.probabilities[0] == Fraction(1, 3)
     assert dist.unresolved_mass == Fraction(2, 3) ** 4
     total = sum(dist.probabilities.values()) + dist.unresolved_mass
@@ -206,6 +214,89 @@ def test_census_small_range():
 def test_census_respects_lower_bound():
     report = squaring_census(3, 11, 25, lo=3)
     assert [report.thetas[l] for l in range(3, 12)] == [0, 2, 6, 0, 1, 1, 0, 5, 2]
+
+
+def reference_theta(l: int, d: int, window: int) -> int | None:
+    """Per-start stopping time: 0 on multiples of d, None below d or above window."""
+    if l % d == 0:
+        return 0
+    if l < d:
+        return None
+    return step_window_theta(l, d, window)
+
+
+starts = st.one_of(st.integers(min_value=1, max_value=13), st.integers(min_value=1, max_value=3000))
+lengths = st.one_of(st.integers(min_value=1, max_value=13), st.integers(min_value=1, max_value=1200))
+
+
+@given(
+    st.integers(min_value=2, max_value=12),
+    starts,
+    lengths,
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=4),
+)
+@example(4, 1, 1100, 40, 1)
+@example(8, 3, 7, 30, 2)
+@example(9, 1, 1200, 12, 3)
+@example(6, 5, 1200, 25, 1)
+@example(12, 11, 1200, 25, 4)
+@settings(max_examples=40, deadline=None)
+def test_sieve_matches_per_start_reference(d, lo, length, window, workers):
+    hi = lo + length - 1
+    for a, b in _split_range(lo, hi, workers):
+        span = range(a, b + 1)
+        want = [reference_theta(l, d, window) for l in span]
+        assert census_thetas(d, a, b, window) == want
+        report = squaring_census(d, b, window, a)
+        assert report.unresolved == tuple(l for l, t in zip(span, want) if t is None)
+        shallow = [reference_theta(l, d, 10) for l in span]
+        for depth in range(11):
+            assert stop_counts(d, a, b, depth) == {j: shallow.count(j) for j in range(depth + 1)}
+
+
+def reference_records(lo: int, hi: int) -> list[tuple[int, int]]:
+    out = []
+    for l in range(lo, hi + 1):
+        theta = reference_theta(l, 3, 64)  # every start below 10^5 stops within 30 steps
+        if theta is not None and (not out or theta > out[-1][1]):
+            out.append((l, theta))
+    return out
+
+
+@given(
+    st.one_of(starts, st.integers(min_value=6000, max_value=7148)),
+    lengths,
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=4),
+)
+@example(7000, 200, 25, 1)
+@settings(max_examples=40, deadline=None)
+def test_d3_records_match_per_start_reference(lo, length, window, workers):
+    for a, b in _split_range(lo, lo + length - 1, workers):
+        assert squaring_records(3, a, b, window) == reference_records(a, b)
+
+
+def test_records_name_a_start_unresolved_at_the_cap(monkeypatch):
+    assert squaring_records(3, 7000, 7200, window=25)[-1] == (7148, 30)
+    monkeypatch.setattr(chains, "stopping_time_windowed", lambda *a: StoppingReport(theta=None, unresolved_at=28))
+    with pytest.raises(ValueError, match=r"start 7148/3 is unresolved at window 28"):
+        squaring_records(3, 7000, 7200, window=25)
+
+
+@pytest.mark.parametrize("kernel", [lambda u, d, W: None, lambda u, d, W: W])
+def test_sieve_requires_exactly_one_dead_child_for_prime_d(kernel, monkeypatch):
+    monkeypatch.setattr(chains, "_window_theta", kernel)
+    with pytest.raises(InternalCheckError, match="exactly one"):
+        census_thetas(5, 1, 100, 25)
+    census_thetas(6, 1, 100, 25)  # composite d may kill any number of children
+
+
+def test_sieve_rejects_a_child_stopping_before_its_parent(monkeypatch):
+    # every class survives level 0, then each child claims to stop at step 1
+    monkeypatch.setattr(chains, "_window_theta", lambda u, d, W: None if W == 1 else 1)
+    with pytest.raises(InternalCheckError, match="parent survived"):
+        stop_counts(6, 1, 300, 5)
 
 
 def test_bad_at_size_examples():

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 from test_acceptance import MULT_RECORDS
 
-from ceildyn import multmaps
-from ceildyn.cli import CLIError, COMMANDS, export_bfile, main
+from ceildyn import chains, cli, multmaps
+from ceildyn.cli import CLIError, COMMANDS, ExperimentConfig, export_bfile, main
 from ceildyn.rational import InternalCheckError
+from ceildyn.squaring import StoppingReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,6 +123,43 @@ def test_records_table(capsys):
     assert pairs == [(3, 0), (4, 2), (5, 6), (28, 22)]
 
 
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_d3_records_regrow_starts_the_default_window_leaves_unresolved(workers, capsys):
+    # 7148/3 stops after 30 steps; window 25 alone would end the table at (19310, 25)
+    code, out = run_cli(capsys, "records", "--kind", "theta_d3", "--bound", "100000", "--workers", workers)
+    assert code == 0
+    assert out.splitlines()[-1] == "arg=7148 record=30"
+
+
+def test_d3_records_exit_2_on_a_start_unresolved_at_the_cap(monkeypatch, capsys):
+    monkeypatch.setattr(
+        chains, "stopping_time_windowed", lambda *a: StoppingReport(theta=None, unresolved_at=1 << 20)
+    )
+    code = main(["records", "--kind", "theta_d3", "--bound", "10000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "start 7148/3 is unresolved" in captured.err
+
+
+@pytest.mark.parametrize("kernel", [lambda u, d, W: None, lambda u, d, W: W])
+@pytest.mark.parametrize(
+    "argv",
+    [("census", "--den", "3", "--scan", "100"), ("dist", "--den", "3", "--scan", "100")],
+)
+def test_broken_window_kernel_exits_3(argv, kernel, monkeypatch, capsys):
+    monkeypatch.setattr(chains, "_window_theta", kernel)
+    assert main(list(argv)) == 3
+    assert "internal check failed" in capsys.readouterr().err
+
+
+def test_dist_window_does_not_change_output(capsys):
+    argv = ("dist", "--den", "3", "--depth", "9", "--scan", "5000")
+    _, default = run_cli(capsys, *argv)
+    _, narrow = run_cli(capsys, *argv, "--window", "1")
+    assert narrow == default
+
+
 def test_mult_records_print_the_pinned_4_thirds_table(capsys):
     code, out = run_cli(capsys, "records", "--kind", "theta_mult", "--r", "4/3", "--bound", "491729")
     assert code == 0
@@ -195,10 +233,32 @@ def test_cache_key_separates_formats(tmp_path, capsys):
     assert json.loads(json_out)["theta"] == 2
 
 
+def test_cache_key_tracks_the_source_digest(monkeypatch):
+    args = cli.build_parser().parse_args(["census", "--den", "3", "--scan", "20"])
+    config = ExperimentConfig.from_args(args)
+    key = config.cache_key()
+    for workers, cache_dir in ((4, None), (1, "elsewhere")):
+        args.workers, args.cache = workers, cache_dir
+        assert ExperimentConfig.from_args(args).cache_key() == key
+    monkeypatch.setattr(cli, "_source_digest", lambda: "edited source")
+    assert config.cache_key() != key
+
+
+def test_source_digest_is_only_computed_for_cached_runs(tmp_path, capsys):
+    cli._source_digest.cache_clear()
+    run_cli(capsys, "alpha", "--den", "6")
+    assert cli._source_digest.cache_info().currsize == 0
+    run_cli(capsys, "alpha", "--den", "6", "--cache", str(tmp_path))
+    assert cli._source_digest.cache_info().misses == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("census", "--den", "3", "--scan", "40"),
+        ("census", "--den", "4", "--from", "2", "--scan", "300", "--window", "6"),
+        ("dist", "--den", "3", "--depth", "10", "--scan", "3000"),
+        ("records", "--kind", "theta_d3", "--bound", "8000"),
         ("records", "--kind", "theta_mult", "--bound", "200"),
     ],
 )

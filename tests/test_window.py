@@ -14,6 +14,7 @@ from ceildyn.squaring import stopping_time_exact
 from ceildyn.window import (
     DigitWindow,
     PrecisionExhausted,
+    _window_theta,
     log10_of_int,
     step_window,
     stopping_time_windowed,
@@ -90,6 +91,38 @@ def test_windowed_theta_agrees_with_exact(d, l):
         assert windowed.theta is None or windowed.theta > 12
 
 
+def step_window_theta(u: int, d: int, W: int) -> int | None:
+    """theta of u/d in 1..W through validated DigitWindow steps, or None."""
+    w = DigitWindow(d, u % d ** (W + 1), W + 1)
+    while w.valid_digits >= 2:
+        w = step_window(w)
+        if w.integral:
+            return w.steps_taken
+    return None
+
+
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=10**8),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=150)
+def test_window_kernel_matches_step_window(d, u, W):
+    assert _window_theta(u, d, W) == step_window_theta(u, d, W)
+
+
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=100)
+def test_window_kernel_matches_exact_iteration(d, l, W):
+    if l <= d or l % d == 0:
+        return
+    assert _window_theta(l, d, W) == stopping_time_exact(Fraction(l, d), max_steps=W).theta
+
+
 def test_windowed_engine_known_values():
     assert stopping_time_windowed(6, 5, 25).theta == 18
     assert stopping_time_windowed(5, 3, 25).theta == 6
@@ -114,6 +147,8 @@ def test_windowed_preconditions():
         stopping_time_windowed(2, 5, 10)  # subunit start, never stops
     with pytest.raises(ValueError):
         stopping_time_windowed(3, 1, 10)
+    with pytest.raises(ValueError):
+        stopping_time_windowed(5, 3, 0)  # a window needs at least one step
 
 
 @given(st.integers(min_value=1, max_value=10**30))
