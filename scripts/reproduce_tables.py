@@ -11,7 +11,7 @@ from fractions import Fraction
 from ceildyn.chains import chain_stop_mass, squaring_census
 from ceildyn.multmaps import mult_records, stopping_time_mult
 from ceildyn.squaring import theta_denominator2
-from ceildyn.window import stopping_time_windowed
+from ceildyn.window import successor_records
 
 
 def table_half() -> None:
@@ -33,15 +33,8 @@ def table_third() -> None:
 def table_succ(bound: int) -> None:
     print(f"# records of theta((d+1)/d), d <= {bound}")
     print("d theta")
-    best = -1
-    for d in range(1, bound + 1):
-        if d == 1:
-            theta = 0
-        else:
-            theta = stopping_time_windowed(d + 1, d, 64, auto_grow=True).theta
-        if theta is not None and theta > best:
-            print(d, theta)
-            best = theta
+    for d, theta in successor_records(1, bound, 64):
+        print(d, theta)
 
 
 def table_mult(bound: int) -> None:

@@ -10,7 +10,7 @@ worker processes with a deterministic ordered merge.
 Exit codes: 0 success (rows may still be marked unresolved), 2 invalid
 arguments, an impossible output request, or a record scan with a start
 unresolved at --max-steps (theta_mult) or at the largest window
-(theta_d3), 3 internal consistency failure.
+(theta_d3, theta_succ), 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from ceildyn import chains as chainlib
 from ceildyn import multmaps, padic
 from ceildyn.rational import InternalCheckError, format_rational, parse_rational
 from ceildyn.squaring import StoppingReport, stopping_time_exact, theta_denominator2, trajectory
-from ceildyn.window import stopping_time_windowed
+from ceildyn.window import stopping_time_windowed, successor_records
 
 FORMATS = ("table", "json", "csv", "bfile")
 
@@ -255,14 +255,7 @@ def _records_block(block) -> list[tuple[int, int]]:
         return chainlib.squaring_records(3, lo, hi, window)
     if kind == "theta_mult":
         return multmaps.mult_records(parse_rational(r_text), lo, hi, max_steps)
-    out: list[tuple[int, int]] = []
-    best = -1
-    for d in range(lo, hi + 1):
-        theta = _theta_windowed_row(d + 1, d, window, auto_grow=True).theta
-        if theta is not None and theta > best:
-            out.append((d, theta))
-            best = theta
-    return out
+    return successor_records(lo, hi, window)
 
 
 # ---------------------------------------------------------------------------

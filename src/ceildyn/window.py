@@ -14,6 +14,13 @@ the residue u mod d^(W+1) alone: stopping_time_windowed calls it, and so
 does the residue sieve in chains, which decides whole classes of starts
 with it because theta <= k depends only on l mod d^(k+1).
 
+For the same reason every window W >= theta gives the same answer, so
+stopping_time_windowed treats its window as a budget rather than a fixed
+precision: it tries the halving ladder M>>j (down to a floor of 64 digits)
+in ascending order before M itself.  Its cost follows theta, not M, and
+its output does not depend on the rungs.  successor_records builds the
+record table of the successor ratios (d+1)/d on top of it.
+
 track_magnitude reports log10 of a deep iterate with a rigorous error
 bound: it iterates the numerator exactly until a digit cap, after which
 log10 x_{k+1} = log10 x_k + log10 ceil(x_k) collapses to doubling because
@@ -30,6 +37,10 @@ from decimal import Decimal, localcontext
 
 from ceildyn.rational import digits10
 from ceildyn.squaring import StoppingReport
+
+
+# Smallest rung of stopping_time_windowed's halving ladder, in digits.
+_LADDER_FLOOR = 64
 
 
 class PrecisionExhausted(Exception):
@@ -102,14 +113,23 @@ def stopping_time_windowed(
     """Stopping time of l/d without materializing the iterates.
 
     Needs a noninteger start greater than 1.  The reached integer is never
-    materialized, so a resolved report carries theta only.  With auto_grow
-    the window doubles and the run restarts until resolution (or the
-    max_window safety cap, since termination is conjectural in general).
+    materialized, so a resolved report carries theta only.  M is a budget:
+    the windows M>>j >= 64 are tried first, smallest first, then M, and the
+    first that resolves answers.  Every window >= theta gives the same
+    theta, so the result is the one M alone would give, at the cost of a
+    window near theta.  With auto_grow the window then doubles and the run
+    restarts until resolution (or the max_window safety cap, since
+    termination is conjectural in general); unresolved_at is the last
+    window tried.
     """
     if d < 2 or l <= d or l % d == 0:
         raise ValueError("windowed engine needs a noninteger start l/d > 1")
     if M < 1:
         raise ValueError("window size M must be >= 1")
+    for j in range((M // _LADDER_FLOOR).bit_length() - 1, 0, -1):
+        theta = _window_theta(l, d, M >> j)
+        if theta is not None:
+            return StoppingReport(theta=theta)
     window = M
     while True:
         theta = _window_theta(l, d, window)
@@ -118,6 +138,33 @@ def stopping_time_windowed(
         if not auto_grow or window >= max_window:
             return StoppingReport(theta=None, unresolved_at=window)
         window = min(2 * window, max_window)
+
+
+def successor_records(lo: int, hi: int, window: int) -> list[tuple[int, int]]:
+    """Record stopping times (d, theta) of the successor ratios (d+1)/d, lo <= d <= hi.
+
+    Each start runs with the budget max(window, best record so far) and
+    auto_grow, so a start is a record exactly when that budget leaves it
+    unresolved, and a non-record never pays for a window above the record.
+    A start still unresolved at the auto_grow cap raises ValueError naming
+    it.  2/1 is already an integer: theta 0.
+    """
+    records: list[tuple[int, int]] = []
+    best = -1
+    for d in range(lo, hi + 1):
+        if d == 1:
+            theta = 0
+        else:
+            report = stopping_time_windowed(d + 1, d, max(window, best), auto_grow=True)
+            theta = report.theta
+            if theta is None:
+                raise ValueError(
+                    f"start {d + 1}/{d} is unresolved at window {report.unresolved_at}"
+                )
+        if theta > best:
+            records.append((d, theta))
+            best = theta
+    return records
 
 
 def _window_theta(u: int, d: int, W: int) -> int | None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from test_acceptance import MULT_RECORDS
 
-from ceildyn import chains, cli, multmaps
+from ceildyn import chains, cli, multmaps, window
 from ceildyn.cli import CLIError, COMMANDS, ExperimentConfig, export_bfile, main
 from ceildyn.rational import InternalCheckError
 from ceildyn.squaring import StoppingReport
@@ -121,6 +121,9 @@ def test_records_table(capsys):
         cells = dict(part.split("=", 1) for part in line.split())
         pairs.append((int(cells["arg"]), int(cells["record"])))
     assert pairs == [(3, 0), (4, 2), (5, 6), (28, 22)]
+    code, out = run_cli(capsys, "records", "--kind", "theta_d3", "--bound", "50", "--format", "bfile")
+    assert code == 0
+    assert out == "3 0\n4 2\n5 6\n28 22\n"
 
 
 @pytest.mark.parametrize("workers", ["1", "3"])
@@ -140,6 +143,17 @@ def test_d3_records_exit_2_on_a_start_unresolved_at_the_cap(monkeypatch, capsys)
     assert code == 2
     assert captured.out == ""
     assert "start 7148/3 is unresolved" in captured.err
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_succ_records_exit_2_on_a_start_unresolved_at_the_cap(workers, monkeypatch, capsys):
+    kernel = window._window_theta
+    monkeypatch.setattr(window, "_window_theta", lambda u, d, W: None if d == 7 else kernel(u, d, W))
+    code = main(["records", "--kind", "theta_succ", "--bound", "12", "--workers", workers])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "start 8/7 is unresolved at window 1048576" in captured.err
 
 
 @pytest.mark.parametrize("kernel", [lambda u, d, W: None, lambda u, d, W: W])
@@ -260,6 +274,7 @@ def test_source_digest_is_only_computed_for_cached_runs(tmp_path, capsys):
         ("dist", "--den", "3", "--depth", "10", "--scan", "3000"),
         ("records", "--kind", "theta_d3", "--bound", "8000"),
         ("records", "--kind", "theta_mult", "--bound", "200"),
+        ("records", "--kind", "theta_succ", "--bound", "199"),
     ],
 )
 def test_worker_count_does_not_change_output(argv, capsys):
@@ -315,25 +330,3 @@ def test_reproduce_tables_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert "4 3 268065" in proc.stdout
 
-
-def test_search_records_script_writes_bfile(tmp_path):
-    out_file = tmp_path / "records.txt"
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "scripts/search_records.py",
-            "--kind",
-            "theta_d3",
-            "--bound",
-            "50",
-            "--out",
-            str(out_file),
-        ],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert out_file.read_text() == "3 0\n4 2\n5 6\n28 22\n"
-    assert proc.stdout == out_file.read_text()

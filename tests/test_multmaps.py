@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import MULT_RECORDS
 
 from ceildyn.cli import _split_range
 from ceildyn.multmaps import (
@@ -143,6 +144,12 @@ def test_mult_records_name_the_smallest_unresolved_start():
     assert mult_records(Fraction(1, 3), 0, 0) == [(0, 1)]
     assert mult_records(Fraction(3), 5, 9) == [(5, 1)]
     assert mult_records(Fraction(4, 3), 9, 8) == []
+
+
+def test_mult_records_of_four_thirds_to_10_8():
+    # past 491729 the next record is 38248700: none below 10^7
+    deep = ((38248700, 41), (49050536, 44), (95305397, 47))
+    assert mult_records(Fraction(4, 3), 0, 10**8) == list(MULT_RECORDS + deep)
 
 
 def test_sieve_counts_and_membership():

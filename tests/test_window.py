@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ceildyn.squaring import stopping_time_exact
+from ceildyn.cli import _split_range
+from ceildyn.squaring import StoppingReport, stopping_time_exact
 from ceildyn.window import (
     DigitWindow,
     PrecisionExhausted,
@@ -18,6 +20,7 @@ from ceildyn.window import (
     log10_of_int,
     step_window,
     stopping_time_windowed,
+    successor_records,
     track_magnitude,
     window_from_rational,
 )
@@ -149,6 +152,81 @@ def test_windowed_preconditions():
         stopping_time_windowed(3, 1, 10)
     with pytest.raises(ValueError):
         stopping_time_windowed(5, 3, 0)  # a window needs at least one step
+
+
+def one_shot_report(l: int, d: int, M: int, auto_grow: bool, max_window: int) -> StoppingReport:
+    """Window M first, then doubling up to max_window: no ladder below M."""
+    window = M
+    while True:
+        theta = _window_theta(l, d, window)
+        if theta is not None:
+            return StoppingReport(theta=theta)
+        if not auto_grow or window >= max_window:
+            return StoppingReport(theta=None, unresolved_at=window)
+        window = min(2 * window, max_window)
+
+
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=1, max_value=2000),
+    st.integers(min_value=0, max_value=38),
+    st.one_of(st.integers(min_value=1, max_value=63), st.integers(min_value=64, max_value=300)),
+    st.booleans(),
+    st.integers(min_value=0, max_value=900),
+)
+# (d+1)/d for d = 37, 31 and 19 stops after 200, 79 and 56 steps
+@example(37, 1, 0, 256, False, 0)  # rungs 64, 128 fail, M resolves
+@example(37, 1, 0, 300, False, 0)  # rungs 75, 150 fail, M resolves
+@example(37, 1, 0, 150, True, 750)  # ladder and M fail, growth resolves
+@example(37, 1, 0, 150, True, 40)  # unresolved at max_window 190
+@example(37, 1, 0, 130, False, 0)  # unresolved at M after a failed rung
+@example(31, 1, 0, 200, False, 0)  # rung 100 resolves
+@example(19, 1, 0, 128, False, 0)  # the floor rung 64 resolves
+@example(19, 1, 0, 127, False, 0)  # below 128 there is no rung
+@settings(max_examples=150, deadline=None)
+def test_window_ladder_matches_one_shot_reference(d, k, r, M, auto_grow, extra):
+    l = k * d + 1 + r % (d - 1)
+    max_window = M + extra % (901 - M)
+    want = one_shot_report(l, d, M, auto_grow, max_window)
+    assert stopping_time_windowed(l, d, M, auto_grow, max_window) == want
+
+
+@functools.cache
+def successor_theta(d: int) -> int:
+    return 0 if d == 1 else one_shot_report(d + 1, d, 64, True, 1 << 20).theta
+
+
+def reference_successor_records(lo: int, hi: int) -> list[tuple[int, int]]:
+    out = []
+    for d in range(lo, hi + 1):
+        theta = successor_theta(d)
+        if not out or theta > out[-1][1]:
+            out.append((d, theta))
+    return out
+
+
+@given(
+    st.integers(min_value=1, max_value=150),
+    st.integers(min_value=0, max_value=149),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=4),
+)
+@example(1, 149, 64, 1)
+@example(30, 120, 1, 3)
+@settings(max_examples=40, deadline=None)
+def test_successor_records_match_per_start_reference(lo, length, window, workers):
+    hi = min(lo + length, 150)
+    assert successor_records(lo, hi, window) == reference_successor_records(lo, hi)
+    for a, b in _split_range(lo, hi, workers):
+        assert successor_records(a, b, window) == reference_successor_records(a, b)
+
+
+def test_successor_records_name_a_start_unresolved_at_the_cap(monkeypatch):
+    monkeypatch.setattr(
+        "ceildyn.window._window_theta", lambda u, d, W: None if d == 7 else _window_theta(u, d, W)
+    )
+    with pytest.raises(ValueError, match=r"start 8/7 is unresolved at window 1048576"):
+        successor_records(1, 12, 64)
 
 
 @given(st.integers(min_value=1, max_value=10**30))
