@@ -4,8 +4,8 @@ Subcommands wrap the library modules: exact and windowed stopping times,
 orbits, censuses, stopping-time distributions, denominator chains, density
 exponents, exceptional-set explorations, p-adic prefix trees, and record
 searches.  Results render as a plain table, JSON Lines, CSV, or an
-OEIS-style b-file; runs can be cached on disk, and long scans split across
-worker processes with a deterministic ordered merge.
+OEIS-style b-file; runs can be cached on disk.  Every scan runs once, in
+this process, on the library's residue sieves.
 
 Exit codes: 0 success (rows may still be marked unresolved), 2 invalid
 arguments, an impossible output request, or a record scan with a start
@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,21 +49,18 @@ class CLIError(Exception):
 class ExperimentConfig:
     """Semantic description of one run: command, parameters, output format.
 
-    workers and cache_dir affect scheduling and storage, never the output
-    bytes, so they stay outside the cache key.
+    cache_dir says where results are stored, never what they are, so it
+    stays outside the cache key, as does the no-op --workers flag.
     """
 
     command: str
     params: tuple[tuple[str, object], ...]
     fmt: str
-    workers: int = 1
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.fmt not in FORMATS:
             raise CLIError(f"unknown format {self.fmt!r}")
-        if self.workers < 1:
-            raise CLIError("workers must be >= 1")
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> ExperimentConfig:
@@ -76,7 +72,6 @@ class ExperimentConfig:
             command=args.command,
             params=params,
             fmt=args.format,
-            workers=getattr(args, "workers", 1),
             cache_dir=getattr(args, "cache", None),
         )
 
@@ -204,61 +199,6 @@ def _bfile_require(value, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shared worker plumbing
-# ---------------------------------------------------------------------------
-
-
-def _split_range(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    if hi < lo:
-        return []
-    total = hi - lo + 1
-    blocks = max(1, min(workers, total))
-    size = -(-total // blocks)
-    spans = []
-    start = lo
-    while start <= hi:
-        end = min(start + size - 1, hi)
-        spans.append((start, end))
-        start = end + 1
-    return spans
-
-
-def _run_blocks(worker, blocks, workers: int) -> list:
-    """Map worker over contiguous blocks, preserving block order."""
-    if workers <= 1 or len(blocks) <= 1:
-        return [worker(block) for block in blocks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-        return list(pool.map(worker, blocks))
-
-
-def _theta_windowed_row(l: int, d: int, window: int, auto_grow: bool) -> StoppingReport:
-    """Stopping time of l/d with the structural cases split off: multiples
-    of d stop immediately and starts below d are fixed, never stopping."""
-    if l % d == 0:
-        return stopping_time_exact(Fraction(l, d))
-    if l < d:
-        return StoppingReport(theta=None, unresolved_at=0)
-    return stopping_time_windowed(l, d, window, auto_grow=auto_grow)
-
-
-def _census_block(block) -> list[int | None]:
-    return chainlib.census_thetas(*block)
-
-
-def _dist_block(block) -> dict[int, int]:
-    return chainlib.stop_counts(*block)
-
-
-def _records_block(block) -> list[tuple[int, int]]:
-    kind, lo, hi, window, r_text, max_steps = block
-    if kind == "theta_d3":
-        return chainlib.squaring_records(3, lo, hi, window)
-    if kind == "theta_mult":
-        return multmaps.mult_records(parse_rational(r_text), lo, hi, max_steps)
-    return successor_records(lo, hi, window)
-
-
-# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
@@ -278,12 +218,12 @@ def cmd_traj(args) -> list[dict]:
 
 def cmd_theta(args) -> list[dict]:
     q = Fraction(args.num, args.den)
-    if args.window is not None:
-        rep = _theta_windowed_row(args.num, args.den, args.window, args.auto_grow)
-    elif args.num % args.den == 0:
+    if args.num % args.den == 0:
         rep = stopping_time_exact(q)
     elif args.num < args.den:
         rep = StoppingReport(theta=None, unresolved_at=0)
+    elif args.window is not None:
+        rep = stopping_time_windowed(args.num, args.den, args.window, auto_grow=args.auto_grow)
     else:
         rep = stopping_time_exact(q, max_steps=args.max_steps)
     row: dict = {"input": format_rational(q), "theta": rep.theta}
@@ -316,14 +256,11 @@ def cmd_census(args) -> list[dict]:
     d = args.den
     if d < 2:
         raise CLIError("census needs --den >= 2")
-    blocks = [(d, a, b, args.window) for a, b in _split_range(args.lo, args.scan, args.workers)]
-    rows = []
-    for (_, a, _, _), chunk in zip(blocks, _run_blocks(_census_block, blocks, args.workers)):
-        for l, theta in enumerate(chunk, start=a):
-            rows.append(
-                {"input": f"{l}/{d}", "l": l, "theta": theta, "unresolved": theta is None}
-            )
-    return rows
+    thetas = chainlib.census_thetas(d, args.lo, args.scan, args.window)
+    return [
+        {"input": f"{l}/{d}", "l": l, "theta": theta, "unresolved": theta is None}
+        for l, theta in enumerate(thetas, start=args.lo)
+    ]
 
 
 def cmd_dist(args) -> list[dict]:
@@ -331,11 +268,7 @@ def cmd_dist(args) -> list[dict]:
     if d < 2:
         raise CLIError("dist needs --den >= 2")
     exact = {j: chainlib.chain_stop_mass(d, j) for j in range(args.depth + 1)}
-    counts = dict.fromkeys(range(args.depth + 1), 0)
-    blocks = [(d, a, b, args.depth) for a, b in _split_range(1, args.scan, args.workers)]
-    for chunk in _run_blocks(_dist_block, blocks, args.workers):
-        for j, n in chunk.items():
-            counts[j] += n
+    counts = chainlib.stop_counts(d, 1, args.scan, args.depth)
     rows = []
     for j in range(args.depth + 1):
         row = {"j": str(j), "exact": format_rational(exact[j])}
@@ -455,20 +388,13 @@ def cmd_floorcheck(args) -> list[dict]:
 
 
 def cmd_records(args) -> list[dict]:
-    lo = {"theta_d3": 1, "theta_succ": 1, "theta_mult": 0}[args.kind]
-    window = args.window if args.window is not None else (25 if args.kind == "theta_d3" else 64)
-    blocks = [
-        (args.kind, a, b, window, args.r, args.max_steps)
-        for a, b in _split_range(lo, args.bound, args.workers)
-    ]
-    rows = []
-    best = -1
-    for chunk in _run_blocks(_records_block, blocks, args.workers):
-        for arg, value in chunk:
-            if value > best:
-                rows.append({"arg": arg, "record": value})
-                best = value
-    return rows
+    if args.kind == "theta_d3":
+        table = chainlib.squaring_records(3, 1, args.bound, args.window or 25)
+    elif args.kind == "theta_mult":
+        table = multmaps.mult_records(parse_rational(args.r), 0, args.bound, args.max_steps)
+    else:
+        table = successor_records(1, args.bound, args.window or 64)
+    return [{"arg": arg, "record": value} for arg, value in table]
 
 
 # command -> (handler, table projection, b-file adapter or None)
@@ -552,7 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
     common.add_argument("--cache", metavar="DIR", default=None, help="result cache directory")
-    common.add_argument("--workers", type=_positive, default=1)
+    common.add_argument(
+        "--workers", type=_positive, default=1, help="accepted but unused: scans run in process"
+    )
 
     parser = argparse.ArgumentParser(
         prog="ceildyn", description="Experiments with x*ceil(x) and r*ceil(x) dynamics."

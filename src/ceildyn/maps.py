@@ -1,9 +1,9 @@
 """Tagged description of which map a computation iterates.
 
-A MapSpec is plumbing: it lets trajectories, the CLI, and cache keys say
-"x*ceil(x)" versus "r*ceil(x)" versus a periodically linear integer map
-without each caller growing its own enum.  The mathematical machinery for
-the integer maps lives in multmaps; the p-adic step lives in padic.
+A MapSpec lets squaring.trajectory iterate "x*ceil(x)", "r*ceil(x)", their
+floor variants or a periodically linear integer map through one exact
+rational step.  The mathematical machinery for the integer maps lives in
+multmaps; the p-adic step lives in padic.
 """
 
 from __future__ import annotations

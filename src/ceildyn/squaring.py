@@ -16,18 +16,6 @@ from ceildyn.maps import ABSORBING_KINDS, MapSpec
 from ceildyn.rational import InternalCheckError, digits10, padic_valuation
 
 
-def step(q) -> Fraction:
-    """x -> x*ceil(x)."""
-    q = Fraction(q)
-    return q * math.ceil(q)
-
-
-def step_floor(q) -> Fraction:
-    """x -> x*floor(x)."""
-    q = Fraction(q)
-    return q * math.floor(q)
-
-
 @dataclass
 class Trajectory:
     start: Fraction

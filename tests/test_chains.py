@@ -32,7 +32,6 @@ from ceildyn.chains import (
     theta_residues,
     verify_digit_laws,
 )
-from ceildyn.cli import _split_range
 from ceildyn.rational import InternalCheckError
 from ceildyn.squaring import StoppingReport
 
@@ -234,25 +233,23 @@ lengths = st.one_of(st.integers(min_value=1, max_value=13), st.integers(min_valu
     starts,
     lengths,
     st.integers(min_value=1, max_value=40),
-    st.integers(min_value=1, max_value=4),
 )
-@example(4, 1, 1100, 40, 1)
-@example(8, 3, 7, 30, 2)
-@example(9, 1, 1200, 12, 3)
-@example(6, 5, 1200, 25, 1)
-@example(12, 11, 1200, 25, 4)
+@example(4, 1, 1100, 40)
+@example(8, 3, 7, 30)
+@example(9, 1, 1200, 12)
+@example(6, 5, 1200, 25)
+@example(12, 11, 1200, 25)
 @settings(max_examples=40, deadline=None)
-def test_sieve_matches_per_start_reference(d, lo, length, window, workers):
+def test_sieve_matches_per_start_reference(d, lo, length, window):
     hi = lo + length - 1
-    for a, b in _split_range(lo, hi, workers):
-        span = range(a, b + 1)
-        want = [reference_theta(l, d, window) for l in span]
-        assert census_thetas(d, a, b, window) == want
-        report = squaring_census(d, b, window, a)
-        assert report.unresolved == tuple(l for l, t in zip(span, want) if t is None)
-        shallow = [reference_theta(l, d, 10) for l in span]
-        for depth in range(11):
-            assert stop_counts(d, a, b, depth) == {j: shallow.count(j) for j in range(depth + 1)}
+    span = range(lo, hi + 1)
+    want = [reference_theta(l, d, window) for l in span]
+    assert census_thetas(d, lo, hi, window) == want
+    report = squaring_census(d, hi, window, lo)
+    assert report.unresolved == tuple(l for l, t in zip(span, want) if t is None)
+    shallow = [reference_theta(l, d, 10) for l in span]
+    for depth in range(11):
+        assert stop_counts(d, lo, hi, depth) == {j: shallow.count(j) for j in range(depth + 1)}
 
 
 def reference_records(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -268,13 +265,12 @@ def reference_records(lo: int, hi: int) -> list[tuple[int, int]]:
     st.one_of(starts, st.integers(min_value=6000, max_value=7148)),
     lengths,
     st.integers(min_value=1, max_value=40),
-    st.integers(min_value=1, max_value=4),
 )
-@example(7000, 200, 25, 1)
+@example(7000, 200, 25)
 @settings(max_examples=40, deadline=None)
-def test_d3_records_match_per_start_reference(lo, length, window, workers):
-    for a, b in _split_range(lo, lo + length - 1, workers):
-        assert squaring_records(3, a, b, window) == reference_records(a, b)
+def test_d3_records_match_per_start_reference(lo, length, window):
+    hi = lo + length - 1
+    assert squaring_records(3, lo, hi, window) == reference_records(lo, hi)
 
 
 def test_records_name_a_start_unresolved_at_the_cap(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -126,10 +127,9 @@ def test_records_table(capsys):
     assert out == "3 0\n4 2\n5 6\n28 22\n"
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
-def test_d3_records_regrow_starts_the_default_window_leaves_unresolved(workers, capsys):
+def test_d3_records_regrow_starts_the_default_window_leaves_unresolved(capsys):
     # 7148/3 stops after 30 steps; window 25 alone would end the table at (19310, 25)
-    code, out = run_cli(capsys, "records", "--kind", "theta_d3", "--bound", "100000", "--workers", workers)
+    code, out = run_cli(capsys, "records", "--kind", "theta_d3", "--bound", "100000")
     assert code == 0
     assert out.splitlines()[-1] == "arg=7148 record=30"
 
@@ -145,11 +145,10 @@ def test_d3_records_exit_2_on_a_start_unresolved_at_the_cap(monkeypatch, capsys)
     assert "start 7148/3 is unresolved" in captured.err
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
-def test_succ_records_exit_2_on_a_start_unresolved_at_the_cap(workers, monkeypatch, capsys):
+def test_succ_records_exit_2_on_a_start_unresolved_at_the_cap(monkeypatch, capsys):
     kernel = window._window_theta
     monkeypatch.setattr(window, "_window_theta", lambda u, d, W: None if d == 7 else kernel(u, d, W))
-    code = main(["records", "--kind", "theta_succ", "--bound", "12", "--workers", workers])
+    code = main(["records", "--kind", "theta_succ", "--bound", "12"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -180,10 +179,9 @@ def test_mult_records_print_the_pinned_4_thirds_table(capsys):
     assert out == "".join(f"arg={n} record={theta}\n" for n, theta in MULT_RECORDS)
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
-def test_mult_records_exit_2_on_an_unresolved_start(workers, capsys):
+def test_mult_records_exit_2_on_an_unresolved_start(capsys):
     # start 1 of 1/3 is a fixed point; a silent skip would print arg=7 record=2
-    code = main(["records", "--kind", "theta_mult", "--r", "1/3", "--bound", "10", "--workers", workers])
+    code = main(["records", "--kind", "theta_mult", "--r", "1/3", "--bound", "10"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -266,21 +264,30 @@ def test_source_digest_is_only_computed_for_cached_runs(tmp_path, capsys):
     assert cli._source_digest.cache_info().misses == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("census", "--den", "3", "--scan", "40"),
-        ("census", "--den", "4", "--from", "2", "--scan", "300", "--window", "6"),
-        ("dist", "--den", "3", "--depth", "10", "--scan", "3000"),
-        ("records", "--kind", "theta_d3", "--bound", "8000"),
-        ("records", "--kind", "theta_mult", "--bound", "200"),
-        ("records", "--kind", "theta_succ", "--bound", "199"),
-    ],
-)
-def test_worker_count_does_not_change_output(argv, capsys):
-    _, serial = run_cli(capsys, *argv, "--workers", "1")
-    _, parallel = run_cli(capsys, *argv, "--workers", "3")
-    assert parallel == serial
+def test_workers_flag_is_accepted_and_has_no_effect(capsys):
+    argv = ("records", "--kind", "theta_d3", "--bound", "8000")
+    _, default = run_cli(capsys, *argv)
+    code, three = run_cli(capsys, *argv, "--workers", "3")
+    assert code == 0
+    assert three == default
+    assert main([*argv, "--workers", "0"]) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_process_pool():
+    probe = (
+        "import sys, ceildyn.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_missing_required_argument_exits_2(capsys):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import MULT_RECORDS
 
-from ceildyn.cli import _split_range
 from ceildyn.multmaps import (
     PeriodicallyLinearMap,
     ceiling_map,
@@ -127,14 +126,12 @@ def expanding_ratios(draw):
     expanding_ratios(),
     st.integers(min_value=-200, max_value=300),
     st.integers(min_value=0, max_value=300),
-    st.integers(min_value=1, max_value=4),
     st.sampled_from((6, 512)),
 )
 @settings(max_examples=60, deadline=None)
-def test_mult_records_match_the_scalar_loop_on_every_block(r, lo, length, workers, max_steps):
+def test_mult_records_match_the_scalar_loop_on_every_block(r, lo, length, max_steps):
     hi = lo + length
-    for a, b in [(lo, hi)] + _split_range(lo, hi, workers):
-        assert _records_outcome(r, a, b, max_steps) == _records_by_scalar_loop(r, a, b, max_steps)
+    assert _records_outcome(r, lo, hi, max_steps) == _records_by_scalar_loop(r, lo, hi, max_steps)
 
 
 def test_mult_records_name_the_smallest_unresolved_start():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ceildyn.cli import _split_range
 from ceildyn.squaring import StoppingReport, stopping_time_exact
 from ceildyn.window import (
     DigitWindow,
@@ -209,16 +208,13 @@ def reference_successor_records(lo: int, hi: int) -> list[tuple[int, int]]:
     st.integers(min_value=1, max_value=150),
     st.integers(min_value=0, max_value=149),
     st.integers(min_value=1, max_value=300),
-    st.integers(min_value=1, max_value=4),
 )
-@example(1, 149, 64, 1)
-@example(30, 120, 1, 3)
+@example(1, 149, 64)
+@example(30, 120, 1)
 @settings(max_examples=40, deadline=None)
-def test_successor_records_match_per_start_reference(lo, length, window, workers):
+def test_successor_records_match_per_start_reference(lo, length, window):
     hi = min(lo + length, 150)
     assert successor_records(lo, hi, window) == reference_successor_records(lo, hi)
-    for a, b in _split_range(lo, hi, workers):
-        assert successor_records(a, b, window) == reference_successor_records(a, b)
 
 
 def test_successor_records_name_a_start_unresolved_at_the_cap(monkeypatch):
