@@ -7,6 +7,11 @@ searches.  Results render as a plain table, JSON Lines, CSV, or an
 OEIS-style b-file; runs can be cached on disk.  Every scan runs once, in
 this process, on the library's residue sieves.
 
+COMMANDS declares each subcommand's columns once; handlers return plain
+tuples, one cell per column.  A renderer builds one row formatter per row
+shape, so a large census pays no per-cell dispatch, and no format builds a
+cell it does not show.
+
 Exit codes: 0 success (rows may still be marked unresolved), 2 invalid
 arguments, an impossible output request, or a record scan with a start
 unresolved at --max-steps (theta_mult) or at the largest window
@@ -22,14 +27,19 @@ import hashlib
 import io
 import json
 import os
+import string
 import sys
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _json_string
+from operator import is_, itemgetter
+from typing import NamedTuple
 
 from ceildyn import chains as chainlib
 from ceildyn import multmaps, padic
-from ceildyn.rational import InternalCheckError, format_rational, parse_rational
+from ceildyn.rational import InternalCheckError, parse_rational
 from ceildyn.squaring import StoppingReport, stopping_time_exact, theta_denominator2, trajectory
 from ceildyn.window import stopping_time_windowed, successor_records
 
@@ -68,21 +78,19 @@ class ExperimentConfig:
         params = tuple(
             sorted((k, v) for k, v in vars(args).items() if k not in skip and v is not None)
         )
-        return cls(
-            command=args.command,
-            params=params,
-            fmt=args.format,
-            cache_dir=getattr(args, "cache", None),
-        )
+        return cls(args.command, params, args.format, getattr(args, "cache", None))
 
-    def cache_key(self) -> str:
-        payload = {
+    def identity(self) -> dict:
+        """What the cache key hashes: the source digest and the run's semantics."""
+        return {
             "engine": _source_digest(),
             "command": self.command,
             "params": dict(self.params),
             "format": self.fmt,
         }
-        blob = json.dumps(payload, sort_keys=True, default=str)
+
+    def cache_key(self) -> str:
+        blob = json.dumps(self.identity(), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -106,22 +114,18 @@ def cache_load(config: ExperimentConfig) -> str | None:
     path = os.path.join(config.cache_dir, config.cache_key() + ".json")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)["output"]
-    except (OSError, ValueError, KeyError):
+            payload = json.load(fh)
+    except (OSError, ValueError):
         return None
+    output = payload.get("output") if isinstance(payload, dict) else None
+    return output if isinstance(output, str) else None  # any other shape is a miss
 
 
 def cache_store(config: ExperimentConfig, output: str) -> None:
     if config.cache_dir is None:
         return
     os.makedirs(config.cache_dir, exist_ok=True)
-    payload = {
-        "engine": _source_digest(),
-        "command": config.command,
-        "params": dict(config.params),
-        "format": config.fmt,
-        "output": output,
-    }
+    payload = {**config.identity(), "output": output}
     fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -137,42 +141,128 @@ def cache_store(config: ExperimentConfig, output: str) -> None:
 # Renderers
 # ---------------------------------------------------------------------------
 
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
+_ABSENT = object()  # the cell of a column that a row does not carry
+_VALUE = object()  # the shape of a cell shown as its value
+_SPECIAL = (None, True, False, _ABSENT)  # the cells whose shape is themselves
 
 
-def render_table(rows, keys=None) -> str:
-    """One "key=value" group per row; None and False entries are omitted."""
-    lines = []
+class Column(NamedTuple):
+    """One output column of a subcommand; each row holds one cell per column.
+
+    text formats a cell: a str.format template whose "{}" is the cell and
+    whose named fields are the command's arguments ("{}/{den}"), shown in
+    JSON as a string.  Without text a cell is an int, shown as it is.  Only
+    an optional column's cells may be None, a bool or _ABSENT, and its other
+    cells share one type.  The table leaves out None, False and _ABSENT
+    cells, and the whole column when table is False.
+    """
+
+    name: str
+    text: str | None = None
+    optional: bool = False
+    table: bool = True
+
+
+def _by_shape(rows, columns, build) -> list:
+    """f(*row) for every row, with f = build(shape) made once per row shape:
+    each optional cell in _SPECIAL stands for itself, every other cell is _VALUE."""
+    optional = [i for i, c in enumerate(columns) if c.optional]
+    key_of = itemgetter(*optional) if optional else len  # len: rows share one shape
+    made: dict = {}
+    out = []
     for row in rows:
+        f = made.get(key := key_of(row))
+        if f is None:
+            special = [c.optional and any(v is s for s in _SPECIAL) for c, v in zip(columns, row)]
+            f = made[key] = build([v if x else _VALUE for x, v in zip(special, row)])
+        out.append(f(*row))
+    return out
+
+
+def _cell_template(text: str, index: int, args) -> str:
+    """text as a str.format template over a row whose cell is row[index],
+    with text's named fields set from the command's arguments."""
+    parts = []
+    for literal, field, spec, _ in string.Formatter().parse(text):
+        parts.append(literal.replace("{", "{{").replace("}", "}}"))
+        if field == "":
+            parts.append(f"{{{index}:{spec}}}")
+        elif field is not None:
+            parts.append(format(getattr(args, field), spec).replace("{", "{{").replace("}", "}}"))
+    return "".join(parts)
+
+
+def _cells(columns, shape, args, wrap=str, fixed=()):
+    """row -> list of its cells, with each text cell holding a value formatted
+    and wrapped, and each (i, text) of fixed put in place of cell i."""
+    texts = [
+        (i, _cell_template(c.text, 0, args).format)
+        for i, (c, kind) in enumerate(zip(columns, shape))
+        if c.text and kind is _VALUE
+    ]
+
+    def cells(*row):
+        out = list(row)
+        for i, fmt in texts:
+            out[i] = wrap(fmt(out[i]))
+        for i, text in fixed:
+            out[i] = text
+        return out
+
+    return cells
+
+
+def render_table(rows, columns, args) -> str:
+    """One "name=value" group per row; None, False and absent cells are left out."""
+
+    def build(shape):
         parts = [
-            f"{k}={_cell(row[k])}"
-            for k in (keys if keys is not None else row.keys())
-            if k in row and row[k] is not None and row[k] is not False
+            f"{c.name}=" + ("true" if kind is True else _cell_template(c.text or "{}", i, args))
+            for i, (c, kind) in enumerate(zip(columns, shape))
+            if c.table and kind is not None and kind is not False and kind is not _ABSENT
         ]
-        lines.append(" ".join(parts))
-    return "".join(line + "\n" for line in lines)
+        return (" ".join(parts) + "\n").format
+
+    return "".join(_by_shape(rows, columns, build))
 
 
-def render_json(rows) -> str:
-    """JSON Lines: one object per row, insertion-ordered keys."""
-    return "".join(json.dumps(row) + "\n" for row in rows)
+def render_json(rows, columns, args) -> str:
+    """JSON Lines: one object per row holding the cells it carries."""
+
+    def build(shape):
+        parts = [
+            f"{_json_string(c.name)}: " + (f"{{{i}}}" if kind is _VALUE else json.dumps(kind))
+            for i, (c, kind) in enumerate(zip(columns, shape))
+            if kind is not _ABSENT
+        ]
+        template = ("{{" + ", ".join(parts) + "}}\n").format
+        cells = _cells(columns, shape, args, _json_string)
+        return lambda *row: template(*cells(*row))
+
+    return "".join(_by_shape(rows, columns, build))
 
 
-def render_csv(rows) -> str:
-    if not rows:
+def render_csv(rows, columns, args) -> str:
+    """CSV headed by every column that some row carries, in column order."""
+    carried: set[int] = set()
+
+    def build(shape):
+        carried.update(i for i, kind in enumerate(shape) if kind is not _ABSENT)
+        fixed = [  # None and absent cells are empty, bools lower-case
+            (i, "" if kind is None or kind is _ABSENT else str(kind).lower())
+            for i, kind in enumerate(shape)
+            if kind is not _VALUE
+        ]
+        return _cells(columns, shape, args, fixed=fixed)
+
+    lines = _by_shape(rows, columns, build)
+    if not lines:
         return ""
-    keys = list(rows[0].keys())
+    keep = sorted(carried)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(keys)
-    for row in rows:
-        writer.writerow(["" if row.get(k) is None else _cell(row.get(k)) for k in keys])
+    writer.writerow([columns[i].name for i in keep])
+    writer.writerows(lines if len(keep) == len(columns) else ([f[i] for i in keep] for f in lines))
     return buf.getvalue()
 
 
@@ -192,31 +282,21 @@ def export_bfile(pairs) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _bfile_require(value, what: str) -> int:
-    if value is None:
-        raise CLIError(f"cannot export unresolved {what} rows as a b-file")
-    return value
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns a list of rows, one cell per column in COMMANDS
 # ---------------------------------------------------------------------------
 
 
-def cmd_traj(args) -> list[dict]:
+def cmd_traj(args) -> list[tuple]:
     q = Fraction(args.num, args.den)
     t = trajectory(q, max_steps=args.max_steps)
-    label = format_rational(q)
-    rows = [
-        {"input": label, "step": j, "value": format_rational(v)}
-        for j, v in enumerate(t.values())
-    ]
+    rows = [(q, j, v, _ABSENT) for j, v in enumerate(t.values())]
     if t.truncated:
-        rows[-1]["truncated"] = True
+        rows[-1] = (*rows[-1][:3], True)
     return rows
 
 
-def cmd_theta(args) -> list[dict]:
+def cmd_theta(args) -> list[tuple]:
     q = Fraction(args.num, args.den)
     if args.num % args.den == 0:
         rep = stopping_time_exact(q)
@@ -226,114 +306,62 @@ def cmd_theta(args) -> list[dict]:
         rep = stopping_time_windowed(args.num, args.den, args.window, auto_grow=args.auto_grow)
     else:
         rep = stopping_time_exact(q, max_steps=args.max_steps)
-    row: dict = {"input": format_rational(q), "theta": rep.theta}
-    if rep.reached is not None:
-        row["reached"] = str(rep.reached)
-    if rep.digits is not None:
-        row["digits"] = rep.digits
-    row["unresolved"] = not rep.resolved
-    return [row]
+    reached = (rep.reached, rep.digits) if rep.reached is not None else (_ABSENT, _ABSENT)
+    return [(q, rep.theta, *reached, not rep.resolved)]
 
 
-def cmd_theta2(args) -> list[dict]:
+def cmd_theta2(args) -> list[tuple]:
     ls = range(1, args.scan + 1) if args.scan is not None else [args.l]
-    rows = []
-    for l in ls:
-        theta, reached = theta_denominator2(l)
-        rows.append(
-            {
-                "input": f"{2 * l + 1}/2",
-                "l": l,
-                "theta": theta,
-                "reached": str(reached),
-                "unresolved": False,
-            }
-        )
-    return rows
+    return [(2 * l + 1, l, *theta_denominator2(l), False) for l in ls]
 
 
-def cmd_census(args) -> list[dict]:
-    d = args.den
-    if d < 2:
+def cmd_census(args) -> list[tuple]:
+    if args.den < 2:
         raise CLIError("census needs --den >= 2")
-    thetas = chainlib.census_thetas(d, args.lo, args.scan, args.window)
-    return [
-        {"input": f"{l}/{d}", "l": l, "theta": theta, "unresolved": theta is None}
-        for l, theta in enumerate(thetas, start=args.lo)
-    ]
+    thetas = chainlib.census_thetas(args.den, args.lo, args.scan, args.window)
+    ls = range(args.lo, args.lo + len(thetas))
+    return list(zip(ls, ls, thetas, map(is_, thetas, repeat(None))))
 
 
-def cmd_dist(args) -> list[dict]:
+def cmd_dist(args) -> list[tuple]:
     d = args.den
     if d < 2:
         raise CLIError("dist needs --den >= 2")
-    exact = {j: chainlib.chain_stop_mass(d, j) for j in range(args.depth + 1)}
-    counts = chainlib.stop_counts(d, 1, args.scan, args.depth)
-    rows = []
-    for j in range(args.depth + 1):
-        row = {"j": str(j), "exact": format_rational(exact[j])}
-        if args.scan:
-            row["empirical"] = format_rational(Fraction(counts[j], args.scan))
-        rows.append(row)
-    tail = {"j": "tail", "exact": format_rational(1 - sum(exact.values(), Fraction(0)))}
-    if args.scan:
-        tail["empirical"] = format_rational(Fraction(args.scan - sum(counts.values()), args.scan))
-    rows.append(tail)
-    return rows
+    exact = [chainlib.chain_stop_mass(d, j) for j in range(args.depth + 1)]
+    exact.append(1 - sum(exact, Fraction(0)))
+    counts = list(chainlib.stop_counts(d, 1, args.scan, args.depth).values())
+    counts.append(args.scan - sum(counts))
+    seen = [Fraction(n, args.scan) if args.scan else _ABSENT for n in counts]
+    return list(zip([*range(args.depth + 1), "tail"], exact, seen))
 
 
-def cmd_chains(args) -> list[dict]:
+def cmd_chains(args) -> list[tuple]:
     chain = chainlib.chain_of(args.num, args.den, args.m)
     ap = chainlib.ap_count_for_chain(chain)
     laws = chainlib.verify_digit_laws(args.num, args.den, args.m)
-    return [
-        {
-            "input": f"{args.num}/{args.den}",
-            "denominators": ",".join(str(t) for t in chain.denominators),
-            "breaks": ";".join(f"{j}:{r}" for j, r in chain.break_points) or "none",
-            "complete": chain.complete,
-            "ap_predicted": ap.predicted,
-            "ap_modulus": ap.modulus,
-            "ap_enumerated": ap.enumerated,
-            "digit_laws": "ok" if laws.ok else f"violated at step {laws.checked_steps}",
-        }
-    ]
+    denominators = ",".join(str(t) for t in chain.denominators)
+    breaks = ";".join(f"{j}:{r}" for j, r in chain.break_points) or "none"
+    verdict = "ok" if laws.ok else f"violated at step {laws.checked_steps}"
+    counts = (ap.predicted, ap.modulus, ap.enumerated)
+    return [(args.num, denominators, breaks, chain.complete, *counts, verdict)]
 
 
-def cmd_alpha(args) -> list[dict]:
+def cmd_alpha(args) -> list[tuple]:
     if args.den < 2:
         raise CLIError("alpha needs --den >= 2")
     a = chainlib.alpha_d(args.den)
-    return [
-        {
-            "d": args.den,
-            "alpha": f"{a.value:.10g}",
-            "prime": a.prime,
-            "multiplicity": a.multiplicity,
-            "divisor_form": f"{chainlib.alpha_d_divisor_form(args.den):.10g}",
-            "beta": f"{chainlib.beta_d(args.den):.10g}",
-        }
-    ]
+    divisor_form = chainlib.alpha_d_divisor_form(args.den)
+    return [(args.den, a.value, a.prime, a.multiplicity, divisor_form, chainlib.beta_d(args.den))]
 
 
-def cmd_padic_tree(args) -> list[dict]:
+def cmd_padic_tree(args) -> list[tuple]:
     tree = padic.omega_prefix_tree(args.p, args.k, args.levels)
-    rows = []
-    for l, level in enumerate(tree.levels, start=1):
-        counts = tree.child_counts[l - 1]
-        rows.append(
-            {
-                "level": str(l),
-                "size": len(level),
-                "children_min": min(counts),
-                "children_max": max(counts),
-            }
-        )
-    summary = {"level": "dim", "size": None, "children_min": None, "children_max": None}
-    summary["formula"] = f"{padic.hausdorff_dimension(args.p, args.k):.10g}"
-    if args.levels >= 3:
-        summary["estimate"] = f"{padic.box_dimension_estimate(tree):.10g}"
-    rows.append(summary)
+    rows = [
+        (l, len(level), min(counts), max(counts), _ABSENT, _ABSENT)
+        for l, (level, counts) in enumerate(zip(tree.levels, tree.child_counts), start=1)
+    ]
+    estimate = padic.box_dimension_estimate(tree) if args.levels >= 3 else _ABSENT
+    rows.append(("dim", None, None, None, padic.hausdorff_dimension(args.p, args.k), estimate))
     return rows
 
 
@@ -342,7 +370,7 @@ def _render_padic_tree_json(args) -> str:
     return padic.tree_to_json(tree) + "\n"
 
 
-def cmd_exceptional(args) -> list[dict]:
+def cmd_exceptional(args) -> list[tuple]:
     r = parse_rational(args.r)
     l, d = r.numerator, r.denominator
     if d < 2:
@@ -354,105 +382,100 @@ def cmd_exceptional(args) -> list[dict]:
         m = multmaps.conjugate_g(r)
     if d == 2:
         candidates = multmaps.exceptional_denominator2(m, depth_K=args.depth or 64)
-        return [
-            {"index": i, "n": c.value, "verified_depth": c.verified_depth, "certified": c.certified}
-            for i, c in enumerate(candidates, start=1)
-        ]
+        return [(i, c.value, c.verified_depth, c.certified) for i, c in enumerate(candidates, 1)]
     census = multmaps.exceptional_census(m, args.bound, args.depth)
-    return [{"index": i, "n": n} for i, n in enumerate(census.survivors, start=1)]
+    return [(i, n, _ABSENT, _ABSENT) for i, n in enumerate(census.survivors, start=1)]
 
 
-def cmd_sigma(args) -> list[dict]:
-    members = (
-        multmaps.sigma_literal(args.den, args.k)
-        if args.literal
-        else multmaps.sigma_prime(args.den, args.k)
-    )
-    return [{"index": i, "n": n} for i, n in enumerate(sorted(members), start=1)]
+def cmd_sigma(args) -> list[tuple]:
+    sigma = multmaps.sigma_literal if args.literal else multmaps.sigma_prime
+    return list(enumerate(sorted(sigma(args.den, args.k)), start=1))
 
 
-def cmd_mahler(args) -> list[dict]:
-    rows = []
-    for n in range(1, args.scan + 1):
-        j = multmaps.mahler_witness(n, args.max_steps)
-        rows.append({"n": n, "j": j, "unresolved": j is None})
-    return rows
+def cmd_mahler(args) -> list[tuple]:
+    js = [multmaps.mahler_witness(n, args.max_steps) for n in range(1, args.scan + 1)]
+    return [(n, j, j is None) for n, j in enumerate(js, start=1)]
 
 
-def cmd_floorcheck(args) -> list[dict]:
-    rows = []
-    for m in range(1, args.scan + 1):
-        ok = multmaps.floor_shift_check(args.den, m, args.max_steps)
-        rows.append({"d": args.den, "m": m, "ok": "yes" if ok else "no"})
-    return rows
+def cmd_floorcheck(args) -> list[tuple]:
+    ok = (multmaps.floor_shift_check(args.den, m, args.max_steps) for m in range(1, args.scan + 1))
+    return [(args.den, m, "yes" if good else "no") for m, good in enumerate(ok, start=1)]
 
 
-def cmd_records(args) -> list[dict]:
+def cmd_records(args) -> list[tuple]:
     if args.kind == "theta_d3":
-        table = chainlib.squaring_records(3, 1, args.bound, args.window or 25)
-    elif args.kind == "theta_mult":
-        table = multmaps.mult_records(parse_rational(args.r), 0, args.bound, args.max_steps)
-    else:
-        table = successor_records(1, args.bound, args.window or 64)
-    return [{"arg": arg, "record": value} for arg, value in table]
+        return chainlib.squaring_records(3, 1, args.bound, args.window or 25)
+    if args.kind == "theta_mult":
+        return multmaps.mult_records(parse_rational(args.r), 0, args.bound, args.max_steps)
+    return successor_records(1, args.bound, args.window or 64)
 
 
-# command -> (handler, table projection, b-file adapter or None)
+_INPUT = Column("input", "{}", table=False)
+_UNRESOLVED = Column("unresolved", optional=True)
+
+# command -> (handler, columns, b-file (index column, value column, what rows) or None)
 COMMANDS = {
-    "traj": (cmd_traj, ("step", "value", "truncated"), None),
-    "theta": (cmd_theta, ("theta", "reached", "unresolved"), None),
-    "theta2": (
-        cmd_theta2,
-        ("l", "theta", "reached"),
-        lambda rows: [(row["l"], row["theta"]) for row in rows],
-    ),
-    "census": (
-        cmd_census,
-        ("l", "theta", "unresolved"),
-        lambda rows: [(row["l"], _bfile_require(row["theta"], "census")) for row in rows],
-    ),
-    "dist": (cmd_dist, ("j", "exact", "empirical"), None),
-    "chains": (cmd_chains, None, None),
-    "alpha": (cmd_alpha, None, None),
-    "padic-tree": (cmd_padic_tree, None, None),
-    "exceptional": (
-        cmd_exceptional,
-        ("index", "n", "certified"),
-        lambda rows: [(row["index"], row["n"]) for row in rows],
-    ),
-    "sigma": (
-        cmd_sigma,
-        ("index", "n"),
-        lambda rows: [(row["index"], row["n"]) for row in rows],
-    ),
-    "mahler": (
-        cmd_mahler,
-        ("n", "j", "unresolved"),
-        lambda rows: [(row["n"], _bfile_require(row["j"], "witness")) for row in rows],
-    ),
-    "floorcheck": (cmd_floorcheck, ("d", "m", "ok"), None),
-    "records": (
-        cmd_records,
-        ("arg", "record"),
-        lambda rows: [(row["arg"], row["record"]) for row in rows],
-    ),
+    "traj": (cmd_traj, (
+        _INPUT, Column("step"), Column("value", "{}"), Column("truncated", optional=True),
+    ), None),
+    "theta": (cmd_theta, (
+        _INPUT, Column("theta", optional=True), Column("reached", "{}", optional=True),
+        Column("digits", optional=True, table=False), _UNRESOLVED,
+    ), None),
+    "theta2": (cmd_theta2, (
+        Column("input", "{}/2", table=False), Column("l"), Column("theta"), Column("reached", "{}"),
+        Column("unresolved", optional=True, table=False),
+    ), ("l", "theta", "theta2")),
+    "census": (cmd_census, (
+        Column("input", "{}/{den}", table=False), Column("l"), Column("theta", optional=True),
+        _UNRESOLVED,
+    ), ("l", "theta", "census")),
+    "dist": (cmd_dist, (
+        Column("j", "{}"), Column("exact", "{}"), Column("empirical", "{}", optional=True),
+    ), None),
+    "chains": (cmd_chains, (
+        Column("input", "{}/{den}"), Column("denominators", "{}"), Column("breaks", "{}"),
+        Column("complete", optional=True), Column("ap_predicted"), Column("ap_modulus"),
+        Column("ap_enumerated", optional=True), Column("digit_laws", "{}"),
+    ), None),
+    "alpha": (cmd_alpha, (
+        Column("d"), Column("alpha", "{:.10g}"), Column("prime"), Column("multiplicity"),
+        Column("divisor_form", "{:.10g}"), Column("beta", "{:.10g}"),
+    ), None),
+    "padic-tree": (cmd_padic_tree, (
+        Column("level", "{}"), Column("size", optional=True), Column("children_min", optional=True),
+        Column("children_max", optional=True), Column("formula", "{:.10g}", optional=True),
+        Column("estimate", "{:.10g}", optional=True),
+    ), None),
+    "exceptional": (cmd_exceptional, (
+        Column("index"), Column("n"), Column("verified_depth", optional=True, table=False),
+        Column("certified", optional=True),
+    ), ("index", "n", "exceptional")),
+    "sigma": (cmd_sigma, (Column("index"), Column("n")), ("index", "n", "sigma")),
+    "mahler": (cmd_mahler, (
+        Column("n"), Column("j", optional=True), _UNRESOLVED,
+    ), ("n", "j", "witness")),
+    "floorcheck": (cmd_floorcheck, (Column("d"), Column("m"), Column("ok", "{}")), None),
+    "records": (cmd_records, (Column("arg"), Column("record")), ("arg", "record", "records")),
 }
 
 
 def run_command(config: ExperimentConfig, args: argparse.Namespace) -> str:
     if config.command == "padic-tree" and config.fmt == "json":
         return _render_padic_tree_json(args)
-    handler, table_keys, bfile_adapter = COMMANDS[config.command]
+    handler, columns, bfile = COMMANDS[config.command]
     rows = handler(args)
-    if config.fmt == "table":
-        return render_table(rows, table_keys)
-    if config.fmt == "json":
-        return render_json(rows)
-    if config.fmt == "csv":
-        return render_csv(rows)
-    if bfile_adapter is None:
-        raise CLIError(f"{config.command} output has no b-file representation")
-    return export_bfile(bfile_adapter(rows))
+    if config.fmt == "bfile":
+        if bfile is None:
+            raise CLIError(f"{config.command} output has no b-file representation")
+        index, value, what = bfile
+        names = [c.name for c in columns]
+        pairs = list(map(itemgetter(names.index(index), names.index(value)), rows))
+        if any(v is None for _, v in pairs):
+            raise CLIError(f"cannot export unresolved {what} rows as a b-file")
+        return export_bfile(pairs)
+    render = {"table": render_table, "json": render_json, "csv": render_csv}[config.fmt]
+    return render(rows, columns, args)
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +601,7 @@ def main(argv=None) -> int:
             sys.stdout.write(cached)
             return 0
         output = run_command(config, args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:

@@ -19,6 +19,7 @@ from ceildyn.squaring import StoppingReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+GOLDEN = json.loads((REPO_ROOT / "tests" / "cli_golden.json").read_text(encoding="utf-8"))
 THETA2_BFILE = "1 1\n2 2\n3 1\n4 3\n"
 CENSUS_D3_BFILE = "3 0\n4 2\n5 6\n6 0\n7 1\n8 1\n9 0\n10 5\n11 2\n"
 
@@ -27,6 +28,37 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["argv"] for case in GOLDEN])
+def test_golden_output(case, capsys):
+    # One small command per subcommand in every format: None/False left out
+    # of tables, true/false/null in JSON, a quoted CSV cell (chains), an
+    # empty census, dist --scan 0, unresolved rows, and exit 2 with its error
+    # line where a format cannot hold the result.
+    code = main(case["argv"].split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_csv_header_names_every_column_some_row_carries(capsys):
+    argv = ("padic-tree", "--p", "3", "--k", "2", "--levels", "3", "--format", "csv")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "level,size,children_min,children_max,formula,estimate"
+    assert lines[1] == "1,6,6,6,,"
+    assert lines[-1] == "dim,,,,0.8154648768,0.8154648768"
+    argv = ("traj", "--num", "7", "--den", "5", "--max-steps", "3", "--format", "csv")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "input,step,value,truncated",
+        "7/5,0,7/5,",
+        "7/5,1,14/5,",
+        "7/5,2,42/5,",
+        "7/5,3,378/5,true",
+    ]
 
 
 def test_theta_exact_output_is_stable(capsys):
@@ -234,6 +266,19 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     assert code == 0
     # the poisoned entry is ignored; the recomputed result is served
     assert second == first == "theta=2 reached=60\n"
+
+
+@pytest.mark.parametrize("payload", [{"output": 5}, [1], {"engine": "x"}, "text", None])
+def test_cache_entry_of_the_wrong_shape_is_a_miss(payload, tmp_path, capsys):
+    args = ("census", "--den", "3", "--scan", "11", "--from", "3", "--format", "bfile")
+    _, first = run_cli(capsys, *args, "--cache", str(tmp_path))
+    cache_file = next(tmp_path.iterdir())
+    cache_file.write_text(json.dumps(payload), encoding="utf-8")
+    code, second = run_cli(capsys, *args, "--cache", str(tmp_path))
+    assert code == 0
+    assert second == first == CENSUS_D3_BFILE
+    # the recomputed result replaced the bad entry
+    assert json.loads(cache_file.read_text(encoding="utf-8"))["output"] == CENSUS_D3_BFILE
 
 
 def test_cache_key_separates_formats(tmp_path, capsys):

@@ -137,6 +137,14 @@ def test_window_too_small_reports_unresolved():
     assert rep.unresolved_at == 4
 
 
+def test_601_is_a_successor_record_past_199():
+    # the successor records up to 199 end at (199, 1444); a window of 1444
+    # digits decides every start with theta <= 1444, so 602/601 stops later
+    rep = stopping_time_windowed(602, 601, 1444)
+    assert rep.theta is None
+    assert rep.unresolved_at == 1444
+
+
 def test_auto_grow_resolves_deep_orbits():
     rep = stopping_time_windowed(6, 5, 4, auto_grow=True)
     assert rep.theta == 18
