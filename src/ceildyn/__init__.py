@@ -1,174 +1,3 @@
 """Exact and windowed arithmetic dynamics of x*ceil(x) and r*ceil(x) maps."""
 
-from __future__ import annotations
-
-from ceildyn.chains import (
-    APCount,
-    AlphaExponent,
-    CensusReport,
-    Chain,
-    DigitLawReport,
-    StopDistribution,
-    alpha_d,
-    alpha_d_divisor_form,
-    ap_count_for_chain,
-    bad_at_size,
-    beta_d,
-    chain_of,
-    chain_stop_mass,
-    enumerate_stop_mass,
-    mixed_radix_expand,
-    mixed_radix_value,
-    prime_stop_mass,
-    squaring_census,
-    stop_distribution,
-    theta_residues,
-    verify_digit_laws,
-)
-from ceildyn.maps import MapSpec
-from ceildyn.multmaps import (
-    ExceptionalCandidate,
-    ExceptionalCensus,
-    PeriodicallyLinearMap,
-    ceiling_map,
-    certified_exceptional,
-    conjugate_g,
-    exceptional_census,
-    exceptional_denominator2,
-    exceptional_sieve,
-    floor_shift_check,
-    lower_bound_check,
-    mahler_witness,
-    make_map,
-    min_depth_for_census,
-    mult_records,
-    sigma_literal,
-    sigma_prime,
-    stopping_time_mult,
-)
-from ceildyn.padic import (
-    PadicWindow,
-    PrefixTree,
-    box_dimension_estimate,
-    fp_step,
-    hausdorff_dimension,
-    hausdorff_measure_bounds,
-    omega_prefix_tree,
-    padic_window_from_rational,
-    tree_to_json,
-)
-from ceildyn.rational import (
-    InternalCheckError,
-    Rational,
-    big_omega,
-    ceil_of,
-    digits10,
-    euler_phi,
-    factorize,
-    floor_of,
-    format_rational,
-    frac_part,
-    is_prime,
-    normalize,
-    padic_valuation,
-    parse_rational,
-)
-from ceildyn.squaring import (
-    StoppingReport,
-    Trajectory,
-    stopping_time_exact,
-    theta_denominator2,
-    trajectory,
-)
-from ceildyn.window import (
-    DigitWindow,
-    MagnitudeTracker,
-    PrecisionExhausted,
-    log10_of_int,
-    step_window,
-    stopping_time_windowed,
-    successor_records,
-    track_magnitude,
-    window_from_rational,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "APCount",
-    "AlphaExponent",
-    "CensusReport",
-    "Chain",
-    "DigitLawReport",
-    "DigitWindow",
-    "ExceptionalCandidate",
-    "ExceptionalCensus",
-    "InternalCheckError",
-    "MagnitudeTracker",
-    "MapSpec",
-    "PadicWindow",
-    "PeriodicallyLinearMap",
-    "PrecisionExhausted",
-    "PrefixTree",
-    "Rational",
-    "StopDistribution",
-    "StoppingReport",
-    "Trajectory",
-    "alpha_d",
-    "alpha_d_divisor_form",
-    "ap_count_for_chain",
-    "bad_at_size",
-    "beta_d",
-    "big_omega",
-    "box_dimension_estimate",
-    "ceil_of",
-    "ceiling_map",
-    "certified_exceptional",
-    "chain_of",
-    "chain_stop_mass",
-    "conjugate_g",
-    "digits10",
-    "enumerate_stop_mass",
-    "euler_phi",
-    "exceptional_census",
-    "exceptional_denominator2",
-    "exceptional_sieve",
-    "factorize",
-    "floor_of",
-    "floor_shift_check",
-    "format_rational",
-    "fp_step",
-    "frac_part",
-    "hausdorff_dimension",
-    "hausdorff_measure_bounds",
-    "is_prime",
-    "log10_of_int",
-    "lower_bound_check",
-    "mahler_witness",
-    "make_map",
-    "min_depth_for_census",
-    "mixed_radix_expand",
-    "mixed_radix_value",
-    "mult_records",
-    "normalize",
-    "omega_prefix_tree",
-    "padic_valuation",
-    "padic_window_from_rational",
-    "parse_rational",
-    "prime_stop_mass",
-    "sigma_literal",
-    "sigma_prime",
-    "squaring_census",
-    "step_window",
-    "stop_distribution",
-    "stopping_time_exact",
-    "stopping_time_mult",
-    "stopping_time_windowed",
-    "successor_records",
-    "theta_denominator2",
-    "theta_residues",
-    "trajectory",
-    "tree_to_json",
-    "verify_digit_laws",
-    "window_from_rational",
-]

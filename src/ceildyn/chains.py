@@ -9,11 +9,17 @@ of arithmetic progressions realizing a chain, the density exponents
 alpha_d and beta_d, limiting stopping-time distributions, and censuses of
 starts by stopping time.
 
+Chains come from _chain_denominators_windowed, which steps the orbit
+numerator over the fixed denominator d modulo a power of d; chain_of,
+bad_at_size and ap_count_for_chain all read it.  Only verify_digit_laws
+builds its chain from the exact iterates, since its laws are about their
+digits.
+
 Censuses, distributions and record scans share one residue sieve,
 _stop_classes.  Whether l/d is integral after k steps depends only on
 l mod d^(k+1), so the sieve works level by level on classes: each class c
-mod d^(k+1) with theta > k splits into d children mod d^(k+2), and the
-plain-int window kernel decides each child from its residue alone.  A
+mod d^(k+1) with theta > k splits into d children mod d^(k+2), and
+window._window_theta decides each child from its residue alone.  A
 child that dies at level k+1 settles all of its members in the range at
 once.  For prime d exactly one child of every live class dies (hence the
 masses (1/p)(1-1/p)^j); the sieve raises InternalCheckError otherwise.
@@ -72,12 +78,7 @@ def chain_of(l: int, d: int, m: int) -> Chain:
     """Chain of the first m+1 reduced denominators of the orbit of l/d."""
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
-    cur = Fraction(l, d)
-    dens = [cur.denominator]
-    for _ in range(m):
-        cur = cur * math.ceil(cur)
-        dens.append(cur.denominator)
-    return Chain(d, tuple(dens))
+    return Chain(d, _chain_denominators_windowed(l, d, m))
 
 
 def mixed_radix_expand(q, chain: Chain, k: int) -> tuple[int, ...]:
@@ -503,14 +504,13 @@ def bad_at_size(l: int, d: int, x: int) -> bool:
     prod(d_0..d_m) with d_m > 1."""
     if d < 1 or x < 1:
         raise ValueError("need d >= 1 and x >= 1")
-    cur = Fraction(l, d)
-    prod_before = 1
-    while True:
-        dm = cur.denominator
-        prod_incl = prod_before * dm
-        if dm > 1 and prod_before <= x < prod_incl:
-            return True
-        if dm == 1 or prod_before > x:
+    # While the orbit stays fractional the product at least doubles per
+    # entry, so it passes x within the first x.bit_length() entries.
+    prod = 1
+    for dm in _chain_denominators_windowed(l, d, x.bit_length() - 1):
+        if dm == 1:
             return False
-        cur = cur * math.ceil(cur)
-        prod_before = prod_incl
+        prod *= dm
+        if prod > x:
+            break
+    return True

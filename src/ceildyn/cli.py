@@ -266,6 +266,9 @@ def render_csv(rows, columns, args) -> str:
     return buf.getvalue()
 
 
+_BFILE_VALUE_LIMIT = 10**1000  # b-file values have at most 1000 decimal digits
+
+
 def export_bfile(pairs) -> str:
     """OEIS b-file text: one "index value" line per term, no header."""
     lines = []
@@ -276,7 +279,7 @@ def export_bfile(pairs) -> str:
         prev = index
         if not isinstance(value, int) or isinstance(value, bool):
             raise CLIError("b-file values must be integers")
-        if abs(value) >= 10**1000:
+        if abs(value) >= _BFILE_VALUE_LIMIT:
             raise CLIError("b-file values are limited to 1000 decimal digits")
         lines.append(f"{index} {value}")
     return "".join(line + "\n" for line in lines)

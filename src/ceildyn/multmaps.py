@@ -399,21 +399,9 @@ def exceptional_denominator2(
         if streak[parity] < stabilization or last_rep[parity] is None:
             continue
         value = last_rep[parity]
-        seen: set[int] = set()
-        x = value
-        certified = False
-        refuted = False
-        for _ in range(max_cert_steps):
-            x = m.apply(x)
-            if x % 2 == 0:
-                refuted = True
-                break
-            if x in seen:
-                certified = True
-                break
-            seen.add(x)
-        if not refuted:
-            candidates.append(ExceptionalCandidate(value, depth_K, certified))
+        verdict = _cycle_before_divisible(m, value, max_cert_steps)
+        if verdict is not False:
+            candidates.append(ExceptionalCandidate(value, depth_K, verdict is True))
     candidates.sort(key=lambda c: c.value)
     return candidates
 
@@ -482,6 +470,13 @@ def sigma_literal(d: int, k: int) -> frozenset[int]:
 def certified_exceptional(m: PeriodicallyLinearMap, n: int, max_steps: int = 4096) -> bool:
     """True when n's orbit is observed eventually periodic with no iterate
     divisible by d.  False on a divisible iterate or an exhausted budget."""
+    return _cycle_before_divisible(m, n, max_steps) is True
+
+
+def _cycle_before_divisible(m: PeriodicallyLinearMap, n: int, max_steps: int) -> bool | None:
+    """Walk iterates 1..max_steps of n: True once one repeats (the orbit is
+    eventually periodic with no iterate divisible by d), False at the first
+    iterate divisible by d, None when the budget runs out first."""
     seen: set[int] = set()
     x = n
     for _ in range(max_steps):
@@ -491,7 +486,7 @@ def certified_exceptional(m: PeriodicallyLinearMap, n: int, max_steps: int = 409
         if x in seen:
             return True
         seen.add(x)
-    return False
+    return None
 
 
 def lower_bound_check(d: int, x: int) -> bool:

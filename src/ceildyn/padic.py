@@ -7,6 +7,11 @@ step consumes k digits of precision.  The exceptional set of elements whose
 orbit never gains p-divisibility is explored level by level through prefix
 trees: level l holds the surviving residues modulo p^{lk}, and every
 surviving node extends in exactly phi(p^k) ways.
+
+fp_step is the validated single step on a PadicWindow.  The tree tests its
+prefixes with window._window_theta, the integer kernel for
+u -> u*ceil(u/d) mod d^W, at d = p^k: on a p-unit u the step
+u*(u//p^k + 1) is that map.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ceildyn.rational import InternalCheckError, euler_phi, is_prime
+from ceildyn.window import _window_theta
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -93,20 +99,9 @@ def fp_step(w: PadicWindow) -> PadicWindow:
 
 def _locally_survives(p: int, k: int, level: int, residue: int) -> bool:
     """The digit constraints at the given level: no iterate whose leading
-    digit is already determined may become divisible by p."""
-    digits = level * k
-    mod = p**digits
-    pk = p**k
-    u = residue % mod
-    if u % p == 0:
-        return False
-    for _ in range(1, level):
-        digits -= k
-        mod = p**digits
-        u = (u * (u // pk + 1)) % mod
-        if u % p == 0:
-            return False
-    return True
+    digit is already determined may become divisible by p.  Each of the
+    level - 1 determined steps consumes k of the level*k digits."""
+    return residue % p != 0 and _window_theta(residue, p**k, level - 1, p) is None
 
 
 @dataclass(frozen=True)

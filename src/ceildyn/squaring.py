@@ -8,7 +8,6 @@ documented where each is used.)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,11 +86,11 @@ def stopping_time_exact(q, max_steps: int = 256) -> StoppingReport:
         return StoppingReport(theta=0, reached=n, digits=digits10(n))
     if q < 1:
         raise ValueError("stopping_time_exact needs q > 1 or integral q; use trajectory()")
-    cur = q
+    u, d = q.numerator, q.denominator  # every iterate is u/d for an integer u
     for k in range(1, max_steps + 1):
-        cur = cur * math.ceil(cur)
-        if cur.denominator == 1:
-            n = cur.numerator
+        u *= -(-u // d)
+        if u % d == 0:
+            n = u // d
             return StoppingReport(theta=k, reached=n, digits=digits10(n))
     return StoppingReport(theta=None, unresolved_at=max_steps)
 

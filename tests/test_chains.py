@@ -56,7 +56,7 @@ def test_chain_break_points():
     assert not chain_of(5, 3, 1).complete
 
 
-@given(small_l, small_d, st.integers(min_value=0, max_value=6))
+@given(st.integers(min_value=-400, max_value=400), small_d, st.integers(min_value=0, max_value=6))
 @settings(max_examples=80)
 def test_chain_of_matches_exact_orbit(l, d, m):
     chain = chain_of(l, d, m)
@@ -300,6 +300,39 @@ def test_bad_at_size_examples():
     assert not bad_at_size(3, 2, 4)
     assert not bad_at_size(6, 3, 100)  # integral start is never bad
     assert bad_at_size(1, 3, 5)  # fixed subunit start stays fractional forever
+
+
+def fraction_bad_at_size(l, d, x):
+    """bad_at_size on the exact Fraction orbit: the reference for the windowed chain."""
+    cur = Fraction(l, d)
+    prod_before = 1
+    while True:
+        dm = cur.denominator
+        prod_incl = prod_before * dm
+        if dm > 1 and prod_before <= x < prod_incl:
+            return True
+        if dm == 1 or prod_before > x:
+            return False
+        cur = cur * math.ceil(cur)
+        prod_before = prod_incl
+
+
+@given(
+    st.integers(min_value=-500, max_value=500),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=10**4),
+)
+@example(2**10 + 1, 2, 2**10 - 1)  # the tenth denominator 2 passes x
+@example(2**10 + 1, 2, 2**10)  # the orbit turns integral just as it would pass x
+@settings(max_examples=150)
+def test_bad_at_size_matches_the_exact_orbit(l, d, x):
+    assert bad_at_size(l, d, x) == fraction_bad_at_size(l, d, x)
+
+
+def test_bad_at_size_of_a_deep_orbit():
+    # (2^21 + 1)/2 stays fractional for 20 steps; its exact 20th iterate has
+    # about 6.3 million digits, which the windowed chain never builds.
+    assert bad_at_size(2**21 + 1, 2, 10**6) is True
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=50))

@@ -372,13 +372,18 @@ def test_help_exits_0(capsys):
 
 
 def test_reproduce_tables_script_runs():
-    proc = subprocess.run(
-        [sys.executable, "scripts/reproduce_tables.py", "--table", "half"],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "4 3 268065" in proc.stdout
+    def run(table: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "scripts/reproduce_tables.py", "--table", table],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert "4 3 268065" in run("half")
+    expected = (REPO_ROOT / "tests" / "reproduce_tables_all.txt").read_text(encoding="utf-8")
+    assert run("all") == expected
 

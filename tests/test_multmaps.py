@@ -13,6 +13,7 @@ from test_acceptance import MULT_RECORDS
 
 from ceildyn.multmaps import (
     PeriodicallyLinearMap,
+    _cycle_before_divisible,
     ceiling_map,
     certified_exceptional,
     conjugate_g,
@@ -245,6 +246,19 @@ def test_census_count_under_theorem_bound(d, x):
 def test_denominator2_ceiling_map_finds_minus_one():
     out = exceptional_denominator2(ceiling_map(Fraction(3, 2)))
     assert [(c.value, c.certified) for c in out] == [(-1, True)]
+
+
+def test_denominator2_keeps_a_candidate_the_budget_cannot_certify():
+    # -1 is a fixed point of ceil(3n/2); one step sees -1 once, not twice
+    out = exceptional_denominator2(ceiling_map(Fraction(3, 2)), max_cert_steps=1)
+    assert [(c.value, c.certified) for c in out] == [(-1, False)]
+
+
+def test_certification_walk_is_tri_state():
+    assert _cycle_before_divisible(ceiling_map(Fraction(3, 2)), -1, 2) is True
+    assert _cycle_before_divisible(conjugate_g(Fraction(1, 3)), 9, 10) is False
+    assert _cycle_before_divisible(ceiling_map(Fraction(3, 2)), -1, 1) is None
+    assert _cycle_before_divisible(ceiling_map(Fraction(3, 2)), 1, 0) is None
 
 
 def test_denominator2_offset_map_finds_zero_and_minus_one():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ceildyn.padic import (
     PadicWindow,
+    _locally_survives,
     box_dimension_estimate,
     fp_step,
     hausdorff_dimension,
@@ -89,6 +90,36 @@ def test_embedding_agrees_with_exact_squaring(pk, a, pole_drop):
         if expected.denominator != 1:
             break
         assert w.residue == expected.numerator % p ** (width - step * k)
+
+
+def stepwise_locally_survives(p, k, level, residue):
+    """_locally_survives as a loop of its own over unit parts: the reference
+    for the window kernel it calls."""
+    digits = level * k
+    pk = p**k
+    u = residue % p**digits
+    if u % p == 0:
+        return False
+    for _ in range(1, level):
+        digits -= k
+        u = (u * (u // pk + 1)) % p**digits
+        if u % p == 0:
+            return False
+    return True
+
+
+@st.composite
+def survival_cases(draw):
+    p, k = draw(st.sampled_from(PK_CASES + [(2, 3)]))
+    level = draw(st.integers(min_value=1, max_value=5))
+    residue = draw(st.integers(min_value=0, max_value=2 * p ** (level * k)))
+    return p, k, level, residue
+
+
+@given(survival_cases())
+@settings(max_examples=300)
+def test_locally_survives_matches_the_stepwise_unit_loop(case):
+    assert _locally_survives(*case) == stepwise_locally_survives(*case)
 
 
 def test_tree_small_levels_for_3_1():
