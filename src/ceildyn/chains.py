@@ -13,7 +13,19 @@ Chains come from _chain_denominators_windowed, which steps the orbit
 numerator over the fixed denominator d modulo a power of d; chain_of,
 bad_at_size and ap_count_for_chain all read it.  Only verify_digit_laws
 builds its chain from the exact iterates, since its laws are about their
-digits.
+digits; it stops at the first integral iterate, past which both laws hold
+trivially.
+
+ap_count_for_chain checks the progression count of the chain theorem by a
+sieve over prefixes rather than by stepping every c below the modulus.
+Entry j of the chain of c/d depends only on c mod d^(j+1), so classes mod
+d, d^2, ... are refined while the next power of d fits in the modulus, and
+a class is dropped as soon as its denominator prefix differs from the
+chain.  The members in [0, modulus) of the surviving classes are then
+checked one at a time against the whole chain.  The count stays the exact
+number of starts realizing the chain: the predicted count never prunes.
+chain_stop_mass sums the same progression densities over all complete
+chains through a recurrence on the divisors of d instead of listing them.
 
 Censuses, distributions and record scans share one residue sieve,
 _stop_classes.  Whether l/d is integral after k steps depends only on
@@ -33,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ceildyn.rational import InternalCheckError, big_omega, euler_phi, is_prime
+from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize, is_prime
 from ceildyn.squaring import stopping_time_exact
 from ceildyn.window import _window_theta, stopping_time_windowed
 
@@ -140,14 +152,20 @@ def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
 
     Law 1: the denominator drop d_k/d_{k+1} equals gcd(a_0(k)+1, d_k).
     Law 2: the next fractional digit a_-1(k+1) is coprime to d_{k+1}.
+
+    The walk stops at the first integral iterate.  From there on every
+    d_k is 1, so both laws hold trivially: the drop is 1 = gcd(a_0+1, 1),
+    and every digit is coprime to 1.  Squaring the integers further would
+    only double their digits each step.  The expansion needs nonnegative
+    values, so a negative start with m >= 1 raises ValueError.
     """
-    cur = Fraction(l, d)
-    values = [cur]
-    for _ in range(m):
-        cur = cur * math.ceil(cur)
-        values.append(cur)
+    if l < 0 and m > 0:
+        raise ValueError("expansion is defined for nonnegative values")
+    values = [Fraction(l, d)]
+    while len(values) <= m and values[-1].denominator > 1:
+        values.append(values[-1] * math.ceil(values[-1]))
     chain = Chain(d, tuple(v.denominator for v in values))
-    for k in range(m):
+    for k in range(len(values) - 1):
         dk = chain.denominators[k]
         dk1 = chain.denominators[k + 1]
         a0 = mixed_radix_expand(values[k], chain, k)[1]
@@ -168,8 +186,9 @@ def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
 @dataclass(frozen=True)
 class APCount:
     """Predicted number of arithmetic progressions of starts realizing a
-    chain, the modulus those progressions live in, and (when the modulus is
-    small enough to enumerate) the brute-force count."""
+    chain, the modulus those progressions live in, and the exact number of
+    starts c/d, 0 <= c < modulus, whose chain it is (None when the modulus
+    is above the cap of ap_count_for_chain)."""
 
     chain: Chain
     predicted: int
@@ -197,20 +216,43 @@ def _chain_denominators_windowed(c: int, d: int, m: int) -> tuple[int, ...]:
 
 
 def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount:
-    predicted = 1
-    for dj in chain.denominators:
-        predicted *= euler_phi(dj)
-    modulus = chain.d_start
-    for dj in chain.denominators[:-1]:
-        modulus *= dj
-    enumerated: int | None = None
-    m = len(chain.denominators) - 1
-    if modulus <= enumerate_cap:
-        enumerated = sum(
-            1
-            for c in range(modulus)
-            if _chain_denominators_windowed(c, chain.d_start, m) == chain.denominators
-        )
+    """Progression count of the chain theorem, checked by an exact count.
+
+    predicted is the product of phi(d_j) over the chain, and modulus is
+    d * d_0 * ... * d_{m-1} with d = d_start.  enumerated is the number of
+    c in [0, modulus) whose chain of c/d equals the given one; it is None
+    when the modulus exceeds enumerate_cap.
+
+    The count runs on a sieve over prefixes.  Live classes are residues mod
+    step = d^(level+1) whose first level+1 entries match the chain, starting
+    from the one class mod 1; each splits into d children while the next
+    power of d fits in the modulus.  The members in [0, modulus) of the
+    survivors are then checked against the whole chain.
+    """
+    d, dens = chain.d_start, chain.denominators
+    predicted = math.prod(euler_phi(t) for t in dens)
+    modulus = d * math.prod(dens[:-1])
+    if modulus > enumerate_cap:
+        return APCount(chain, predicted, modulus, None)
+    m = len(dens) - 1
+    live, step, level = [0], 1, -1
+    while level < m and step * d <= modulus:
+        child_mod = step * d
+        level += 1
+        prefix = dens[: level + 1]
+        live = [
+            child
+            for c in live
+            for child in range(c, child_mod, step)
+            if _chain_denominators_windowed(child, d, level) == prefix
+        ]
+        step = child_mod
+    enumerated = sum(
+        1
+        for c in live
+        for start in range(c, modulus, step)
+        if _chain_denominators_windowed(start, d, m) == dens
+    )
     return APCount(chain, predicted, modulus, enumerated)
 
 
@@ -232,25 +274,13 @@ def alpha_d(d: int) -> AlphaExponent:
     prime powers p^j exactly dividing d."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    best: AlphaExponent | None = None
-    n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            j = 0
-            while n % p == 0:
-                n //= p
-                j += 1
-            value = math.log(1 + 1 / (p - 1)) / (j * math.log(p))
-            if best is None or value < best.value:
-                best = AlphaExponent(d, value, p, j)
-        p += 1
-    if n > 1:
-        value = math.log(1 + 1 / (n - 1)) / math.log(n)
-        if best is None or value < best.value:
-            best = AlphaExponent(d, value, n, 1)
-    assert best is not None
-    return best
+    return min(
+        (
+            AlphaExponent(d, math.log(1 + 1 / (p - 1)) / (j * math.log(p)), p, j)
+            for p, j in factorize(d).items()
+        ),
+        key=lambda a: a.value,
+    )
 
 
 def alpha_d_divisor_form(d: int) -> float:
@@ -258,13 +288,9 @@ def alpha_d_divisor_form(d: int) -> float:
     divisors d' > 1 of d; agrees with alpha_d, kept as a cross-check."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    best = None
-    for dp in range(2, d + 1):
-        if d % dp == 0:
-            value = math.log(dp / euler_phi(dp)) / math.log(dp)
-            best = value if best is None else min(best, value)
-    assert best is not None
-    return best
+    return min(
+        math.log(dp / euler_phi(dp)) / math.log(dp) for dp in range(2, d + 1) if d % dp == 0
+    )
 
 
 def beta_d(d: int) -> float:
@@ -279,39 +305,22 @@ def beta_d(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _complete_chains(d: int, j: int):
-    """All denominator chains (d_0, ..., d_j) over d that first reach 1 at
-    index j: divisibility cascade, d_0 | d, every entry before the last > 1."""
-    if j == 0:
-        yield (1,)
-        return
-
-    def divisors_gt1(n: int) -> list[int]:
-        return [t for t in range(2, n + 1) if n % t == 0]
-
-    def extend(prefix: tuple[int, ...]):
-        if len(prefix) == j:
-            yield prefix + (1,)
-            return
-        for t in divisors_gt1(prefix[-1]):
-            yield from extend(prefix + (t,))
-
-    for d0 in divisors_gt1(d):
-        yield from extend((d0,))
-
-
 def chain_stop_mass(d: int, j: int) -> Fraction:
-    """Exact limiting mass of stopping time j, summed over complete chains:
-    each chain contributes its progression count over its modulus."""
-    total = Fraction(0)
-    for dens in _complete_chains(d, j):
-        count = 1
-        for t in dens:
-            count *= euler_phi(t)
-        modulus = d
-        for t in dens[:-1]:
-            modulus *= t
-        total += Fraction(count, modulus)
+    """Exact limiting mass of stopping time j: the sum over the complete
+    chains (d_0, ..., d_j = 1) over d of their progression count over
+    their modulus, which is (1/d) * prod_{i<j} phi(d_i)/d_i.
+
+    The sum runs on the divisors t > 1 of d: G_1(t) = phi(t)/t and
+    G_{k+1}(t) = phi(t)/t * sum of G_k(s) over s | t, s > 1, the mass of
+    the chains that start at t and first reach 1 after k entries.  Then
+    mass(0) = 1/d and mass(j) = (1/d) * sum of G_j(t) over t | d, t > 1.
+    """
+    divisors = [t for t in range(2, d + 1) if d % t == 0]
+    density = {t: Fraction(euler_phi(t), t) for t in divisors}
+    g = density
+    for _ in range(j - 1):
+        g = {t: density[t] * sum(g[s] for s in divisors if t % s == 0) for t in divisors}
+    total = Fraction(sum(g.values()) if j else 1, d)
     if d ** (j + 1) % total.denominator != 0:
         raise InternalCheckError("stop mass denominator does not divide d^(j+1)")
     return total

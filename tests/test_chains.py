@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_window import step_window_theta
 
@@ -32,7 +33,7 @@ from ceildyn.chains import (
     theta_residues,
     verify_digit_laws,
 )
-from ceildyn.rational import InternalCheckError
+from ceildyn.rational import InternalCheckError, euler_phi
 from ceildyn.squaring import StoppingReport
 
 small_d = st.integers(min_value=2, max_value=6)
@@ -118,6 +119,67 @@ def test_digit_laws_property(l, d):
     assert report.ok, report.first_violation
 
 
+def full_walk_digit_laws(l: int, d: int, m: int) -> tuple:
+    """verify_digit_laws on all m exact iterates, integral ones included:
+    the reference for the walk that stops at the first integral iterate."""
+    values = [Fraction(l, d)]
+    for _ in range(m):
+        values.append(values[-1] * math.ceil(values[-1]))
+    chain = Chain(d, tuple(v.denominator for v in values))
+    for k in range(m):
+        dk, dk1 = chain.denominators[k], chain.denominators[k + 1]
+        a0 = mixed_radix_expand(values[k], chain, k)[1]
+        if math.gcd(a0 + 1, dk) != dk // dk1:
+            return False, k, "drop"
+        if math.gcd(values[k + 1].numerator % dk1, dk1) != 1:
+            return False, k, "coprime"
+    return True, m, None
+
+
+@given(
+    st.integers(min_value=-30, max_value=500),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=12),
+)
+@example(14, 9, 12)  # integral from step 4 on
+@example(-6, 3, 2)  # a negative integral start
+@settings(max_examples=80, deadline=None)
+def test_digit_laws_match_the_full_walk(l, d, m):
+    try:
+        want = full_walk_digit_laws(l, d, m)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            verify_digit_laws(l, d, m)
+        return
+    report = verify_digit_laws(l, d, m)
+    kind = report.first_violation and report.first_violation[1]
+    assert (report.ok, report.checked_steps, kind) == want
+
+
+def test_digit_laws_stop_at_the_first_integral_iterate():
+    # 14/9 is integral after 4 steps; the full walk to step 40 would square
+    # integers of ever more digits (step 24 alone took seconds).
+    start = time.perf_counter()
+    report = verify_digit_laws(14, 9, 40)
+    assert time.perf_counter() - start < 1.0
+    assert (report.ok, report.checked_steps, report.first_violation) == (True, 40, None)
+
+
+@pytest.mark.parametrize("m", [4, 40])
+def test_digit_laws_check_every_fractional_step(m, monkeypatch):
+    # 14/9 is fractional at steps 0..3 and integral from step 4 on; a wrong
+    # digit at step 3 must be reported whether or not m runs past step 4.
+    real = chains.mixed_radix_expand
+
+    def wrong_at_step_3(q, chain, k):
+        digits = real(q, chain, k)
+        return (digits[0], digits[1] + 1, *digits[2:]) if k == 3 else digits
+
+    monkeypatch.setattr(chains, "mixed_radix_expand", wrong_at_step_3)
+    report = verify_digit_laws(14, 9, m)
+    assert (report.ok, report.checked_steps, report.first_violation[:2]) == (False, 3, (3, "drop"))
+
+
 def test_ap_count_known_chains():
     ap = ap_count_for_chain(chain_of(7, 3, 1))
     assert (ap.predicted, ap.modulus, ap.enumerated) == (2, 9, 2)
@@ -132,12 +194,37 @@ def test_ap_count_skips_oversized_moduli():
     assert ap.modulus > 1000
 
 
-@given(small_l, st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=3))
-@settings(max_examples=40)
+def brute_force_ap_count(chain: Chain, modulus: int) -> int:
+    """Starts c/d, 0 <= c < modulus, whose chain is chain, stepped one at a
+    time: the reference for the prefix sieve of ap_count_for_chain."""
+    m = len(chain.denominators) - 1
+    return sum(
+        1
+        for c in range(modulus)
+        if chains._chain_denominators_windowed(c, chain.d_start, m) == chain.denominators
+    )
+
+
+@given(
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=5),
+)
+@example(2, 6, 2)  # (3, 3, 3): modulus 54, not a power of 6
+@example(2, 6, 5)  # (3, 3, 3, 3, 3, 3): modulus 1458
+@example(7, 6, 5)  # (6, 3, 1, 1, 1, 1): integral from step 2, modulus 108
+@example(2, 12, 3)  # (6, 6, 6, 6): modulus 2592, not a power of 12
+@example(3, 12, 5)  # (4, 4, 4, 4, 4, 4): modulus 12288
+@example(13, 12, 5)  # (12, 6, 2, 2, 1, 1): integral from step 4, modulus 3456
+@example(1, 6, 4)  # (6, 6, 6, 6, 6): modulus 6^5, every entry decided by the sieve
+@example(0, 12, 5)  # an integral start: (1, 1, 1, 1, 1, 1), modulus 12
+@settings(max_examples=60, deadline=None)
 def test_ap_prediction_matches_enumeration(l, d, m):
-    ap = ap_count_for_chain(chain_of(l, d, m))
-    if ap.enumerated is not None:
-        assert ap.enumerated == ap.predicted
+    chain = chain_of(l, d, m)
+    ap = ap_count_for_chain(chain)
+    assume(ap.modulus <= 20_000)
+    assert ap.enumerated == brute_force_ap_count(chain, ap.modulus)
+    assert ap.enumerated == ap.predicted
 
 
 def test_alpha_exponents():
@@ -168,6 +255,32 @@ def test_stop_masses_for_composite_denominator():
     assert chain_stop_mass(4, 0) == Fraction(1, 4)
     assert chain_stop_mass(4, 1) == Fraction(1, 4)
     assert chain_stop_mass(4, 2) == Fraction(3, 16)
+
+
+def chain_sum_stop_mass(d: int, j: int) -> Fraction:
+    """Stop mass summed chain by chain over every complete chain
+    (d_0, ..., d_j = 1) over d: the reference for the divisor recurrence."""
+
+    def chains_from(t: int, length: int):
+        if length == 0:
+            yield (1,)
+            return
+        for s in range(2, t + 1):
+            if t % s == 0:
+                for rest in chains_from(s, length - 1):
+                    yield (s, *rest)
+
+    total = Fraction(0)
+    for dens in chains_from(d, j):
+        count = math.prod(euler_phi(t) for t in dens)
+        total += Fraction(count, d * math.prod(dens[:-1]))
+    return total
+
+
+def test_stop_mass_recurrence_matches_the_chain_sum():
+    for d in [*range(1, 61), 720]:
+        for j in range(6):
+            assert chain_stop_mass(d, j) == chain_sum_stop_mass(d, j), (d, j)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])

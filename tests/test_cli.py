@@ -205,6 +205,24 @@ def test_dist_window_does_not_change_output(capsys):
     assert narrow == default
 
 
+def test_chains_counts_every_start_below_a_large_modulus(capsys):
+    code, out = run_cli(capsys, "chains", "--num", "31", "--den", "30", "--m", "5")
+    assert code == 0
+    assert out == (
+        "input=31/30 denominators=30,15,5,5,5,1 breaks=1:2;2:3;5:5 complete=true "
+        "ap_predicted=4096 ap_modulus=1687500 ap_enumerated=4096 digit_laws=ok\n"
+    )
+
+
+def test_chains_runs_far_past_the_first_integral_iterate(capsys):
+    code, out = run_cli(capsys, "chains", "--num", "14", "--den", "9", "--m", "40")
+    assert code == 0
+    assert out == (
+        f"input=14/9 denominators=9,9,9,9{',1' * 37} breaks=4:9 complete=true "
+        "ap_predicted=1296 ap_modulus=59049 ap_enumerated=1296 digit_laws=ok\n"
+    )
+
+
 def test_mult_records_print_the_pinned_4_thirds_table(capsys):
     code, out = run_cli(capsys, "records", "--kind", "theta_mult", "--r", "4/3", "--bound", "491729")
     assert code == 0
