@@ -330,9 +330,9 @@ def cmd_dist(args) -> list[tuple]:
     d = args.den
     if d < 2:
         raise CLIError("dist needs --den >= 2")
-    exact = [chainlib.chain_stop_mass(d, j) for j in range(args.depth + 1)]
-    exact.append(1 - sum(exact, Fraction(0)))
-    counts = list(chainlib.stop_counts(d, 1, args.scan, args.depth).values())
+    dist = chainlib.stop_distribution(d, args.scan, args.depth)
+    exact = [*dist.probabilities.values(), dist.unresolved_mass]
+    counts = list(dist.empirical_counts.values())
     counts.append(args.scan - sum(counts))
     seen = [Fraction(n, args.scan) if args.scan else _ABSENT for n in counts]
     return list(zip([*range(args.depth + 1), "tail"], exact, seen))

@@ -65,10 +65,6 @@ class PeriodicallyLinearMap:
                     f"{-self.l * b % self.d} (mod {self.d})"
                 )
 
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.l, self.d)
-
     def apply(self, n: int) -> int:
         num = self.l * n + self.offsets[n % self.d]
         if num % self.d != 0:
@@ -374,9 +370,17 @@ def exceptional_denominator2(
     eventually periodic with only odd iterates is certified; a candidate
     whose orbit escapes the certification budget is reported uncertified;
     a candidate refuted by an even iterate beyond depth_K is dropped.
+
+    A streak needs `stabilization` levels, so depth_K < stabilization could
+    only return an empty list that decides nothing; it raises ValueError.
     """
     if m.d != 2:
         raise ValueError("the nested-class chase applies to d = 2 maps only")
+    if depth_K < stabilization:
+        raise ValueError(
+            f"depth {depth_K} is below the stabilization depth {stabilization}: "
+            "no candidate can be found or ruled out"
+        )
     classes = [(0, 0), (1, 1)]
     top = 2 ** (depth_K + 1) - 1
     last_rep: dict[int, int | None] = {0: None, 1: None}

@@ -1,12 +1,14 @@
 """Approximate squaring on truncated p-adic numbers.
 
 An element of p^{-k}Z_p is represented through its unit part u = p^k*alpha
-known modulo p^W (a window of W base-p digits).  One map step multiplies by
-the integral part plus one, which is only determined modulo p^{W-k}, so each
-step consumes k digits of precision.  The exceptional set of elements whose
-orbit never gains p-divisibility is explored level by level through prefix
-trees: level l holds the surviving residues modulo p^{lk}, and every
-surviving node extends in exactly phi(p^k) ways.
+known modulo p^W (a window of W base-p digits), held as the integer residue
+u mod p^W.  One map step multiplies by the integral part plus one, which is
+only determined modulo p^{W-k}, so each step consumes k digits of precision.
+The exceptional set of elements whose orbit never gains p-divisibility is
+explored level by level through prefix trees: level l holds the surviving
+residues modulo p^{lk}, and every surviving node extends in exactly phi(p^k)
+ways.  The tree is built in one pass that checks this branching law on every
+node, and digit strings are made only for the JSON export.
 
 fp_step is the validated single step on a PadicWindow.  The tree tests its
 prefixes with window._window_theta, the integer kernel for
@@ -36,33 +38,20 @@ def _to_digits(u: int, p: int, width: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _from_digits(digits, p: int) -> int:
-    u = 0
-    for d in reversed(digits):
-        u = u * p + d
-    return u
-
-
 @dataclass(frozen=True)
 class PadicWindow:
-    """p^k*alpha modulo p^valid_digits, stored least significant digit first."""
+    """p^k*alpha modulo p^valid_digits, as the residue in [0, p^valid_digits)."""
 
     p: int
     k: int
-    unit_digits: tuple[int, ...]
+    residue: int
     valid_digits: int
 
     def __post_init__(self) -> None:
         if self.p < 2 or self.k < 0 or self.valid_digits < 0:
             raise ValueError("need p >= 2, k >= 0, valid_digits >= 0")
-        if len(self.unit_digits) != self.valid_digits:
-            raise ValueError("digit list length must equal valid_digits")
-        if any(not 0 <= a < self.p for a in self.unit_digits):
-            raise ValueError("digits must lie in [0, p)")
-
-    @property
-    def residue(self) -> int:
-        return _from_digits(self.unit_digits, self.p)
+        if not 0 <= self.residue < self.p**self.valid_digits:
+            raise ValueError("residue must lie in [0, p**valid_digits)")
 
     @property
     def escaped(self) -> bool:
@@ -70,7 +59,7 @@ class PadicWindow:
         sphere of pole order k); needs at least one valid digit."""
         if self.valid_digits < 1:
             raise ValueError("no digits left to decide divisibility")
-        return self.unit_digits[0] == 0
+        return self.residue % self.p == 0
 
 
 def padic_window_from_rational(q, p: int, k: int, width: int) -> PadicWindow:
@@ -79,7 +68,7 @@ def padic_window_from_rational(q, p: int, k: int, width: int) -> PadicWindow:
     scaled = q * p**k
     if scaled.denominator != 1:
         raise ValueError(f"{q} does not lie in {p}^-{k} Z_{p}")
-    return PadicWindow(p, k, _to_digits(scaled.numerator % p**width, p, width), width)
+    return PadicWindow(p, k, scaled.numerator % p**width, width)
 
 
 def fp_step(w: PadicWindow) -> PadicWindow:
@@ -90,11 +79,9 @@ def fp_step(w: PadicWindow) -> PadicWindow:
     """
     if w.valid_digits <= w.k:
         raise ValueError("window too small: need valid_digits > k")
-    pk = w.p**w.k
     u = w.residue
     new_width = w.valid_digits - w.k
-    new_u = (u * (u // pk + 1)) % w.p**new_width
-    return PadicWindow(w.p, w.k, _to_digits(new_u, w.p, new_width), new_width)
+    return PadicWindow(w.p, w.k, u * (u // w.p**w.k + 1) % w.p**new_width, new_width)
 
 
 def _locally_survives(p: int, k: int, level: int, residue: int) -> bool:
@@ -110,7 +97,8 @@ class PrefixTree:
 
     levels[i] holds the sorted residues modulo p^{(i+1)k} that survive at
     level i+1; child_counts[i] is aligned with levels[i] and counts each
-    node's surviving extensions to the next level.
+    node's surviving extensions to the next level, which omega_prefix_tree
+    has checked to be phi(p^k) on every node.
     """
 
     p: int
@@ -131,9 +119,9 @@ class PrefixTree:
 def omega_prefix_tree(p: int, k: int, depth: int) -> PrefixTree:
     """Build the exceptional-set prefix tree down to the given depth.
 
-    Levels 1..depth+1 of locally surviving residues are computed, childless
-    nodes are pruned bottom-up, and the equal-branching law (every node has
-    exactly phi(p^k) children) is asserted on levels 1..depth.
+    One pass over levels 1..depth: each node's locally surviving extensions
+    form the next level, and InternalCheckError is raised at the first node
+    that does not have exactly phi(p^k) of them (the equal-branching law).
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -142,36 +130,30 @@ def omega_prefix_tree(p: int, k: int, depth: int) -> PrefixTree:
     pk = p**k
     if pk < 3:
         raise ValueError("p^k must be at least 3 for the tree exploration")
-    levels: list[list[int]] = [[u for u in range(1, pk) if u % p != 0]]
-    for l in range(2, depth + 2):
-        parent_mod = p ** ((l - 1) * k)
-        level = [
-            child
-            for b in levels[-1]
-            for s in range(pk)
-            if _locally_survives(p, k, l, child := b + parent_mod * s)
-        ]
-        levels.append(level)
-    for l in range(depth, 0, -1):
-        parent_mod = p ** (l * k)
-        extended = {c % parent_mod for c in levels[l]}
-        levels[l - 1] = [b for b in levels[l - 1] if b in extended]
     phi = euler_phi(pk)
-    kept = [sorted(level) for level in levels[:depth]]
+    level = [u for u in range(1, pk) if u % p != 0]
+    levels: list[tuple[int, ...]] = []
     counts: list[tuple[int, ...]] = []
-    for l, level in enumerate(kept, start=1):
+    for l in range(1, depth + 1):
         parent_mod = p ** (l * k)
-        tally: dict[int, int] = {b: 0 for b in level}
-        for c in levels[l]:
-            tally[c % parent_mod] += 1
-        row = tuple(tally[b] for b in level)
-        if any(n != phi for n in row):
-            bad = next(b for b, n in zip(level, row) if n != phi)
-            raise InternalCheckError(
-                f"node {bad} at level {l} has {tally[bad]} children, expected {phi}"
-            )
-        counts.append(row)
-    return PrefixTree(p, k, depth, tuple(tuple(level) for level in kept), tuple(counts))
+        children: list[int] = []
+        row: list[int] = []
+        for b in level:
+            kids = [
+                child
+                for s in range(pk)
+                if _locally_survives(p, k, l + 1, child := b + parent_mod * s)
+            ]
+            if len(kids) != phi:
+                raise InternalCheckError(
+                    f"node {b} at level {l} has {len(kids)} children, expected {phi}"
+                )
+            children += kids
+            row.append(len(kids))
+        levels.append(tuple(level))
+        counts.append(tuple(row))
+        level = sorted(children)
+    return PrefixTree(p, k, depth, tuple(levels), tuple(counts))
 
 
 def hausdorff_dimension(p: int, k: int) -> float:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 _LOG10_2_FLOAT = 0.30102999566398114
 
 

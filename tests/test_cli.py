@@ -146,6 +146,18 @@ def test_exceptional_denominator2_reports_certification(capsys):
     assert all(row["certified"] is True for row in rows)
 
 
+def test_exceptional_denominator2_below_stabilization_depth_is_an_error(capsys):
+    # no streak reaches the stabilization depth 8 in 7 levels: an empty list would decide nothing
+    code = main(["exceptional", "--r", "1/2", "--offsets=-2,1", "--depth", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "depth 7 is below the stabilization depth 8" in captured.err
+    code, out = run_cli(capsys, "exceptional", "--r", "1/2", "--offsets=-2,1", "--depth", "8")
+    assert code == 0
+    assert out == "index=1 n=1 certified=true\n"
+
+
 def test_records_table(capsys):
     code, out = run_cli(capsys, "records", "--kind", "theta_d3", "--bound", "100")
     assert code == 0

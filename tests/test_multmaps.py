@@ -273,6 +273,16 @@ def test_denominator2_conjugate_map():
     assert all(c.certified for c in out)
 
 
+def test_denominator2_rejects_a_depth_below_stabilization():
+    m = make_map(1, 2, (-2, 1))
+    with pytest.raises(ValueError, match="below the stabilization depth"):
+        exceptional_denominator2(m, depth_K=7)
+    with pytest.raises(ValueError, match="below the stabilization depth"):
+        exceptional_denominator2(m, depth_K=11, stabilization=12)
+    assert [c.value for c in exceptional_denominator2(m, depth_K=8)] == [1]
+    assert [c.value for c in exceptional_denominator2(m, depth_K=12)] == [1, 4]
+
+
 def test_denominator2_rejects_wide_maps():
     with pytest.raises(ValueError):
         exceptional_denominator2(conjugate_g(Fraction(4, 3)))

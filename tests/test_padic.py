@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ceildyn import padic
 from ceildyn.padic import (
     PadicWindow,
     _locally_survives,
+    _to_digits,
     box_dimension_estimate,
     fp_step,
     hausdorff_dimension,
@@ -21,6 +23,7 @@ from ceildyn.padic import (
     padic_window_from_rational,
     tree_to_json,
 )
+from ceildyn.rational import InternalCheckError
 
 PK_CASES = [(2, 2), (3, 1), (3, 2), (5, 1)]
 
@@ -28,15 +31,15 @@ PK_CASES = [(2, 2), (3, 1), (3, 2), (5, 1)]
 def test_window_digit_round_trip():
     w = padic_window_from_rational(Fraction(3, 2), 2, 1, 6)
     assert w.residue == 3
-    assert w.unit_digits == (1, 1, 0, 0, 0, 0)
+    assert _to_digits(w.residue, 2, w.valid_digits) == (1, 1, 0, 0, 0, 0)  # least significant first
     assert not w.escaped
 
 
 def test_window_validation():
     with pytest.raises(ValueError):
-        PadicWindow(2, 1, (0, 2), 2)  # digit out of range
+        PadicWindow(2, 1, 4, 2)  # residue at p**valid_digits
     with pytest.raises(ValueError):
-        PadicWindow(2, 1, (0, 1), 3)  # length mismatch
+        PadicWindow(2, 1, -1, 3)  # negative residue
     with pytest.raises(ValueError):
         padic_window_from_rational(Fraction(1, 3), 2, 1, 6)  # not in 2^-1 Z_2
 
@@ -47,7 +50,7 @@ def test_step_consumes_k_digits_and_matches_rational_map():
     assert w1.valid_digits == 7
     assert w1.residue == 6 % 2**7  # 3/2 maps to 3, whose unit part is 6
     with pytest.raises(ValueError):
-        fp_step(PadicWindow(2, 1, (1,), 1))
+        fp_step(PadicWindow(2, 1, 1, 1))
 
 
 def test_fixed_points_of_small_pole():
@@ -127,6 +130,60 @@ def test_tree_small_levels_for_3_1():
     assert tree.levels[0] == (1, 2)
     assert tree.levels[1] == (1, 2, 4, 5)
     assert tree.child_counts[0] == (2, 2)
+
+
+def three_pass_tree(p, k, depth):
+    """The tree built in three passes (levels 1..depth+1 of locally
+    surviving residues, a bottom-up prune of childless nodes, then a tally
+    of children per node): the reference for the one-pass build."""
+    pk = p**k
+    levels = [[u for u in range(1, pk) if u % p != 0]]
+    for l in range(2, depth + 2):
+        parent_mod = p ** ((l - 1) * k)
+        levels.append([
+            child
+            for b in levels[-1]
+            for s in range(pk)
+            if _locally_survives(p, k, l, child := b + parent_mod * s)
+        ])
+    for l in range(depth, 0, -1):
+        extended = {c % p ** (l * k) for c in levels[l]}
+        levels[l - 1] = [b for b in levels[l - 1] if b in extended]
+    kept = [sorted(level) for level in levels[:depth]]
+    counts = []
+    for l, level in enumerate(kept, start=1):
+        tally = {b: 0 for b in level}
+        for c in levels[l]:
+            tally[c % p ** (l * k)] += 1
+        counts.append(tuple(tally[b] for b in level))
+    return tuple(tuple(level) for level in kept), tuple(counts)
+
+
+# (5, 2) stops at depth 3: at depth 4 each build tests 4 million extensions
+# of the 160000 level-4 nodes, too slow for the tier-1 suite
+@pytest.mark.parametrize(
+    "p,k,depth",
+    [(p, k, depth) for p, k in PK_CASES + [(2, 3), (5, 2)] for depth in range(1, 5)
+     if (p, k, depth) != (5, 2, 4)],
+)
+def test_tree_matches_the_three_pass_build(p, k, depth):
+    tree = omega_prefix_tree(p, k, depth)
+    assert (tree.levels, tree.child_counts) == three_pass_tree(p, k, depth)
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_tree_raises_on_a_node_that_breaks_the_branching_law(monkeypatch, extra):
+    # every extension of node 1 mod 3 at level 2 dies (childless) or survives (3 > phi)
+    real = padic._locally_survives
+
+    def broken(p, k, level, residue):
+        if level == 2 and residue % 3 == 1:
+            return extra
+        return real(p, k, level, residue)
+
+    monkeypatch.setattr(padic, "_locally_survives", broken)
+    with pytest.raises(InternalCheckError, match="node 1 at level 1"):
+        omega_prefix_tree(3, 1, 3)
 
 
 @pytest.mark.parametrize("p,k", PK_CASES)
