@@ -12,6 +12,10 @@ tuples, one cell per column.  A renderer builds one row formatter per row
 shape, so a large census pays no per-cell dispatch, and no format builds a
 cell it does not show.
 
+A process builds its parser once (build_parser) and parses every command
+with it, so main may be called repeatedly in one process, each call paying
+only for its own command.
+
 Exit codes: 0 success (rows may still be marked unresolved), 2 invalid
 arguments, an impossible output request, or a record scan with a start
 unresolved at --max-steps (theta_mult) or at the largest window
@@ -500,7 +504,11 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; callers parse with it
+    and never change it.  parse_args returns a fresh Namespace on every call
+    and no default is mutable, so every call of main can share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
     common.add_argument("--cache", metavar="DIR", default=None, help="result cache directory")
@@ -592,9 +600,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(2_000_000)
     except (AttributeError, ValueError):
         pass
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -185,23 +185,33 @@ def box_dimension_estimate(tree: PrefixTree) -> float:
 
 def tree_to_json(tree: PrefixTree) -> str:
     """JSON export: per level, digit-string prefixes (least significant digit
-    first) and the aligned child counts."""
-    if tree.p > len(_DIGIT_CHARS):
+    first) and the aligned child counts.
+
+    A node b + p^{(l-1)k}*s at level l extends its parent b at level l-1 by
+    the k digits of s, so its prefix is the parent's string followed by those
+    k digits: each node costs one string join, not a full-width conversion.
+    """
+    p, k = tree.p, tree.k
+    if p > len(_DIGIT_CHARS):
         raise ValueError("digit strings support p up to 36")
-    payload = {
-        "p": tree.p,
-        "k": tree.k,
-        "branching_ratio": tree.branching_ratio,
-        "levels": [
-            {
-                "level": l,
-                "prefixes": [
-                    "".join(_DIGIT_CHARS[d] for d in _to_digits(b, tree.p, l * tree.k))
-                    for b in level
-                ],
-                "child_counts": list(tree.child_counts[l - 1]),
-            }
-            for l, level in enumerate(tree.levels, start=1)
-        ],
-    }
+    pk = p**k
+    tails = ["".join(_DIGIT_CHARS[d] for d in _to_digits(s, p, k)) for s in range(pk)]
+    strings = {0: ""}  # the level-0 root: the empty prefix
+    parent_mod = 1
+    levels = []
+    for l, level in enumerate(tree.levels, start=1):
+        prefixes = []
+        for b in level:
+            s, parent = divmod(b, parent_mod)
+            if parent not in strings or not 0 <= s < pk:
+                raise InternalCheckError(
+                    f"node {b} at level {l} does not extend a node at level {l - 1}"
+                )
+            prefixes.append(strings[parent] + tails[s])
+        strings = dict(zip(level, prefixes))
+        parent_mod *= pk
+        levels.append(
+            {"level": l, "prefixes": prefixes, "child_counts": list(tree.child_counts[l - 1])}
+        )
+    payload = {"p": p, "k": k, "branching_ratio": tree.branching_ratio, "levels": levels}
     return json.dumps(payload, indent=2)

@@ -401,6 +401,53 @@ def test_help_exits_0(capsys):
     assert "traj" in capsys.readouterr().out
 
 
+def test_one_parser_serves_every_call_without_leaking_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    golden = {case["argv"]: case for case in GOLDEN}
+
+    def check(argv: str) -> None:
+        case = golden[argv]
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+    assert main(["theta", "--num", "5"]) == 2  # a parse that fails part-way
+    assert "--den" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "traj" in capsys.readouterr().out
+    for case in reversed(GOLDEN):
+        check(case["argv"])
+    # a value given once is not the default of the next call
+    code, out = run_cli(capsys, "theta", "--num", "5", "--den", "2", "--window", "12")
+    assert (code, out) == (0, "theta=2\n")
+    check("theta --num 5 --den 2 --format table")
+    # nor is a cache directory: poison the entry, then run without --cache
+    argv = "alpha --den 12 --format table"
+    code, out = run_cli(capsys, *argv.split(), "--cache", str(tmp_path))
+    assert (code, out) == (0, golden[argv]["stdout"])
+    (entry,) = tmp_path.iterdir()
+    entry.write_text(json.dumps({"output": "poisoned\n"}), encoding="utf-8")
+    assert run_cli(capsys, *argv.split(), "--cache", str(tmp_path)) == (0, "poisoned\n")
+    check(argv)
+
+
+def test_entry_point_builds_its_parser_in_a_fresh_interpreter():
+    case = next(c for c in GOLDEN if c["argv"] == "padic-tree --p 3 --k 2 --levels 3 --format json")
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from ceildyn.cli import main; sys.exit(main(sys.argv[1:]))",
+            *case["argv"].split(),
+        ],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert result.returncode == case["code"]
+    assert result.stdout == case["stdout"].encode("utf-8")
+    assert result.stderr == case["stderr"].encode("utf-8")
+
+
 def test_reproduce_tables_script_runs():
     def run(table: str) -> str:
         proc = subprocess.run(

@@ -267,3 +267,34 @@ def test_json_export_round_trips_structure():
     assert set(level2["child_counts"]) == {2}
     # least significant digit first: residue 4 mod 9 renders as "11"
     assert "11" in level2["prefixes"]
+
+
+def base_p_string(u: int, p: int, width: int) -> str:
+    """Independent oracle for a prefix: width base-p digits of u, least
+    significant first, written one remainder at a time."""
+    chars = ""
+    for _ in range(width):
+        chars += "0123456789abcdefghijklmnopqrstuvwxyz"[u % p]
+        u //= p
+    return chars
+
+
+@pytest.mark.parametrize(
+    "p, k, depth", [(2, 2, 10), (2, 3, 5), (3, 2, 4), (7, 1, 4), (5, 2, 3), (13, 1, 3)]
+)
+def test_json_prefixes_match_a_plain_digit_loop(p, k, depth):
+    tree = omega_prefix_tree(p, k, depth)
+    doc = json.loads(tree_to_json(tree))
+    for l, (level, exported) in enumerate(zip(tree.levels, doc["levels"]), start=1):
+        assert exported["level"] == l
+        assert exported["prefixes"] == [base_p_string(b, p, l * k) for b in level]
+        assert exported["child_counts"] == list(tree.child_counts[l - 1])
+
+
+@pytest.mark.parametrize("orphan", [3, 2 + 9 * 3])  # parent 0 is no node; 29 >= 3^2
+def test_json_export_rejects_a_node_without_a_parent(orphan):
+    tree = omega_prefix_tree(3, 1, 2)
+    level2 = tuple(sorted(tree.levels[1] + (orphan,)))
+    broken = padic.PrefixTree(3, 1, 2, (tree.levels[0], level2), tree.child_counts)
+    with pytest.raises(InternalCheckError):
+        tree_to_json(broken)
