@@ -10,42 +10,37 @@ alpha_d and beta_d, limiting stopping-time distributions, and censuses of
 starts by stopping time.
 
 Chains come from _chain_denominators_windowed, which steps the orbit
-numerator over the fixed denominator d modulo a power of d; chain_of,
-bad_at_size and ap_count_for_chain all read it.  Only verify_digit_laws
-builds its chain from the exact iterates, since its laws are about their
-digits; it stops at the first integral iterate, past which both laws hold
-trivially.
+numerator over the fixed denominator d modulo a power of d; chain_of and
+bad_at_size read it.  Only verify_digit_laws builds its chain from the
+exact iterates, since its laws are about their digits; it stops at the
+first integral iterate, past which both laws hold trivially.
 
-ap_count_for_chain checks the progression count of the chain theorem by a
-sieve over prefixes rather than by stepping every c below the modulus.
-Entry j of the chain of c/d depends only on c mod d^(j+1), so classes mod
-d, d^2, ... are refined while the next power of d fits in the modulus, and
-a class is dropped as soon as its denominator prefix differs from the
-chain.  The members in [0, modulus) of the surviving classes are then
-checked one at a time against the whole chain.  The count stays the exact
-number of starts realizing the chain: the predicted count never prunes.
-chain_stop_mass sums the same progression densities over all complete
-chains through a recurrence on the divisors of d instead of listing them.
-
-Censuses, distributions and record scans share one residue sieve,
-_stop_classes.  Whether l/d is integral after k steps depends only on
-l mod d^(k+1), so the sieve works level by level on classes: each class c
-mod d^(k+1) with theta > k splits into d children mod d^(k+2), and
-window._window_theta decides each child from its residue alone.  A
-child that dies at level k+1 settles all of its members in the range at
-once.  For prime d exactly one child of every live class dies (hence the
-masses (1/p)(1-1/p)^j); the sieve raises InternalCheckError otherwise.
-Composite d may kill 0..d children.  Once d^(k+2) exceeds the range the
-few surviving starts finish one at a time through the kernel.
+Censuses, distributions, record scans, progression counts and the p-adic
+trees share one chain-prefix sieve.  By the chain theorem, entries 0..m of
+the chain of c/d depend only on c mod d*d_0*...*d_(m-1), so a class c mod
+M_k = d*d_0*...*d_(k-1) has one entry k, d_k, and splits into d_k children
+mod M_k*d_k.  _split lists them, computes each child's entry k+1 with
+_chain_entries, and checks digit law 1 at every node: each e | d_k is the
+entry of exactly phi(e) children, for every d.  The root is the class 0
+mod 1 with entry d.  _stop_classes (census, dist, theta_d3 records) keeps
+the children with entry > 1 and settles those with entry 1 (theta = k+1)
+as whole progressions; a live class whose children's modulus passes the
+range finishes its starts one at a time through window._window_theta.
+ap_count_for_chain keeps the children whose entry is the chain's next one,
+and padic.omega_prefix_tree those whose entry stays p^k.  chain_stop_mass
+sums the progression densities over all complete chains through a
+recurrence on the divisors of d instead of listing them.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize, is_prime
+from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize
 from ceildyn.squaring import stopping_time_exact
 from ceildyn.window import _window_theta, stopping_time_windowed
 
@@ -215,6 +210,45 @@ def _chain_denominators_windowed(c: int, d: int, m: int) -> tuple[int, ...]:
     return tuple(dens)
 
 
+def _chain_entries(d: int, j: int, starts: range) -> list[int]:
+    """Entry j of the chain of u/d for each u in starts: u stepped j times
+    modulo d^(j+1), then one gcd.  Any representative of u mod d^(j+1)
+    gives the same entry, and the extra digits only carry upward."""
+    mod = d ** (j + 1)
+    entries = []
+    for u in starts:
+        for _ in range(j):
+            u = u * ((u + d - 1) // d) % mod
+        entries.append(d // math.gcd(u, d))
+    return entries
+
+
+@functools.cache
+def _phi_law(dk: int) -> list[int]:
+    """Sorted child entries digit law 1 allows: phi(e) of each e | dk."""
+    return [e for e in range(1, dk + 1) if dk % e == 0 for _ in range(euler_phi(e))]
+
+
+def _split(d: int, k: int, c: int, modulus: int, dk: int) -> list[int]:
+    """Entries k+1 of the dk children c + modulus*s, s = 0..dk-1, of the live
+    class c mod modulus = d*d_0*...*d_(k-1) whose entry k is dk.
+
+    The root is the class 0 mod 1 at k = -1 with entry d.  By the chain
+    theorem entry k+1 depends only on c mod modulus*dk, so the children
+    partition the class.  By digit law 1 entry k+1 is dk/gcd(a_0(k) + 1, dk),
+    and a_0(k) runs over every residue mod dk as s does, so each e | dk is
+    the entry of exactly phi(e) children (in particular exactly one child
+    stops); anything else raises InternalCheckError.
+    """
+    entries = _chain_entries(d, k + 1, range(c, c + modulus * dk, modulus))
+    if sorted(entries) != _phi_law(dk):
+        raise InternalCheckError(
+            f"children of class {c} mod {modulus} (entry {dk}) have entries "
+            f"{sorted(entries)}, not phi(e) of each e | {dk}"
+        )
+    return entries
+
+
 def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount:
     """Progression count of the chain theorem, checked by an exact count.
 
@@ -223,37 +257,28 @@ def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount
     c in [0, modulus) whose chain of c/d equals the given one; it is None
     when the modulus exceeds enumerate_cap.
 
-    The count runs on a sieve over prefixes.  Live classes are residues mod
-    step = d^(level+1) whose first level+1 entries match the chain, starting
-    from the one class mod 1; each splits into d children while the next
-    power of d fits in the modulus.  The members in [0, modulus) of the
-    survivors are then checked against the whole chain.
+    The count runs on the chain-prefix sieve: from the root, each level
+    splits every kept class with _split and keeps the children whose entry
+    is the chain's next one.  Once an entry is 1 the classes stop splitting,
+    so the kept classes mod modulus are exactly the starts counted.
     """
     d, dens = chain.d_start, chain.denominators
     predicted = math.prod(euler_phi(t) for t in dens)
     modulus = d * math.prod(dens[:-1])
     if modulus > enumerate_cap:
         return APCount(chain, predicted, modulus, None)
-    m = len(dens) - 1
-    live, step, level = [0], 1, -1
-    while level < m and step * d <= modulus:
-        child_mod = step * d
-        level += 1
-        prefix = dens[: level + 1]
+    live, step = [0], 1
+    for k, (dk, want) in enumerate(zip((d,) + dens, dens), start=-1):
+        if dk == 1:
+            break
         live = [
-            child
+            c + step * s
             for c in live
-            for child in range(c, child_mod, step)
-            if _chain_denominators_windowed(child, d, level) == prefix
+            for s, e in enumerate(_split(d, k, c, step, dk))
+            if e == want
         ]
-        step = child_mod
-    enumerated = sum(
-        1
-        for c in live
-        for start in range(c, modulus, step)
-        if _chain_denominators_windowed(start, d, m) == dens
-    )
-    return APCount(chain, predicted, modulus, enumerated)
+        step *= dk
+    return APCount(chain, predicted, modulus, len(live))
 
 
 @dataclass(frozen=True)
@@ -377,7 +402,7 @@ def stop_distribution(d: int, x_scan: int, depth: int) -> StopDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Residue sieve and census of starts by stopping time
+# Census of starts by stopping time, on the chain-prefix sieve
 # ---------------------------------------------------------------------------
 
 
@@ -386,46 +411,37 @@ def _stop_classes(d: int, lo: int, hi: int, depth: int):
     stopping time theta <= depth: every start of range(first, hi + 1, step)
     has that theta, and each such start is covered exactly once.
 
-    Starts below d are fixed points: the kernel never finds them integral,
-    so they are never yielded.
+    Theta is the first k with entry k of the chain equal to 1.  Level by
+    level from the root, each live class splits with _split; a child with
+    entry 1 stops, and the rest are live at the next level.  A live class
+    whose children's modulus passes the range finishes its few starts one
+    at a time through window._window_theta, which counts theta from 1, so
+    the root (theta >= 0) always splits.  Starts below d are fixed points
+    and are never yielded.
     """
     n = hi - lo + 1
-    yield lo + (-lo) % d, d, 0
-    one_child_dies = is_prime(d)
-    live = range(1, d)
-    level = 0
-    modulus = d  # live classes are residues mod d^(level+1), theta > level
-    while level < depth and modulus * d <= n:
-        child_mod = modulus * d
+    live = [(1, d, [0])]  # (modulus, entry k, residues) of classes with theta > k
+    for k in range(-1, depth):
         survivors = []
-        for c in live:
-            killed = 0
-            for child in range(c, child_mod, modulus):
-                theta = _window_theta(child, d, level + 1)
-                if theta is None:
-                    survivors.append(child)
-                    continue
-                if theta != level + 1:
-                    raise InternalCheckError(
-                        f"class {child} mod {child_mod} stops at {theta}, "
-                        f"but its parent survived {level} steps"
-                    )
-                killed += 1
-                yield lo + (child - lo) % child_mod, child_mod, theta
-            if one_child_dies and killed != 1:
-                raise InternalCheckError(
-                    f"sieve killed {killed} children of class {c} mod {modulus}; "
-                    f"exactly one is required for prime d={d}"
-                )
+        for modulus, dk, classes in live:
+            child_mod = modulus * dk
+            if k >= 0 and child_mod > n:
+                for c in classes:
+                    for l in range(lo + (c - lo) % modulus, hi + 1, modulus):
+                        theta = _window_theta(l, d, depth)
+                        if theta is not None:
+                            yield l, n, theta
+                continue
+            by_entry = collections.defaultdict(list)
+            for c in classes:
+                for s, e in enumerate(_split(d, k, c, modulus, dk)):
+                    child = c + modulus * s
+                    if e == 1:
+                        yield lo + (child - lo) % child_mod, child_mod, k + 1
+                    else:
+                        by_entry[e].append(child)
+            survivors += [(child_mod, e, kids) for e, kids in by_entry.items()]
         live = survivors
-        modulus = child_mod
-        level += 1
-    if level < depth:
-        for c in live:
-            for l in range(lo + (c - lo) % modulus, hi + 1, modulus):
-                theta = _window_theta(l, d, depth)
-                if theta is not None:
-                    yield l, n, theta
 
 
 def stop_counts(d: int, lo: int, hi: int, depth: int) -> dict[int, int]:

@@ -10,22 +10,25 @@ residues modulo p^{lk}, and every surviving node extends in exactly phi(p^k)
 ways.  The tree is built in one pass that checks this branching law on every
 node, and digit strings are made only for the JSON export.
 
-fp_step is the validated single step on a PadicWindow.  The tree tests its
-prefixes with window._window_theta, the integer kernel for
-u -> u*ceil(u/d) mod d^W, at d = p^k: on a p-unit u the step
-u*(u//p^k + 1) is that map.
+fp_step is the validated single step on a PadicWindow.  The tree is
+chains' chain-prefix sieve at d = p^k following the constant chain
+(d, d, ..., d): on a p-unit u the step u*(u//p^k + 1) is u*ceil(u/d), and
+a prefix survives while every chain entry stays d, that is while no
+iterate is divisible by p.  chains._split checks the branching law, which
+is digit law 1 for the entry d.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ceildyn.chains import _split
 from ceildyn.rational import InternalCheckError, euler_phi, is_prime
-from ceildyn.window import _window_theta
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -84,13 +87,6 @@ def fp_step(w: PadicWindow) -> PadicWindow:
     return PadicWindow(w.p, w.k, u * (u // w.p**w.k + 1) % w.p**new_width, new_width)
 
 
-def _locally_survives(p: int, k: int, level: int, residue: int) -> bool:
-    """The digit constraints at the given level: no iterate whose leading
-    digit is already determined may become divisible by p.  Each of the
-    level - 1 determined steps consumes k of the level*k digits."""
-    return residue % p != 0 and _window_theta(residue, p**k, level - 1, p) is None
-
-
 @dataclass(frozen=True)
 class PrefixTree:
     """Surviving digit prefixes of the p-adic exceptional set, by level.
@@ -119,9 +115,11 @@ class PrefixTree:
 def omega_prefix_tree(p: int, k: int, depth: int) -> PrefixTree:
     """Build the exceptional-set prefix tree down to the given depth.
 
-    One pass over levels 1..depth: each node's locally surviving extensions
-    form the next level, and InternalCheckError is raised at the first node
-    that does not have exactly phi(p^k) of them (the equal-branching law).
+    One pass over levels 0..depth from the root class mod 1: each node
+    splits with chains._split, and its children whose chain entry stays p^k
+    form the next level.  _split raises InternalCheckError at any node whose
+    children break digit law 1, so every node has exactly phi(p^k) of them
+    (the equal-branching law).
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -130,30 +128,19 @@ def omega_prefix_tree(p: int, k: int, depth: int) -> PrefixTree:
     pk = p**k
     if pk < 3:
         raise ValueError("p^k must be at least 3 for the tree exploration")
-    phi = euler_phi(pk)
-    level = [u for u in range(1, pk) if u % p != 0]
+    nodes, modulus = [0], 1  # level 0: the root class mod 1
     levels: list[tuple[int, ...]] = []
     counts: list[tuple[int, ...]] = []
-    for l in range(1, depth + 1):
-        parent_mod = p ** (l * k)
-        children: list[int] = []
-        row: list[int] = []
-        for b in level:
-            kids = [
-                child
-                for s in range(pk)
-                if _locally_survives(p, k, l + 1, child := b + parent_mod * s)
-            ]
-            if len(kids) != phi:
-                raise InternalCheckError(
-                    f"node {b} at level {l} has {len(kids)} children, expected {phi}"
-                )
-            children += kids
-            row.append(len(kids))
-        levels.append(tuple(level))
-        counts.append(tuple(row))
-        level = sorted(children)
-    return PrefixTree(p, k, depth, tuple(levels), tuple(counts))
+    for l in range(depth + 1):
+        kids = [
+            [b + modulus * s for s, e in enumerate(_split(pk, l - 1, b, modulus, pk)) if e == pk]
+            for b in nodes
+        ]
+        levels.append(tuple(nodes))
+        counts.append(tuple(map(len, kids)))
+        nodes = sorted(itertools.chain.from_iterable(kids))
+        modulus *= pk
+    return PrefixTree(p, k, depth, tuple(levels[1:]), tuple(counts[1:]))
 
 
 def hausdorff_dimension(p: int, k: int) -> float:

@@ -3,13 +3,12 @@
 Rationals are stdlib fractions.Fraction values, which already maintain the
 canonical form needed everywhere else (lowest terms, positive denominator,
 arbitrary precision).  This module adds the handful of number-theoretic
-helpers the dynamics code leans on: ceiling/floor/fractional part, p-adic
-valuations, exact decimal digit counts, and small multiplicative functions.
+helpers the dynamics code leans on: primality, p-adic valuations, exact
+decimal digit counts, and small multiplicative functions.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 _LOG10_2_FLOAT = 0.30102999566398114
@@ -17,27 +16,6 @@ _LOG10_2_FLOAT = 0.30102999566398114
 
 class InternalCheckError(AssertionError):
     """A structural invariant the underlying theory guarantees was violated."""
-
-
-def normalize(num: int, den: int) -> Fraction:
-    """Reduced fraction with positive denominator; zero denominators are rejected."""
-    if den == 0:
-        raise ZeroDivisionError("denominator must be nonzero")
-    return Fraction(num, den)
-
-
-def ceil_of(q) -> int:
-    return math.ceil(Fraction(q))
-
-
-def floor_of(q) -> int:
-    return math.floor(Fraction(q))
-
-
-def frac_part(q) -> Fraction:
-    """Fractional part in [0, 1): q - floor(q)."""
-    q = Fraction(q)
-    return q - math.floor(q)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -88,16 +66,8 @@ def padic_valuation(q, p: int) -> int:
     return vp(abs(q.numerator)) - vp(q.denominator)
 
 
-def format_rational(q) -> str:
-    """Render as "num/den", omitting the denominator when it is 1."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def parse_rational(text: str) -> Fraction:
-    """Inverse of format_rational; accepts "l/d" or a bare integer."""
+    """Parse "l/d" or a bare integer, the form str() gives a Fraction."""
     return Fraction(text.strip())
 
 

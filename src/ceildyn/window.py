@@ -11,15 +11,14 @@ than trusting any a-priori bound on the stopping time.
 DigitWindow and step_window are the validated single-step API.  Scans run
 the same loop on bare ints through _window_theta, the one kernel for
 u -> u*ceil(u/d) mod d^W.  It returns theta from the residue u mod d^(W+1)
-alone: stopping_time_windowed calls it, and so does the residue sieve in
-chains, which decides whole classes of starts with it because theta <= k
-depends only on l mod d^(k+1).  padic calls it with d = p^k to test a
-digit prefix of the p-adic exceptional set.
+alone: stopping_time_windowed calls it, and so does the chain-prefix
+sieve in chains, to finish one at a time the starts of classes too sparse
+in the range to split.
 
-For the same reason every window W >= theta gives the same answer, so
-stopping_time_windowed treats its window as a budget rather than a fixed
-precision: it tries the halving ladder M>>j (down to a floor of 64 digits)
-in ascending order before M itself.  Its cost follows theta, not M, and
+Since theta depends only on u mod d^(theta+1), every window W >= theta
+gives the same answer, so stopping_time_windowed treats its window as a
+budget rather than a fixed precision: it tries the halving ladder M>>j
+(down to a floor of 64 digits) in ascending order before M itself.  Its cost follows theta, not M, and
 its output does not depend on the rungs.  successor_records builds the
 record table of the successor ratios (d+1)/d on top of it.
 
@@ -169,21 +168,18 @@ def successor_records(lo: int, hi: int, window: int) -> list[tuple[int, int]]:
     return records
 
 
-def _window_theta(u: int, d: int, W: int, p: int | None = None) -> int | None:
-    """First k in 1..W at which the k-th iterate u_k/d of u/d has p | u_k,
-    or None.  p defaults to d, which makes k the first integral iterate.
+def _window_theta(u: int, d: int, W: int) -> int | None:
+    """First k in 1..W at which the k-th iterate u_k/d of u/d is integral,
+    or None.
 
     Uses u mod d^(W+1) only, stepping u -> u*ceil(u/d) mod d^(W+1-k) on
-    plain ints: step_window's loop without a DigitWindow per step.  padic
-    passes d = p^k for a prime p to follow a unit part until p divides it.
+    plain ints: step_window's loop without a DigitWindow per step.
     """
-    if p is None:
-        p = d
     mod = d**W
     u %= mod * d
     for k in range(1, W + 1):
         u = u * ((u + d - 1) // d) % mod
-        if u % p == 0:
+        if u % d == 0:
             return k
         mod //= d
     return None

@@ -218,6 +218,10 @@ def brute_force_ap_count(chain: Chain, modulus: int) -> int:
 @example(13, 12, 5)  # (12, 6, 2, 2, 1, 1): integral from step 4, modulus 3456
 @example(1, 6, 4)  # (6, 6, 6, 6, 6): modulus 6^5, every entry decided by the sieve
 @example(0, 12, 5)  # an integral start: (1, 1, 1, 1, 1, 1), modulus 12
+@example(31, 30, 2)  # (30, 15, 5): modulus 13500
+@example(33, 30, 3)  # (10, 5, 5, 5): modulus 7500
+@example(63, 60, 2)  # (20, 10, 10): modulus 12000
+@example(65, 60, 3)  # (12, 6, 2, 2): modulus 8640
 @settings(max_examples=60, deadline=None)
 def test_ap_prediction_matches_enumeration(l, d, m):
     chain = chain_of(l, d, m)
@@ -352,6 +356,9 @@ lengths = st.one_of(st.integers(min_value=1, max_value=13), st.integers(min_valu
 @example(9, 1, 1200, 12)
 @example(6, 5, 1200, 25)
 @example(12, 11, 1200, 25)
+@example(12, 1, 20000, 25)  # classes whose entries dropped split down to level 11
+@example(30, 1, 20000, 25)
+@example(60, 1, 20000, 25)
 @settings(max_examples=40, deadline=None)
 def test_sieve_matches_per_start_reference(d, lo, length, window):
     hi = lo + length - 1
@@ -393,18 +400,33 @@ def test_records_name_a_start_unresolved_at_the_cap(monkeypatch):
         squaring_records(3, 7000, 7200, window=25)
 
 
-@pytest.mark.parametrize("kernel", [lambda u, d, W: None, lambda u, d, W: W])
+_true_entries = chains._chain_entries
+
+
+# A step that never drops, and one that is right at the root but never
+# drops below it: digit law 1 fails at every d, prime or composite.
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda d, j, starts: [d] * len(starts),
+        lambda d, j, starts: _true_entries(d, j, starts) if j == 0 else [d] * len(starts),
+    ],
+)
 def test_sieve_requires_exactly_one_dead_child_for_prime_d(kernel, monkeypatch):
-    monkeypatch.setattr(chains, "_window_theta", kernel)
-    with pytest.raises(InternalCheckError, match="exactly one"):
-        census_thetas(5, 1, 100, 25)
-    census_thetas(6, 1, 100, 25)  # composite d may kill any number of children
+    monkeypatch.setattr(chains, "_chain_entries", kernel)
+    for d in (5, 6, 12, 30):
+        with pytest.raises(InternalCheckError, match=r"not phi\(e\) of each e"):
+            census_thetas(d, 1, 1000, 25)
 
 
 def test_sieve_rejects_a_child_stopping_before_its_parent(monkeypatch):
-    # every class survives level 0, then each child claims to stop at step 1
-    monkeypatch.setattr(chains, "_window_theta", lambda u, d, W: None if W == 1 else 1)
-    with pytest.raises(InternalCheckError, match="parent survived"):
+    # the root splits truly, then every child of a live class claims to stop at step 1
+    monkeypatch.setattr(
+        chains,
+        "_chain_entries",
+        lambda d, j, starts: [1] * len(starts) if j == 1 else _true_entries(d, j, starts),
+    )
+    with pytest.raises(InternalCheckError, match=r"class 1 mod 6 \(entry 6\) have entries \[1, 1, 1, 1, 1, 1\]"):
         stop_counts(6, 1, 300, 5)
 
 

@@ -199,13 +199,22 @@ def test_succ_records_exit_2_on_a_start_unresolved_at_the_cap(monkeypatch, capsy
     assert "start 8/7 is unresolved at window 1048576" in captured.err
 
 
-@pytest.mark.parametrize("kernel", [lambda u, d, W: None, lambda u, d, W: W])
+# A step that never drops, and one in which every child stops: digit law 1
+# fails at prime and composite d alike.
+@pytest.mark.parametrize("kernel", [lambda d, j, starts: [d] * len(starts), lambda d, j, starts: [1] * len(starts)])
 @pytest.mark.parametrize(
     "argv",
-    [("census", "--den", "3", "--scan", "100"), ("dist", "--den", "3", "--scan", "100")],
+    [
+        ("census", "--den", "3", "--scan", "100"),
+        ("dist", "--den", "3", "--scan", "100"),
+        ("census", "--den", "12", "--scan", "100"),
+        ("dist", "--den", "6", "--scan", "100"),
+        ("chains", "--num", "31", "--den", "30", "--m", "5"),
+        ("padic-tree", "--p", "3", "--k", "2"),
+    ],
 )
 def test_broken_window_kernel_exits_3(argv, kernel, monkeypatch, capsys):
-    monkeypatch.setattr(chains, "_window_theta", kernel)
+    monkeypatch.setattr(chains, "_chain_entries", kernel)
     assert main(list(argv)) == 3
     assert "internal check failed" in capsys.readouterr().err
 

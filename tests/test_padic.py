@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceildyn import padic
+from ceildyn import chains, padic
+from ceildyn.chains import _chain_denominators_windowed, _chain_entries
 from ceildyn.padic import (
     PadicWindow,
-    _locally_survives,
     _to_digits,
     box_dimension_estimate,
     fp_step,
@@ -96,8 +96,9 @@ def test_embedding_agrees_with_exact_squaring(pk, a, pole_drop):
 
 
 def stepwise_locally_survives(p, k, level, residue):
-    """_locally_survives as a loop of its own over unit parts: the reference
-    for the window kernel it calls."""
+    """Whether the unit part residue mod p^(level*k) stays a unit for the
+    level - 1 steps its digits determine, by a loop of its own: the
+    reference for the tree's chain entries."""
     digits = level * k
     pk = p**k
     u = residue % p**digits
@@ -121,8 +122,12 @@ def survival_cases(draw):
 
 @given(survival_cases())
 @settings(max_examples=300)
-def test_locally_survives_matches_the_stepwise_unit_loop(case):
-    assert _locally_survives(*case) == stepwise_locally_survives(*case)
+def test_chain_entry_matches_the_windowed_chain_and_the_unit_loop(case):
+    p, k, level, residue = case
+    pk = p**k
+    entries = [_chain_entries(pk, j, range(residue, residue + 1))[0] for j in range(level)]
+    assert tuple(entries) == _chain_denominators_windowed(residue, pk, level - 1)
+    assert (entries == [pk] * level) == stepwise_locally_survives(*case)
 
 
 def test_tree_small_levels_for_3_1():
@@ -144,7 +149,7 @@ def three_pass_tree(p, k, depth):
             child
             for b in levels[-1]
             for s in range(pk)
-            if _locally_survives(p, k, l, child := b + parent_mod * s)
+            if stepwise_locally_survives(p, k, l, child := b + parent_mod * s)
         ])
     for l in range(depth, 0, -1):
         extended = {c % p ** (l * k) for c in levels[l]}
@@ -174,15 +179,15 @@ def test_tree_matches_the_three_pass_build(p, k, depth):
 @pytest.mark.parametrize("extra", [False, True])
 def test_tree_raises_on_a_node_that_breaks_the_branching_law(monkeypatch, extra):
     # every extension of node 1 mod 3 at level 2 dies (childless) or survives (3 > phi)
-    real = padic._locally_survives
+    real = chains._chain_entries
 
-    def broken(p, k, level, residue):
-        if level == 2 and residue % 3 == 1:
-            return extra
-        return real(p, k, level, residue)
+    def broken(d, j, starts):
+        if j == 1 and starts[0] % 3 == 1:
+            return [3 if extra else 1] * len(starts)
+        return real(d, j, starts)
 
-    monkeypatch.setattr(padic, "_locally_survives", broken)
-    with pytest.raises(InternalCheckError, match="node 1 at level 1"):
+    monkeypatch.setattr(chains, "_chain_entries", broken)
+    with pytest.raises(InternalCheckError, match=r"class 1 mod 3 \(entry 3\)"):
         omega_prefix_tree(3, 1, 3)
 
 
