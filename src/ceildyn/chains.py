@@ -12,8 +12,9 @@ starts by stopping time.
 Chains come from _chain_denominators_windowed, which steps the orbit
 numerator over the fixed denominator d modulo a power of d; chain_of and
 bad_at_size read it.  Only verify_digit_laws builds its chain from the
-exact iterates, since its laws are about their digits; it stops at the
-first integral iterate, past which both laws hold trivially.
+exact iterates, which squaring.trajectory walks, since its laws are about
+their digits; it stops at the first integral iterate, past which both laws
+hold trivially.
 
 Censuses, distributions, record scans, progression counts and the p-adic
 trees share one chain-prefix sieve.  By the chain theorem, entries 0..m of
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize
-from ceildyn.squaring import stopping_time_exact
-from ceildyn.window import _window_theta, stopping_time_windowed
+from ceildyn.squaring import stopping_time_exact, trajectory
+from ceildyn.window import _regrown_theta, _window_theta
 
 
 @dataclass(frozen=True)
@@ -156,9 +157,7 @@ def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
     """
     if l < 0 and m > 0:
         raise ValueError("expansion is defined for nonnegative values")
-    values = [Fraction(l, d)]
-    while len(values) <= m and values[-1].denominator > 1:
-        values.append(values[-1] * math.ceil(values[-1]))
+    values = trajectory(Fraction(l, d), max(m, 1)).values()[: m + 1]
     chain = Chain(d, tuple(v.denominator for v in values))
     for k in range(len(values) - 1):
         dk = chain.denominators[k]
@@ -260,17 +259,18 @@ def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount
     The count runs on the chain-prefix sieve: from the root, each level
     splits every kept class with _split and keeps the children whose entry
     is the chain's next one.  Once an entry is 1 the classes stop splitting,
-    so the kept classes mod modulus are exactly the starts counted.
+    so the kept classes mod modulus are exactly the starts counted; those of
+    the last split are counted, not listed.
     """
     d, dens = chain.d_start, chain.denominators
     predicted = math.prod(euler_phi(t) for t in dens)
     modulus = d * math.prod(dens[:-1])
     if modulus > enumerate_cap:
         return APCount(chain, predicted, modulus, None)
+    # (entry k, entry k+1) for k = -1, 0, ...: the root, then while entry k > 1
+    levels = [(d, dens[0])] + [(dk, want) for dk, want in zip(dens, dens[1:]) if dk > 1]
     live, step = [0], 1
-    for k, (dk, want) in enumerate(zip((d,) + dens, dens), start=-1):
-        if dk == 1:
-            break
+    for k, (dk, want) in enumerate(levels[:-1], start=-1):
         live = [
             c + step * s
             for c in live
@@ -278,7 +278,9 @@ def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount
             if e == want
         ]
         step *= dk
-    return APCount(chain, predicted, modulus, len(live))
+    dk, want = levels[-1]
+    enumerated = sum(_split(d, len(levels) - 2, c, step, dk).count(want) for c in live)
+    return APCount(chain, predicted, modulus, enumerated)
 
 
 @dataclass(frozen=True)
@@ -287,11 +289,6 @@ class AlphaExponent:
     value: float
     prime: int
     multiplicity: int
-
-    @property
-    def description(self) -> str:
-        p, j = self.prime, self.multiplicity
-        return f"log(1 + 1/{p - 1})/({j}*log {p})"
 
 
 def alpha_d(d: int) -> AlphaExponent:
@@ -513,10 +510,7 @@ def _records(d: int, lo: int, thetas: list[int | None], window: int) -> list[tup
         if theta is None:
             if l < d:
                 continue
-            report = stopping_time_windowed(l, d, window, True)
-            theta = report.theta
-            if theta is None:
-                raise ValueError(f"start {l}/{d} is unresolved at window {report.unresolved_at}")
+            theta = _regrown_theta(l, d, window)
         if theta > best:
             records.append((l, theta))
             best = theta

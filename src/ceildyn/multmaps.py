@@ -16,9 +16,13 @@ mod d^(k+1) carries the exact k-th iterate of its residue, and refining it
 one level keeps only the children that meet the scanned interval.
 Exceptional sieves and censuses run it to a fixed depth; record scans of
 x -> r*ceil(x) run it until every class holds one start, reading off the
-least start with theta > k at each level, and finish the few survivors one
-at a time.  A record scan never skips a start its step budget leaves
+least start with theta > k at each level.  Past the sieve, every orbit is
+walked by one stopping-time loop, _finish: the single starts of
+stopping_time_mult, the survivors of a record scan and the members of a
+census.  A record scan never skips a start its step budget leaves
 unresolved: it raises ValueError naming the smallest such start.
+floor_shift_check walks its two orbits of (d+1)/d as integer numerators
+over d.
 
 Conventions: the multiplicative stopping time counts from k = 1 (an
 integer ratio gives theta = 1, not 0), unlike the squaring stopping time
@@ -29,7 +33,7 @@ starting value itself may be divisible by d.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,14 +122,28 @@ def stopping_time_mult(r, n: int, max_steps: int = 512) -> StoppingReport:
         reached = r.numerator * n
         return StoppingReport(theta=1, reached=reached, digits=digits10(abs(reached)))
     g = conjugate_g(r)
-    d = r.denominator
-    x = d * n
-    for k in range(1, max_steps + 1):
-        x = g.apply(x)
-        if x % d == 0:
-            reached = x // d
-            return StoppingReport(theta=k, reached=reached, digits=digits10(abs(reached)))
-    return StoppingReport(theta=None, unresolved_at=max_steps)
+    _, theta, x = next(_finish(g, [(n, r.denominator * n)], 0, max_steps))
+    if theta is None:
+        return StoppingReport(theta=None, unresolved_at=max_steps)
+    reached = x // g.d
+    return StoppingReport(theta=theta, reached=reached, digits=digits10(abs(reached)))
+
+
+def _finish(
+    m: PeriodicallyLinearMap, pairs: Iterable[tuple[int, int]], k: int, last: int
+) -> Iterator[tuple[int, int | None, int]]:
+    """The one stopping-time walk of the family: for each (n, h^k(n)) in
+    pairs, yield (n, j, h^j(n)) at the least j in k+1..last with h^j(n)
+    divisible by d, or (n, None, h^last(n)) when there is none."""
+    d, step = m.d, m.apply
+    for n, value in pairs:
+        for j in range(k + 1, last + 1):
+            value = step(value)
+            if value % d == 0:
+                yield n, j, value
+                break
+        else:
+            yield n, None, value
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +265,9 @@ def mult_records(r, lo: int, hi: int, max_steps: int = 512) -> list[tuple[int, i
         note(least, k + 1)
         classes = _refine(g, classes, k, a, b)
         k, modulus = k + 1, modulus * d
-    finished = []
-    for x, value in _members(g, classes, k, a, b):
-        for step in range(k + 1, max_steps + 1):
-            value = g.apply(value)
-            if value % d == 0:
-                break
-        else:
-            step = None
-        finished.append((x // d, step))
-    finished.sort()
+    finished = sorted(
+        (x // d, theta) for x, theta, _ in _finish(g, _members(g, classes, k, a, b), k, max_steps)
+    )
     best = k
     for n, theta in finished:
         if theta is None:
@@ -327,15 +338,10 @@ def exceptional_census(
     # Refine while a class can hold several members of [-x, x]; past that,
     # stepping each member alone is cheaper than splitting its class d ways.
     level = min(depth_k, min_depth_for_census(d, 2 * x + 1) - 1)
-    members: list[int] = []
-    for n, value in _members(m, _sieve_classes(m, level, -x, x), level, -x, x):
-        for _ in range(level, depth_k):
-            value = m.apply(value)
-            if value % d == 0:
-                break
-        else:
-            members.append(n)
-    members.sort()
+    classes = _sieve_classes(m, level, -x, x)
+    members = sorted(
+        n for n, j, _ in _finish(m, _members(m, classes, level, -x, x), level, depth_k) if j is None
+    )
     beta = math.log(d - 1) / math.log(d)
     return ExceptionalCensus(
         map=m,
@@ -536,14 +542,12 @@ def floor_shift_check(d: int, m: int, horizon: int) -> bool:
     """
     if d < 1 or m < 1 or horizon < 1:
         raise ValueError("need d >= 1, m >= 1, horizon >= 1")
-    r = Fraction(d + 1, d)
-    y = Fraction(m)
-    Y = Fraction(m + d)
+    x, X = d * m, d * (m + d)  # the orbits as numerators over d
     for _ in range(horizon):
-        y = r * math.ceil(y)
-        Y = r * math.floor(Y)
-        if Y - y != d + 1:
+        x = (d + 1) * -(-x // d)
+        X = (d + 1) * (X // d)
+        if X - x != d * (d + 1):
             return False
-        if y.denominator == 1:
-            return Y.denominator == 1
+        if x % d == 0:
+            return X % d == 0
     return True

@@ -1,5 +1,9 @@
 """Exact iteration of x*ceil(x): trajectories, stopping times, half-integer closed form.
 
+trajectory walks the exact iterates q*ceil(q) as Fractions, checking that
+each denominator divides the one before.  stopping_time_exact runs the same
+map on the numerator u of u/d alone.
+
 Conventions: for these maps the stopping time counts from k = 0, so an
 integer start already has stopping time 0.  (The r*ceil(x) family in
 multmaps counts from k = 1 instead; the two conventions are deliberate and
@@ -8,10 +12,10 @@ documented where each is used.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ceildyn.maps import ABSORBING_KINDS, MapSpec
 from ceildyn.rational import InternalCheckError, digits10, padic_valuation
 
 
@@ -43,33 +47,25 @@ class StoppingReport:
         return self.theta is not None
 
 
-def trajectory(q, map_spec: MapSpec | None = None, max_steps: int = 32) -> Trajectory:
-    """Iterate until an iterate is an integer or max_steps elapse.
+def trajectory(q, max_steps: int = 32) -> Trajectory:
+    """Iterate x*ceil(x) until an iterate is an integer or max_steps elapse.
 
-    For the squaring family an integral start stops immediately (empty step
-    list); for the r*ceil(x) family integers are not absorbing, so the walk
-    stops at the first integral iterate k >= 1.
+    An integral start stops at once, with an empty step list.  Each step's
+    denominator must divide the one before; anything else raises
+    InternalCheckError.
     """
     q = Fraction(q)
-    spec = map_spec or MapSpec.squaring()
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    absorbing = spec.kind in ABSORBING_KINDS
-    if absorbing and q.denominator == 1:
-        return Trajectory(q, [], False)
     steps: list[Fraction] = []
     cur = q
-    truncated = True
-    for _ in range(max_steps):
-        nxt = spec.step(cur)
-        if absorbing and cur.denominator % nxt.denominator != 0:
+    while cur.denominator > 1 and len(steps) < max_steps:
+        nxt = cur * math.ceil(cur)
+        if cur.denominator % nxt.denominator != 0:
             raise InternalCheckError("denominator chain is not divisibility-monotone")
         steps.append(nxt)
         cur = nxt
-        if cur.denominator == 1:
-            truncated = False
-            break
-    return Trajectory(q, steps, truncated)
+    return Trajectory(q, steps, cur.denominator > 1)
 
 
 def stopping_time_exact(q, max_steps: int = 256) -> StoppingReport:

@@ -19,8 +19,10 @@ Since theta depends only on u mod d^(theta+1), every window W >= theta
 gives the same answer, so stopping_time_windowed treats its window as a
 budget rather than a fixed precision: it tries the halving ladder M>>j
 (down to a floor of 64 digits) in ascending order before M itself.  Its cost follows theta, not M, and
-its output does not depend on the rungs.  successor_records builds the
-record table of the successor ratios (d+1)/d on top of it.
+its output does not depend on the rungs.  successor_records and the record
+scans in chains regrow a start their window leaves unresolved through one
+helper, _regrown_theta, which runs it with auto_grow and raises the one
+"start l/d is unresolved at window W" error.
 
 track_magnitude reports log10 of a deep iterate with a rigorous error
 bound: it iterates the numerator exactly until a digit cap, after which
@@ -153,19 +155,20 @@ def successor_records(lo: int, hi: int, window: int) -> list[tuple[int, int]]:
     records: list[tuple[int, int]] = []
     best = -1
     for d in range(lo, hi + 1):
-        if d == 1:
-            theta = 0
-        else:
-            report = stopping_time_windowed(d + 1, d, max(window, best), auto_grow=True)
-            theta = report.theta
-            if theta is None:
-                raise ValueError(
-                    f"start {d + 1}/{d} is unresolved at window {report.unresolved_at}"
-                )
+        theta = 0 if d == 1 else _regrown_theta(d + 1, d, max(window, best))
         if theta > best:
             records.append((d, theta))
             best = theta
     return records
+
+
+def _regrown_theta(l: int, d: int, window: int) -> int:
+    """Theta of l/d from stopping_time_windowed with auto_grow, starting at
+    window; a start still unresolved at the cap raises ValueError naming it."""
+    report = stopping_time_windowed(l, d, window, True)
+    if report.theta is None:
+        raise ValueError(f"start {l}/{d} is unresolved at window {report.unresolved_at}")
+    return report.theta
 
 
 def _window_theta(u: int, d: int, W: int) -> int | None:

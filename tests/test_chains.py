@@ -395,7 +395,7 @@ def test_d3_records_match_per_start_reference(lo, length, window):
 
 def test_records_name_a_start_unresolved_at_the_cap(monkeypatch):
     assert squaring_records(3, 7000, 7200, window=25)[-1] == (7148, 30)
-    monkeypatch.setattr(chains, "stopping_time_windowed", lambda *a: StoppingReport(theta=None, unresolved_at=28))
+    monkeypatch.setattr("ceildyn.window.stopping_time_windowed", lambda *a: StoppingReport(theta=None, unresolved_at=28))
     with pytest.raises(ValueError, match=r"start 7148/3 is unresolved at window 28"):
         squaring_records(3, 7000, 7200, window=25)
 

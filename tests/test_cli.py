@@ -180,7 +180,7 @@ def test_d3_records_regrow_starts_the_default_window_leaves_unresolved(capsys):
 
 def test_d3_records_exit_2_on_a_start_unresolved_at_the_cap(monkeypatch, capsys):
     monkeypatch.setattr(
-        chains, "stopping_time_windowed", lambda *a: StoppingReport(theta=None, unresolved_at=1 << 20)
+        window, "stopping_time_windowed", lambda *a: StoppingReport(theta=None, unresolved_at=1 << 20)
     )
     code = main(["records", "--kind", "theta_d3", "--bound", "10000"])
     captured = capsys.readouterr()
@@ -372,6 +372,18 @@ def test_cli_import_loads_no_process_pool():
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
     assert result.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_map_spec_module():
+    probe = "import sys, ceildyn.cli; print('ceildyn.maps' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert result.stdout == "False\n"
 
 
 def test_missing_required_argument_exits_2(capsys):

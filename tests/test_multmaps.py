@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import MULT_RECORDS
 
@@ -107,7 +107,12 @@ def _records_outcome(r, lo, hi, max_steps):
 def _records_by_scalar_loop(r, lo, hi, max_steps):
     out, best = [], -1
     for n in range(lo, hi + 1):
-        theta = stopping_time_mult(r, n, max_steps).theta
+        y, theta = Fraction(n), None
+        for k in range(1, max_steps + 1):
+            y = r * math.ceil(y)
+            if y.denominator == 1:
+                theta = k
+                break
         if theta is None:
             return ("unresolved", n)
         if theta > best:
@@ -371,3 +376,40 @@ def test_floor_shift_identity_by_direct_iteration():
             assert (y.denominator == 1) == (big.denominator == 1)
             if y.denominator == 1:
                 break
+
+
+def fraction_floor_shift_check(d: int, m: int, horizon: int) -> bool:
+    """The identity walked on Fractions: y -> r*ceil(y) from m and
+    Y -> r*floor(Y) from m + d, r = (d+1)/d."""
+    r = Fraction(d + 1, d)
+    y = Fraction(m)
+    Y = Fraction(m + d)
+    for _ in range(horizon):
+        y = r * math.ceil(y)
+        Y = r * math.floor(Y)
+        if Y - y != d + 1:
+            return False
+        if y.denominator == 1:
+            return Y.denominator == 1
+    return True
+
+
+# The ceiling orbit of m first becomes integral at step 3 for (d, m) =
+# (3, 1), 12 for (12, 1), 14 for (2, 8191), 61 for (7, 5961) and 131 for
+# (12, 9009); the horizons below end the walk before that step, except the
+# last, which reaches it.  d = 1 is r = 2, integral at step 1.
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=1, max_value=600),
+)
+@example(1, 1, 1)
+@example(3, 1, 2)
+@example(12, 1, 11)
+@example(2, 8191, 13)
+@example(7, 5961, 60)
+@example(12, 9009, 130)
+@example(12, 9009, 131)
+@settings(max_examples=150, deadline=None)
+def test_integer_floor_shift_check_matches_the_fraction_walk(d, m, horizon):
+    assert floor_shift_check(d, m, horizon) == fraction_floor_shift_check(d, m, horizon)
