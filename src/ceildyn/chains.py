@@ -35,7 +35,6 @@ recurrence on the divisors of d instead of listing them.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -193,19 +192,16 @@ class APCount:
 def _chain_denominators_windowed(c: int, d: int, m: int) -> tuple[int, ...]:
     """Reduced denominators of the orbit of c/d from digit windows alone.
 
-    Entry j is d/gcd(u_j, d) where u_j tracks the orbit numerator over the
-    fixed denominator d modulo a shrinking power of d; each step consumes
-    one digit, and m+2 digits keep every needed gcd valid.
+    Entry j is d/gcd(u_j, d) where u_j, the orbit numerator over the fixed
+    denominator d, steps at the one modulus d^(m+1) as in _chain_entries:
+    u_j is right mod d^(m+1-j), and the extra digits only carry upward.
     """
-    mod = d ** (m + 2)
+    mod = d ** (m + 1)
     u = c % mod
-    dens = [d // math.gcd(u % d, d)]
+    dens = [d // math.gcd(u, d)]
     for _ in range(m):
-        pad = (d - u % d) % d
-        ceil_part = (u + pad) // d
-        mod //= d
-        u = (u * ceil_part) % mod
-        dens.append(d // math.gcd(u % d, d))
+        u = u * ((u + d - 1) // d) % mod
+        dens.append(d // math.gcd(u, d))
     return tuple(dens)
 
 
@@ -417,27 +413,23 @@ def _stop_classes(d: int, lo: int, hi: int, depth: int):
     and are never yielded.
     """
     n = hi - lo + 1
-    live = [(1, d, [0])]  # (modulus, entry k, residues) of classes with theta > k
+    live = [(0, 1, d)]  # (residue, modulus, entry k) of classes with theta > k
     for k in range(-1, depth):
         survivors = []
-        for modulus, dk, classes in live:
+        for c, modulus, dk in live:
             child_mod = modulus * dk
             if k >= 0 and child_mod > n:
-                for c in classes:
-                    for l in range(lo + (c - lo) % modulus, hi + 1, modulus):
-                        theta = _window_theta(l, d, depth)
-                        if theta is not None:
-                            yield l, n, theta
+                for l in range(lo + (c - lo) % modulus, hi + 1, modulus):
+                    theta = _window_theta(l, d, depth)
+                    if theta is not None:
+                        yield l, n, theta
                 continue
-            by_entry = collections.defaultdict(list)
-            for c in classes:
-                for s, e in enumerate(_split(d, k, c, modulus, dk)):
-                    child = c + modulus * s
-                    if e == 1:
-                        yield lo + (child - lo) % child_mod, child_mod, k + 1
-                    else:
-                        by_entry[e].append(child)
-            survivors += [(child_mod, e, kids) for e, kids in by_entry.items()]
+            for s, e in enumerate(_split(d, k, c, modulus, dk)):
+                child = c + modulus * s
+                if e == 1:
+                    yield lo + (child - lo) % child_mod, child_mod, k + 1
+                else:
+                    survivors.append((child, child_mod, e))
         live = survivors
 
 

@@ -228,9 +228,10 @@ def mult_records(r, lo: int, hi: int, max_steps: int = 512) -> list[tuple[int, i
     theta > k, so f(k), the least of them, is read off the classes level by
     level.  Once d^k exceeds hi - lo every class holds one start, and the
     survivors finish one at a time from h^k(x) = h^k(c) + l^k * (x - c)/d^k.
-    The records are the distinct f(k), each valued k+1 at the last k it is
-    f(k).  A start still unresolved after max_steps steps would outrank
-    every record after it, so the smallest one raises ValueError.
+    The records are the prefix maxima, in start order, of the f(k), each
+    valued k+1 for the last k it is f(k), and of the survivors, each valued
+    its theta.  A start still unresolved after max_steps steps would
+    outrank every record after it, so the smallest one raises ValueError.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -249,31 +250,25 @@ def mult_records(r, lo: int, hi: int, max_steps: int = 512) -> list[tuple[int, i
             "so no record from it on is certain"
         )
 
-    records: list[tuple[int, int]] = []
-
-    def note(n: int, theta: int) -> None:
-        if records and records[-1][0] == n:
-            records.pop()
-        records.append((n, theta))
-
+    theta_of: dict[int, int | None] = {}  # f(k) -> k+1, then survivor -> theta
     classes = [(0, 0)]
     k, modulus = 0, d  # classes are mod d^(k+1) after k levels
     while classes and modulus <= b - a:
         least = (a + min((c - a) % modulus for c, _ in classes)) // d
         if k == max_steps:
             raise unresolved(least)
-        note(least, k + 1)
+        theta_of[least] = k + 1
         classes = _refine(g, classes, k, a, b)
         k, modulus = k + 1, modulus * d
-    finished = sorted(
-        (x // d, theta) for x, theta, _ in _finish(g, _members(g, classes, k, a, b), k, max_steps)
-    )
-    best = k
-    for n, theta in finished:
+    for x, theta, _ in _finish(g, _members(g, classes, k, a, b), k, max_steps):
+        theta_of[x // d] = theta
+    records: list[tuple[int, int]] = []
+    best = 0
+    for n, theta in sorted(theta_of.items()):
         if theta is None:
             raise unresolved(n)
         if theta > best:
-            note(n, theta)
+            records.append((n, theta))
             best = theta
     return records
 
@@ -389,29 +384,21 @@ def exceptional_denominator2(
         )
     classes = [(0, 0), (1, 1)]
     top = 2 ** (depth_K + 1) - 1
-    last_rep: dict[int, int | None] = {0: None, 1: None}
-    streak = {0: 0, 1: 0}
+    reps: tuple[list[int], list[int]] = ([], [])  # signed reps by level: even, odd class
     for level in range(depth_K):
         classes = _refine(m, classes, level, 0, top)
         if len(classes) != 2 or {c % 2 for c, _ in classes} != {0, 1}:
             raise InternalCheckError("d=2 sieve must keep one even and one odd class")
         modulus = 2 ** (level + 2)
-        for residue, _ in classes:
-            rep = residue if residue <= modulus // 2 else residue - modulus
-            parity = residue % 2
-            if rep == last_rep[parity]:
-                streak[parity] += 1
-            else:
-                last_rep[parity] = rep
-                streak[parity] = 1
+        for (residue, _), chain in zip(classes, reps):  # _refine keeps parent order
+            chain.append(residue if residue <= modulus // 2 else residue - modulus)
     candidates: list[ExceptionalCandidate] = []
-    for parity in (0, 1):
-        if streak[parity] < stabilization or last_rep[parity] is None:
+    for chain in reps:
+        if len(set(chain[-max(stabilization, 1) :])) != 1:
             continue
-        value = last_rep[parity]
-        verdict = _cycle_before_divisible(m, value, max_cert_steps)
+        verdict = _cycle_before_divisible(m, chain[-1], max_cert_steps)
         if verdict is not False:
-            candidates.append(ExceptionalCandidate(value, depth_K, verdict is True))
+            candidates.append(ExceptionalCandidate(chain[-1], depth_K, verdict is True))
     candidates.sort(key=lambda c: c.value)
     return candidates
 

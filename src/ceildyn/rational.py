@@ -67,8 +67,11 @@ def padic_valuation(q, p: int) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "l/d" or a bare integer, the form str() gives a Fraction."""
-    return Fraction(text.strip())
+    """Parse "l/d" or a bare integer; bad text or a zero denominator raise ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def digits10(n: int) -> int:

@@ -9,27 +9,27 @@ W - 1 steps; the valid_digits counter enforces that bookkeeping rather
 than trusting any a-priori bound on the stopping time.
 
 DigitWindow and step_window are the validated single-step API.  Scans run
-the same loop on bare ints through _window_theta, the one kernel for
-u -> u*ceil(u/d) mod d^W.  It returns theta from the residue u mod d^(W+1)
-alone: stopping_time_windowed calls it, and so does the chain-prefix
-sieve in chains, to finish one at a time the starts of classes too sparse
-in the range to split.
+the same loop on bare ints through _window_theta, the kernel for the
+first integral step of u -> u*ceil(u/d) mod d^W.  It returns theta from
+the residue u mod d^(W+1) alone: stopping_time_windowed calls it, and so
+does the chain-prefix sieve in chains, to finish one at a time the starts
+of classes too sparse in the range to split.
 
 Since theta depends only on u mod d^(theta+1), every window W >= theta
 gives the same answer, so stopping_time_windowed treats its window as a
 budget rather than a fixed precision: it tries the halving ladder M>>j
-(down to a floor of 64 digits) in ascending order before M itself.  Its cost follows theta, not M, and
-its output does not depend on the rungs.  successor_records and the record
-scans in chains regrow a start their window leaves unresolved through one
-helper, _regrown_theta, which runs it with auto_grow and raises the one
-"start l/d is unresolved at window W" error.
+(down to a floor of 64 digits) in ascending order before M itself.  Its
+cost follows theta, not M, and its output does not depend on the rungs.
+successor_records and the record scans in chains regrow a start their
+window leaves unresolved through _regrown_theta, which runs it with
+auto_grow and raises the one "start l/d is unresolved at window W" error.
 
 track_magnitude reports log10 of a deep iterate with a rigorous error
-bound: it iterates the numerator exactly until a digit cap, after which
-log10 x_{k+1} = log10 x_k + log10 ceil(x_k) collapses to doubling because
-log10(ceil(x)/x) <= log10(1 + 1/x) is below any representable tolerance by
-the time the cap is reached.  The truncated ceiling corrections and the
-log extraction error are both folded into the reported bound.
+bound: it iterates exactly until the iterate, not its numerator, passes a
+digit cap; then log10 x_{k+1} = log10 x_k + log10 ceil(x_k) collapses to
+doubling, as log10(ceil(x)/x) <= log10(1 + 1/x) is below any representable
+tolerance.  The truncated ceiling corrections and the log extraction
+error are both folded into the reported bound.
 """
 
 from __future__ import annotations
@@ -129,18 +129,17 @@ def stopping_time_windowed(
         raise ValueError("windowed engine needs a noninteger start l/d > 1")
     if M < 1:
         raise ValueError("window size M must be >= 1")
-    for j in range((M // _LADDER_FLOOR).bit_length() - 1, 0, -1):
-        theta = _window_theta(l, d, M >> j)
-        if theta is not None:
-            return StoppingReport(theta=theta)
-    window = M
-    while True:
-        theta = _window_theta(l, d, window)
-        if theta is not None:
-            return StoppingReport(theta=theta)
-        if not auto_grow or window >= max_window:
+    rung = max((M // _LADDER_FLOOR).bit_length() - 1, 0)  # window = M >> rung
+    window = M >> rung
+    while (theta := _window_theta(l, d, window)) is None:
+        if rung:
+            rung -= 1
+            window = M >> rung
+        elif auto_grow and window < max_window:
+            window = min(2 * window, max_window)
+        else:
             return StoppingReport(theta=None, unresolved_at=window)
-        window = min(2 * window, max_window)
+    return StoppingReport(theta=theta)
 
 
 def successor_records(lo: int, hi: int, window: int) -> list[tuple[int, int]]:
@@ -227,7 +226,7 @@ def track_magnitude(l: int, d: int, steps: int, digit_cap: int = 100_000) -> Mag
     covers the log extraction and, past digit_cap, the dropped ceiling
     corrections amplified by the doubling.  exact_digits, the digit count of
     the iterate's integer part, is set only while the run stayed exact
-    (numerator below the digit cap for all `steps` steps), else None.
+    (iterate below the digit cap for all `steps` steps), else None.
     """
     if d < 1 or l <= d:
         raise ValueError("magnitude tracking needs a start l/d > 1")
@@ -238,7 +237,7 @@ def track_magnitude(l: int, d: int, steps: int, digit_cap: int = 100_000) -> Mag
     bit_cap = int(digit_cap * 3.3219280948873626) + 64
     u = l
     done = 0
-    while done < steps and u.bit_length() <= bit_cap:
+    while done < steps and u.bit_length() - d.bit_length() <= bit_cap:
         u = u * (-(-u // d))
         done += 1
     with localcontext() as ctx:
@@ -249,8 +248,8 @@ def track_magnitude(l: int, d: int, steps: int, digit_cap: int = 100_000) -> Mag
         rest = steps - done
         amp = Decimal(2) ** rest
         value = +(log_now * amp)
-        # u > 2^bit_cap guarantees x >= 10^(digit_cap - digits(d)); every
-        # dropped ceiling correction is below 10^-(digit_cap - 12) and gets
+        # x = u/d > 2^bit_cap > 10^digit_cap for any d; every dropped
+        # ceiling correction is below 10^-(digit_cap - 12) and gets
         # amplified by at most 2^rest.
         ceil_slack = amp * Decimal(10) ** -(digit_cap - 12)
         err = +(amp * (2 * _LOG10_INT_ERR) + ceil_slack)

@@ -474,3 +474,30 @@ def test_bad_at_size_of_a_deep_orbit():
 @settings(max_examples=60)
 def test_integral_starts_are_never_bad(n, x):
     assert not bad_at_size(3 * n, 3, x)
+
+
+@pytest.mark.parametrize(
+    "d, lo, hi, splits, child_entries, finishes",
+    [
+        (3, 1, 100000, 1023, 3069, 1746),
+        (12, 20001, 50000, 1848, 6160, 4262),
+        (60, 1, 20000, 1313, 7494, 13961),
+    ],
+)
+def test_census_sieve_kernel_calls_are_pinned(d, lo, hi, splits, child_entries, finishes, monkeypatch):
+    # the work the sieve does at W = 25: how it keeps its live classes must not change it
+    counts = {"splits": 0, "child_entries": 0, "finishes": 0}
+
+    def counted(name, kernel, size=lambda out: 1):
+        def wrapper(*args):
+            out = kernel(*args)
+            counts[name] += size(out)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(chains, "_split", counted("splits", chains._split))
+    monkeypatch.setattr(chains, "_chain_entries", counted("child_entries", _true_entries, len))
+    monkeypatch.setattr(chains, "_window_theta", counted("finishes", chains._window_theta))
+    census_thetas(d, lo, hi, 25)
+    assert counts == {"splits": splits, "child_entries": child_entries, "finishes": finishes}

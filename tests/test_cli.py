@@ -138,6 +138,18 @@ def test_exceptional_custom_offsets(capsys):
     assert values == sorted(values)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["records", "--kind", "theta_mult", "--r", "1/0", "--bound", "5"], ["exceptional", "--r", "3/0"]],
+)
+def test_zero_denominator_ratio_exits_2_with_one_error_line(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_exceptional_denominator2_reports_certification(capsys):
     code, out = run_cli(capsys, "exceptional", "--r", "1/2", "--format", "json")
     assert code == 0

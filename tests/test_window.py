@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -233,6 +233,27 @@ def test_successor_records_name_a_start_unresolved_at_the_cap(monkeypatch):
         successor_records(1, 12, 64)
 
 
+@pytest.mark.parametrize(
+    "M, auto_grow, windows",
+    [
+        (1477, False, [92, 184, 369, 738, 1477]),
+        (130, False, [65, 130]),
+        (127, False, [127]),
+        (100, True, [100, 200, 400, 800, 1600]),
+    ],
+)
+def test_window_ladder_tries_pinned_windows(M, auto_grow, windows, monkeypatch):
+    tried = []
+
+    def spy(u, d, W):
+        tried.append(W)
+        return _window_theta(u, d, W)
+
+    monkeypatch.setattr("ceildyn.window._window_theta", spy)
+    stopping_time_windowed(200, 199, M, auto_grow)
+    assert tried == windows
+
+
 @given(st.integers(min_value=1, max_value=10**30))
 def test_log10_of_int_accuracy(n):
     approx = log10_of_int(n)
@@ -269,3 +290,19 @@ def test_magnitude_tracker_deep_run_interval_is_tight():
     # relative error of log10(value) stays tiny even though the absolute
     # error is astronomically large
     assert mt.error_bound / mt.log10_value < Decimal("1e-15")
+
+
+@pytest.mark.parametrize(
+    "l, d, steps", [(7**100 + 1, 7**100, 14), (10**80 + 1, 10**80, 16)], ids=["d=7^100", "d=10^80"]
+)
+def test_magnitude_tracker_bound_holds_at_large_denominators(l, d, steps):
+    # the switch to doubling waits for the iterate u/d, not its numerator u, to pass the cap
+    mt = track_magnitude(l, d, steps, digit_cap=64)
+    assert mt.exact_digits is None
+    u = l
+    for _ in range(steps):
+        u *= -(-u // d)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        true = (Decimal(u) / Decimal(d)).log10()
+    assert abs(mt.log10_value - true) <= mt.error_bound
