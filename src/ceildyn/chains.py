@@ -27,6 +27,8 @@ mod 1 with entry d.  _stop_classes (census, dist, theta_d3 records) keeps
 the children with entry > 1 and settles those with entry 1 (theta = k+1)
 as whole progressions; a live class whose children's modulus passes the
 range finishes its starts one at a time through window._window_theta.
+squaring_records ranks only the least start per theta, and certifies each
+record with _window_theta, since law 1 never sees the last split's children.
 ap_count_for_chain keeps the children whose entry is the chain's next one,
 and padic.omega_prefix_tree those whose entry stays p^k.  chain_stop_mass
 sums the progression densities over all complete chains through a
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize
-from ceildyn.squaring import stopping_time_exact, trajectory
+from ceildyn.squaring import prefix_records, stopping_time_exact, trajectory
 from ceildyn.window import _regrown_theta, _window_theta
 
 
@@ -400,17 +402,17 @@ def stop_distribution(d: int, x_scan: int, depth: int) -> StopDistribution:
 
 
 def _stop_classes(d: int, lo: int, hi: int, depth: int):
-    """Yield (first, step, theta) for the starts l/d, lo <= l <= hi, with
-    stopping time theta <= depth: every start of range(first, hi + 1, step)
-    has that theta, and each such start is covered exactly once.
+    """Yield (first, step, theta) for the starts l/d, lo <= l <= hi: every
+    start of range(first, hi + 1, step) has that theta, None where it is
+    above depth, and each start is covered exactly once.
 
     Theta is the first k with entry k of the chain equal to 1.  Level by
     level from the root, each live class splits with _split; a child with
-    entry 1 stops, and the rest are live at the next level.  A live class
-    whose children's modulus passes the range finishes its few starts one
-    at a time through window._window_theta, which counts theta from 1, so
-    the root (theta >= 0) always splits.  Starts below d are fixed points
-    and are never yielded.
+    entry 1 stops, and the rest are live at the next level, or yielded with
+    None after the last.  A live class whose children's modulus passes the
+    range finishes its few starts one at a time through
+    window._window_theta, which counts theta from 1, so the root
+    (theta >= 0) always splits.  Starts below d are fixed: theta None.
     """
     n = hi - lo + 1
     live = [(0, 1, d)]  # (residue, modulus, entry k) of classes with theta > k
@@ -420,9 +422,7 @@ def _stop_classes(d: int, lo: int, hi: int, depth: int):
             child_mod = modulus * dk
             if k >= 0 and child_mod > n:
                 for l in range(lo + (c - lo) % modulus, hi + 1, modulus):
-                    theta = _window_theta(l, d, depth)
-                    if theta is not None:
-                        yield l, n, theta
+                    yield l, n, _window_theta(l, d, depth)
                 continue
             for s, e in enumerate(_split(d, k, c, modulus, dk)):
                 child = c + modulus * s
@@ -431,13 +431,16 @@ def _stop_classes(d: int, lo: int, hi: int, depth: int):
                 else:
                     survivors.append((child, child_mod, e))
         live = survivors
+    for c, modulus, _ in live:
+        yield lo + (c - lo) % modulus, modulus, None
 
 
 def stop_counts(d: int, lo: int, hi: int, depth: int) -> dict[int, int]:
     """Number of starts l/d, lo <= l <= hi, with stopping time j, for j = 0..depth."""
     counts = dict.fromkeys(range(depth + 1), 0)
     for first, step, theta in _stop_classes(d, lo, hi, depth):
-        counts[theta] += len(range(first, hi + 1, step))
+        if theta is not None:
+            counts[theta] += len(range(first, hi + 1, step))
     return counts
 
 
@@ -467,45 +470,40 @@ def squaring_census(d: int, x: int, window: int = 25, lo: int = 1) -> CensusRepo
     """Stopping times of l/d for l in [lo, x] at a fixed digit window.
 
     Starts below d (value in (0,1), provably fixed) and starts the window
-    cannot resolve are reported unresolved.  Records follow squaring_records:
-    an unresolved start is regrown before it is ranked.
+    cannot resolve are reported unresolved.  Records: squaring_records.
     """
     if d < 2 or lo < 1 or x < lo or window < 1:
         raise ValueError("need d >= 2, 1 <= lo <= x and window >= 1")
-    theta_list = census_thetas(d, lo, x, window)
-    thetas = dict(zip(range(lo, x + 1), theta_list))
+    thetas = dict(zip(range(lo, x + 1), census_thetas(d, lo, x, window)))
     histogram: dict[int, int] = {}
-    unresolved: list[int] = []
-    for l, theta in thetas.items():
-        if theta is None:
-            unresolved.append(l)
-        else:
+    for theta in thetas.values():
+        if theta is not None:
             histogram[theta] = histogram.get(theta, 0) + 1
-    records = _records(d, lo, theta_list, window)
-    return CensusReport(d, x, window, thetas, histogram, tuple(unresolved), tuple(records))
+    unresolved = tuple(l for l, theta in thetas.items() if theta is None)
+    records = tuple(squaring_records(d, lo, x, window))
+    return CensusReport(d, x, window, thetas, histogram, unresolved, records)
 
 
 def squaring_records(d: int, lo: int, hi: int, window: int = 25) -> list[tuple[int, int]]:
     """Record stopping times (l, theta) of l/d over lo <= l <= hi.
 
-    A start the window leaves unresolved is regrown by stopping_time_windowed's
-    auto_grow; one still unresolved at its cap raises ValueError naming it.
-    Starts below d are fixed and hold no stopping time.
+    A record is the least start with its theta, so prefix_records ranks the
+    least first per theta of _stop_classes and the unresolved starts >= d,
+    which _regrown_theta resolves.  One _window_theta run at window theta
+    certifies each record apart from the sieve.
     """
-    return _records(d, lo, census_thetas(d, lo, hi, window), window)
-
-
-def _records(d: int, lo: int, thetas: list[int | None], window: int) -> list[tuple[int, int]]:
-    records: list[tuple[int, int]] = []
-    best = -1
-    for l, theta in enumerate(thetas, start=lo):
+    least: dict[int, int] = {}  # theta -> least start; a root first can pass hi
+    theta_of: dict[int, int | None] = {}
+    for first, step, theta in _stop_classes(d, lo, hi, window):
         if theta is None:
-            if l < d:
-                continue
-            theta = _regrown_theta(l, d, window)
-        if theta > best:
-            records.append((l, theta))
-            best = theta
+            theta_of.update((l, None) for l in range(first, hi + 1, step) if l >= d)
+        elif first < least.get(theta, hi + 1):
+            least[theta] = first
+    theta_of.update((l, theta) for theta, l in least.items())
+    records = prefix_records(theta_of, lambda l, best: _regrown_theta(l, d, window))
+    for l, theta in records:
+        if (l % d == 0) != (theta == 0) or theta and _window_theta(l, d, theta) != theta:
+            raise InternalCheckError(f"record {l}/{d} does not stop after {theta} steps")
     return records
 
 

@@ -36,9 +36,10 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from ceildyn.rational import InternalCheckError, digits10
-from ceildyn.squaring import StoppingReport
+from ceildyn.squaring import StoppingReport, prefix_records
 
 
 @dataclass(frozen=True)
@@ -224,14 +225,11 @@ def mult_records(r, lo: int, hi: int, max_steps: int = 512) -> list[tuple[int, i
     """Record stopping times (n, theta(n)) of x -> r*ceil(x) over lo <= n <= hi.
 
     The starts are the conjugate class x = 0 (mod d) cut to [d*lo, d*hi].
-    Its members surviving k sieve levels are exactly the starts with
-    theta > k, so f(k), the least of them, is read off the classes level by
-    level.  Once d^k exceeds hi - lo every class holds one start, and the
-    survivors finish one at a time from h^k(x) = h^k(c) + l^k * (x - c)/d^k.
-    The records are the prefix maxima, in start order, of the f(k), each
-    valued k+1 for the last k it is f(k), and of the survivors, each valued
-    its theta.  A start still unresolved after max_steps steps would
-    outrank every record after it, so the smallest one raises ValueError.
+    Its members surviving k sieve levels are the starts with theta > k, so
+    f(k), the least of them, is valued k+1 for the last k it is f(k).  Once
+    d^k exceeds hi - lo every class holds one start, finished alone from
+    h^k(x) = h^k(c) + l^k * (x - c)/d^k.  prefix_records ranks both; the
+    smallest start unresolved after max_steps steps raises ValueError.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -244,8 +242,8 @@ def mult_records(r, lo: int, hi: int, max_steps: int = 512) -> list[tuple[int, i
     d = g.d
     a, b = d * lo, d * hi
 
-    def unresolved(n: int) -> ValueError:
-        return ValueError(
+    def unresolved(n: int, best: int = -1) -> NoReturn:
+        raise ValueError(
             f"start {n} is unresolved after max_steps={max_steps} steps, "
             "so no record from it on is certain"
         )
@@ -256,21 +254,13 @@ def mult_records(r, lo: int, hi: int, max_steps: int = 512) -> list[tuple[int, i
     while classes and modulus <= b - a:
         least = (a + min((c - a) % modulus for c, _ in classes)) // d
         if k == max_steps:
-            raise unresolved(least)
+            unresolved(least)
         theta_of[least] = k + 1
         classes = _refine(g, classes, k, a, b)
         k, modulus = k + 1, modulus * d
     for x, theta, _ in _finish(g, _members(g, classes, k, a, b), k, max_steps):
         theta_of[x // d] = theta
-    records: list[tuple[int, int]] = []
-    best = 0
-    for n, theta in sorted(theta_of.items()):
-        if theta is None:
-            raise unresolved(n)
-        if theta > best:
-            records.append((n, theta))
-            best = theta
-    return records
+    return prefix_records(theta_of, unresolved)
 
 
 def exceptional_sieve(m: PeriodicallyLinearMap, depth_k: int) -> frozenset[int]:
@@ -314,11 +304,11 @@ def exceptional_census(
 ) -> ExceptionalCensus:
     """All integers |n| <= x surviving the sieve to depth_k.
 
-    depth_k defaults to (and must be at least) the smallest k with d^k >= x;
-    at that depth a surviving class mod d^(k+1) meets [-x, x] in at most a
-    couple of points, so the census count is comparable to the true
-    exceptional count and the 4*d*x**beta_d bound applies.  Shallower
-    censuses would over-approximate wildly and are rejected.
+    depth_k must be at least the smallest k with d^k >= x, and defaults to
+    that k + 3.  From that floor on, a surviving class mod d^(k+1) meets
+    [-x, x] in at most a couple of points, so the census count is comparable
+    to the true exceptional count and the 4*d*x**beta_d bound applies.
+    Shallower censuses would over-approximate wildly and are rejected.
     """
     if x < 1:
         raise ValueError("census bound x must be >= 1")

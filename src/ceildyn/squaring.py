@@ -47,6 +47,22 @@ class StoppingReport:
         return self.theta is not None
 
 
+def prefix_records(theta_of: dict[int, int | None], resolve) -> list[tuple[int, int]]:
+    """(start, theta) at each strict prefix maximum of a start -> theta dict,
+    in start order.  A start held as None takes resolve(start, best), where
+    best is the largest theta before it (-1 at first); resolve may raise.
+    """
+    records: list[tuple[int, int]] = []
+    best = -1
+    for start, theta in sorted(theta_of.items()):
+        if theta is None:
+            theta = resolve(start, best)
+        if theta > best:
+            records.append((start, theta))
+            best = theta
+    return records
+
+
 def trajectory(q, max_steps: int = 32) -> Trajectory:
     """Iterate x*ceil(x) until an iterate is an integer or max_steps elapse.
 

@@ -20,9 +20,10 @@ gives the same answer, so stopping_time_windowed treats its window as a
 budget rather than a fixed precision: it tries the halving ladder M>>j
 (down to a floor of 64 digits) in ascending order before M itself.  Its
 cost follows theta, not M, and its output does not depend on the rungs.
-successor_records and the record scans in chains regrow a start their
-window leaves unresolved through _regrown_theta, which runs it with
-auto_grow and raises the one "start l/d is unresolved at window W" error.
+successor_records and chains.squaring_records rank their starts through
+squaring.prefix_records, regrowing each start their window leaves
+unresolved through _regrown_theta, which runs it with auto_grow and raises
+the one "start l/d is unresolved at window W" error.
 
 track_magnitude reports log10 of a deep iterate with a rigorous error
 bound: it iterates exactly until the iterate, not its numerator, passes a
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 from ceildyn.rational import digits10
-from ceildyn.squaring import StoppingReport
+from ceildyn.squaring import StoppingReport, prefix_records
 
 
 # Smallest rung of stopping_time_windowed's halving ladder, in digits.
@@ -145,20 +146,15 @@ def stopping_time_windowed(
 def successor_records(lo: int, hi: int, window: int) -> list[tuple[int, int]]:
     """Record stopping times (d, theta) of the successor ratios (d+1)/d, lo <= d <= hi.
 
-    Each start runs with the budget max(window, best record so far) and
-    auto_grow, so a start is a record exactly when that budget leaves it
-    unresolved, and a non-record never pays for a window above the record.
-    A start still unresolved at the auto_grow cap raises ValueError naming
-    it.  2/1 is already an integer: theta 0.
+    Each start runs with auto_grow from the budget max(window, best so far):
+    a start is a record exactly when that budget leaves it unresolved, so a
+    non-record never pays for a window above the record.  A start still
+    unresolved at the auto_grow cap raises ValueError naming it; 2/1 has theta 0.
     """
-    records: list[tuple[int, int]] = []
-    best = -1
-    for d in range(lo, hi + 1):
-        theta = 0 if d == 1 else _regrown_theta(d + 1, d, max(window, best))
-        if theta > best:
-            records.append((d, theta))
-            best = theta
-    return records
+    return prefix_records(
+        dict.fromkeys(range(lo, hi + 1)),
+        lambda d, best: 0 if d == 1 else _regrown_theta(d + 1, d, max(window, best)),
+    )
 
 
 def _regrown_theta(l: int, d: int, window: int) -> int:

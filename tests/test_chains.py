@@ -35,6 +35,7 @@ from ceildyn.chains import (
 )
 from ceildyn.rational import InternalCheckError, euler_phi
 from ceildyn.squaring import StoppingReport
+from ceildyn.window import _regrown_theta
 
 small_d = st.integers(min_value=2, max_value=6)
 small_l = st.integers(min_value=0, max_value=400)
@@ -391,6 +392,46 @@ def reference_records(lo: int, hi: int) -> list[tuple[int, int]]:
 def test_d3_records_match_per_start_reference(lo, length, window):
     hi = lo + length - 1
     assert squaring_records(3, lo, hi, window) == reference_records(lo, hi)
+
+
+def list_records(d: int, lo: int, hi: int, window: int) -> list[tuple[int, int]]:
+    """The per-start record pass: every start's theta from census_thetas, in
+    start order, with each unresolved start >= d regrown before it is ranked."""
+    records: list[tuple[int, int]] = []
+    for l, theta in enumerate(census_thetas(d, lo, hi, window), start=lo):
+        if theta is None and l >= d:
+            theta = _regrown_theta(l, d, window)
+        if theta is not None and (not records or theta > records[-1][1]):
+            records.append((l, theta))
+    return records
+
+
+@given(
+    st.sampled_from([*range(2, 13), 30, 60]),
+    starts,
+    st.one_of(st.integers(min_value=1, max_value=13), st.integers(min_value=1, max_value=6000)),
+    st.integers(min_value=1, max_value=40),
+)
+@example(7, 2, 4, 25)  # shorter than d: root classes whose first lies past hi
+@example(3, 1, 5000, 1)  # windows 1-3 leave classes live after the last level
+@example(3, 2, 5000, 3)
+@example(2, 1, 6000, 2)
+@example(12, 5, 6000, 3)
+@example(60, 1, 59, 40)
+@settings(max_examples=40, deadline=None)
+def test_records_match_the_per_start_pass(d, lo, length, window):
+    hi = lo + length - 1
+    assert squaring_records(d, lo, hi, window) == list_records(d, lo, hi, window)
+
+
+D3_RECORDS_TO_10_7 = [
+    (3, 0), (4, 2), (5, 6), (28, 22), (1783, 23), (7148, 30),
+    (273223, 31), (398314, 33), (1180939, 36), (1751431, 37),
+]
+
+
+def test_d3_records_to_10_7():
+    assert squaring_records(3, 1, 10**7) == D3_RECORDS_TO_10_7
 
 
 def test_records_name_a_start_unresolved_at_the_cap(monkeypatch):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from test_acceptance import MULT_RECORDS
+from test_chains import D3_RECORDS_TO_10_7
 
 from ceildyn import chains, cli, multmaps, window
 from ceildyn.cli import CLIError, COMMANDS, ExperimentConfig, export_bfile, main
@@ -188,6 +189,43 @@ def test_d3_records_regrow_starts_the_default_window_leaves_unresolved(capsys):
     code, out = run_cli(capsys, "records", "--kind", "theta_d3", "--bound", "100000")
     assert code == 0
     assert out.splitlines()[-1] == "arg=7148 record=30"
+
+
+def test_d3_records_to_10_7_stay_small_in_a_fresh_process():
+    # the scan keeps the least start per theta, not a theta per start (148 MB).
+    # VmHWM is the peak RSS of this process's own memory; ru_maxrss would also
+    # count the pages of the test process it was forked from.
+    probe = (
+        "import sys; from ceildyn.cli import main; code = main(sys.argv[1:]); "
+        "print(*(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')), "
+        "file=sys.stderr); sys.exit(code)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "records", "--kind", "theta_d3", "--bound", "10000000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert result.returncode == 0
+    assert result.stdout == "".join(f"arg={l} record={t}\n" for l, t in D3_RECORDS_TO_10_7)
+    assert int(result.stderr) < 60 * 1024  # kB
+
+
+def test_d3_records_exit_3_on_a_wrong_entry_at_the_last_split(monkeypatch, capsys):
+    # law 1 never sees the children of the last split; without a certificate
+    # the table would read arg=28 record=9 ... arg=68617 record=25
+    entries = chains._chain_entries
+
+    def rotated(d, j, starts):
+        out = entries(d, j, starts)
+        return out[1:] + out[:1] if j == 9 else out
+
+    monkeypatch.setattr(chains, "_chain_entries", rotated)
+    code = main(["records", "--kind", "theta_d3", "--bound", "100000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "internal check failed: record 28/3 does not stop after 9 steps" in captured.err
 
 
 def test_d3_records_exit_2_on_a_start_unresolved_at_the_cap(monkeypatch, capsys):

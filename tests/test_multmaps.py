@@ -242,6 +242,19 @@ def test_census_depth_floor():
         exceptional_census(conjugate_g(Fraction(1, 3)), 27, depth_k=2)
 
 
+# at these bounds the census at the floor + 3 differs from the census one
+# level shallower and one level deeper, so the default depth shows in the count
+@pytest.mark.parametrize("r,x", [(Fraction(4, 3), 100), (Fraction(7, 5), 100), (Fraction(2, 3), 300)])
+def test_census_depth_defaults_to_three_past_the_floor(r, x):
+    m = conjugate_g(r)
+    depth = min_depth_for_census(m.d, x) + 3
+    census = exceptional_census(m, x)
+    assert census.depth_k == depth
+    assert census.survivors == exceptional_census(m, x, depth).survivors
+    for other in (depth - 1, depth + 1):
+        assert census.count != exceptional_census(m, x, other).count
+
+
 @pytest.mark.parametrize("d,x", [(3, 81), (4, 64), (5, 125)])
 def test_census_count_under_theorem_bound(d, x):
     census = exceptional_census(conjugate_g(Fraction(1, d)), x)
