@@ -470,27 +470,29 @@ def squaring_census(d: int, x: int, window: int = 25, lo: int = 1) -> CensusRepo
     """Stopping times of l/d for l in [lo, x] at a fixed digit window.
 
     Starts below d (value in (0,1), provably fixed) and starts the window
-    cannot resolve are reported unresolved.  Records: squaring_records.
+    cannot resolve are reported unresolved.  Records: as squaring_records.
     """
     if d < 2 or lo < 1 or x < lo or window < 1:
         raise ValueError("need d >= 2, 1 <= lo <= x and window >= 1")
-    thetas = dict(zip(range(lo, x + 1), census_thetas(d, lo, x, window)))
+    values = census_thetas(d, lo, x, window)
+    thetas = dict(zip(range(lo, x + 1), values))
     histogram: dict[int, int] = {}
-    for theta in thetas.values():
+    for theta in values:
         if theta is not None:
             histogram[theta] = histogram.get(theta, 0) + 1
     unresolved = tuple(l for l, theta in thetas.items() if theta is None)
-    records = tuple(squaring_records(d, lo, x, window))
-    return CensusReport(d, x, window, thetas, histogram, unresolved, records)
+    # the unresolved starts >= d and the least start per theta hold every record
+    ranked = dict.fromkeys(l for l in unresolved if l >= d)
+    ranked.update((lo + values.index(theta), theta) for theta in histogram)
+    records = _certified_records(d, ranked, window)
+    return CensusReport(d, x, window, thetas, histogram, unresolved, tuple(records))
 
 
 def squaring_records(d: int, lo: int, hi: int, window: int = 25) -> list[tuple[int, int]]:
     """Record stopping times (l, theta) of l/d over lo <= l <= hi.
 
-    A record is the least start with its theta, so prefix_records ranks the
-    least first per theta of _stop_classes and the unresolved starts >= d,
-    which _regrown_theta resolves.  One _window_theta run at window theta
-    certifies each record apart from the sieve.
+    A record is the least start with its theta, so _certified_records ranks
+    the least first per theta of _stop_classes and the unresolved starts >= d.
     """
     least: dict[int, int] = {}  # theta -> least start; a root first can pass hi
     theta_of: dict[int, int | None] = {}
@@ -500,6 +502,12 @@ def squaring_records(d: int, lo: int, hi: int, window: int = 25) -> list[tuple[i
         elif first < least.get(theta, hi + 1):
             least[theta] = first
     theta_of.update((l, theta) for theta, l in least.items())
+    return _certified_records(d, theta_of, window)
+
+
+def _certified_records(d: int, theta_of: dict[int, int | None], window: int):
+    """prefix_records of start -> theta of l/d, a None theta regrown from
+    window; a _window_theta run at window theta certifies each record."""
     records = prefix_records(theta_of, lambda l, best: _regrown_theta(l, d, window))
     for l, theta in records:
         if (l % d == 0) != (theta == 0) or theta and _window_theta(l, d, theta) != theta:

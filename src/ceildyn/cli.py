@@ -8,9 +8,9 @@ OEIS-style b-file; runs can be cached on disk.  Every scan runs once, in
 this process, on the library's residue sieves.
 
 COMMANDS declares each subcommand's columns once; handlers return plain
-tuples, one cell per column.  A renderer builds one row formatter per row
-shape, so a large census pays no per-cell dispatch, and no format builds a
-cell it does not show.
+tuples, one cell per column.  Table, JSON and CSV share one line-template
+builder, _render: one str.format template per row shape, so a large census
+pays no per-cell dispatch, and no format builds a cell it does not show.
 
 A process builds its parser once (build_parser) and parses every command
 with it, so main may be called repeatedly in one process, each call paying
@@ -25,10 +25,8 @@ unresolved at --max-steps (theta_mult) or at the largest window
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
 import os
 import string
@@ -45,9 +43,10 @@ from ceildyn import chains as chainlib
 from ceildyn import multmaps, padic
 from ceildyn.rational import InternalCheckError, parse_rational
 from ceildyn.squaring import StoppingReport, stopping_time_exact, theta_denominator2, trajectory
-from ceildyn.window import stopping_time_windowed, successor_records
+from ceildyn.window import stopping_time_windowed, successor_records, track_magnitude
 
 FORMATS = ("table", "json", "csv", "bfile")
+_MAX_STR_DIGITS = 2_000_000  # the longest integer the CLI prints, in decimal digits
 
 
 class CLIError(Exception):
@@ -167,22 +166,6 @@ class Column(NamedTuple):
     table: bool = True
 
 
-def _by_shape(rows, columns, build) -> list:
-    """f(*row) for every row, with f = build(shape) made once per row shape:
-    each optional cell in _SPECIAL stands for itself, every other cell is _VALUE."""
-    optional = [i for i, c in enumerate(columns) if c.optional]
-    key_of = itemgetter(*optional) if optional else len  # len: rows share one shape
-    made: dict = {}
-    out = []
-    for row in rows:
-        f = made.get(key := key_of(row))
-        if f is None:
-            special = [c.optional and any(v is s for s in _SPECIAL) for c, v in zip(columns, row)]
-            f = made[key] = build([v if x else _VALUE for x, v in zip(special, row)])
-        out.append(f(*row))
-    return out
-
-
 def _cell_template(text: str, index: int, args) -> str:
     """text as a str.format template over a row whose cell is row[index],
     with text's named fields set from the command's arguments."""
@@ -196,78 +179,85 @@ def _cell_template(text: str, index: int, args) -> str:
     return "".join(parts)
 
 
-def _cells(columns, shape, args, wrap=str, fixed=()):
-    """row -> list of its cells, with each text cell holding a value formatted
-    and wrapped, and each (i, text) of fixed put in place of cell i."""
-    texts = [
-        (i, _cell_template(c.text, 0, args).format)
-        for i, (c, kind) in enumerate(zip(columns, shape))
-        if c.text and kind is _VALUE
-    ]
+def _render(rows, columns, args, piece, sep, ends, quote=None) -> str:
+    """One line per row, from one str.format template per row shape: each
+    optional cell in _SPECIAL stands for itself, every other cell is _VALUE.
+    piece(i, column, kind) is column i's part of the template, or None to
+    leave the column out; the parts are joined by sep inside ends.  With
+    quote, a shown text cell fills {i} formatted by its text, then quoted."""
+    optional = [i for i, c in enumerate(columns) if c.optional]
+    key_of = itemgetter(*optional) if optional else len  # len: rows share one shape
+    made: dict = {}
+    out = []
+    for row in rows:
+        if (entry := made.get(key := key_of(row))) is None:
+            shape = [
+                v if c.optional and any(v is s for s in _SPECIAL) else _VALUE
+                for c, v in zip(columns, row)
+            ]
+            parts = {
+                i: p for i, c in enumerate(columns) if (p := piece(i, c, shape[i])) is not None
+            }
+            texts = [
+                (i, _cell_template(columns[i].text, 0, args).format)
+                for i in parts
+                if quote and columns[i].text and shape[i] is _VALUE
+            ]
+            entry = made[key] = ((ends[0] + sep.join(parts.values()) + ends[1]).format, texts)
+        template, texts = entry
+        if texts:
+            row = list(row)
+            for i, fmt in texts:
+                row[i] = quote(fmt(row[i]))
+        out.append(template(*row))
+    return "".join(out)
 
-    def cells(*row):
-        out = list(row)
-        for i, fmt in texts:
-            out[i] = wrap(fmt(out[i]))
-        for i, text in fixed:
-            out[i] = text
-        return out
 
-    return cells
+def _csv_field(text: str) -> str:
+    """text as a CSV field: quoted, with inner quotes doubled, when it holds
+    a comma, a double quote or a newline (what csv.writer quotes)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def render_table(rows, columns, args) -> str:
     """One "name=value" group per row; None, False and absent cells are left out."""
 
-    def build(shape):
-        parts = [
-            f"{c.name}=" + ("true" if kind is True else _cell_template(c.text or "{}", i, args))
-            for i, (c, kind) in enumerate(zip(columns, shape))
-            if c.table and kind is not None and kind is not False and kind is not _ABSENT
-        ]
-        return (" ".join(parts) + "\n").format
+    def piece(i, c, kind):
+        if c.table and kind is not None and kind is not False and kind is not _ABSENT:
+            text = "true" if kind is True else _cell_template(c.text or "{}", i, args)
+            return f"{c.name}={text}"
 
-    return "".join(_by_shape(rows, columns, build))
+    return _render(rows, columns, args, piece, " ", ("", "\n"))
 
 
 def render_json(rows, columns, args) -> str:
     """JSON Lines: one object per row holding the cells it carries."""
 
-    def build(shape):
-        parts = [
-            f"{_json_string(c.name)}: " + (f"{{{i}}}" if kind is _VALUE else json.dumps(kind))
-            for i, (c, kind) in enumerate(zip(columns, shape))
-            if kind is not _ABSENT
-        ]
-        template = ("{{" + ", ".join(parts) + "}}\n").format
-        cells = _cells(columns, shape, args, _json_string)
-        return lambda *row: template(*cells(*row))
+    def piece(i, c, kind):
+        if kind is not _ABSENT:
+            value = f"{{{i}}}" if kind is _VALUE else json.dumps(kind)
+            return f"{_json_string(c.name)}: {value}"
 
-    return "".join(_by_shape(rows, columns, build))
+    return _render(rows, columns, args, piece, ", ", ("{{", "}}\n"), _json_string)
 
 
 def render_csv(rows, columns, args) -> str:
-    """CSV headed by every column that some row carries, in column order."""
-    carried: set[int] = set()
-
-    def build(shape):
-        carried.update(i for i, kind in enumerate(shape) if kind is not _ABSENT)
-        fixed = [  # None and absent cells are empty, bools lower-case
-            (i, "" if kind is None or kind is _ABSENT else str(kind).lower())
-            for i, kind in enumerate(shape)
-            if kind is not _VALUE
-        ]
-        return _cells(columns, shape, args, fixed=fixed)
-
-    lines = _by_shape(rows, columns, build)
-    if not lines:
+    """CSV headed by every column that some row carries, in column order;
+    None and absent cells are empty, bools lower-case."""
+    if not rows:
         return ""
-    keep = sorted(carried)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([columns[i].name for i in keep])
-    writer.writerows(lines if len(keep) == len(columns) else ([f[i] for i in keep] for f in lines))
-    return buf.getvalue()
+    shown = [not (c.optional and all(r[i] is _ABSENT for r in rows)) for i, c in enumerate(columns)]
+    empty = '""' if sum(shown) == 1 else ""  # csv.writer quotes a row's lone empty field
+
+    def piece(i, c, kind):
+        if shown[i]:
+            return f"{{{i}}}" if kind is _VALUE else {True: "true", False: "false"}.get(kind, empty)
+
+    quote = (lambda text: _csv_field(text) or empty) if empty else _csv_field
+    header = ",".join(c.name for c, s in zip(columns, shown) if s) + "\n"
+    return header + _render(rows, columns, args, piece, ",", ("", "\n"), quote)
 
 
 _BFILE_VALUE_LIMIT = 10**1000  # b-file values have at most 1000 decimal digits
@@ -311,8 +301,14 @@ def cmd_theta(args) -> list[tuple]:
         rep = StoppingReport(theta=None, unresolved_at=0)
     elif args.window is not None:
         rep = stopping_time_windowed(args.num, args.den, args.window, auto_grow=args.auto_grow)
-    else:
-        rep = stopping_time_exact(q, max_steps=args.max_steps)
+    else:  # the window decides theta first: the exact walk's digits double per step
+        rep = stopping_time_windowed(args.num, args.den, args.max_steps)
+        if rep.resolved:
+            size = track_magnitude(args.num, args.den, rep.theta, digit_cap=64)
+            if (log10 := size.log10_value - size.error_bound) >= _MAX_STR_DIGITS:
+                raise CLIError(f"the integer reached has about {int(log10) + 1} digits, above the "
+                               f"{_MAX_STR_DIGITS} the CLI prints; use --window for theta alone")
+            rep = stopping_time_exact(q, max_steps=args.max_steps)
     reached = (rep.reached, rep.digits) if rep.reached is not None else (_ABSENT, _ABSENT)
     return [(q, rep.theta, *reached, not rep.resolved)]
 
@@ -370,11 +366,6 @@ def cmd_padic_tree(args) -> list[tuple]:
     estimate = padic.box_dimension_estimate(tree) if args.levels >= 3 else _ABSENT
     rows.append(("dim", None, None, None, padic.hausdorff_dimension(args.p, args.k), estimate))
     return rows
-
-
-def _render_padic_tree_json(args) -> str:
-    tree = padic.omega_prefix_tree(args.p, args.k, args.levels)
-    return padic.tree_to_json(tree) + "\n"
 
 
 def cmd_exceptional(args) -> list[tuple]:
@@ -469,7 +460,7 @@ COMMANDS = {
 
 def run_command(config: ExperimentConfig, args: argparse.Namespace) -> str:
     if config.command == "padic-tree" and config.fmt == "json":
-        return _render_padic_tree_json(args)
+        return padic.tree_to_json(padic.omega_prefix_tree(args.p, args.k, args.levels)) + "\n"
     handler, columns, bfile = COMMANDS[config.command]
     rows = handler(args)
     if config.fmt == "bfile":
@@ -597,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        sys.set_int_max_str_digits(2_000_000)
+        sys.set_int_max_str_digits(_MAX_STR_DIGITS)
     except (AttributeError, ValueError):
         pass
     try:

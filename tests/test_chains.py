@@ -368,6 +368,7 @@ def test_sieve_matches_per_start_reference(d, lo, length, window):
     assert census_thetas(d, lo, hi, window) == want
     report = squaring_census(d, hi, window, lo)
     assert report.unresolved == tuple(l for l, t in zip(span, want) if t is None)
+    assert report.records == tuple(squaring_records(d, lo, hi, window))
     shallow = [reference_theta(l, d, 10) for l in span]
     for depth in range(11):
         assert stop_counts(d, lo, hi, depth) == {j: shallow.count(j) for j in range(depth + 1)}

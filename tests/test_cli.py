@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import argparse
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import MULT_RECORDS
 from test_chains import D3_RECORDS_TO_10_7
 
 from ceildyn import chains, cli, multmaps, window
+from ceildyn.cli import _ABSENT, _SPECIAL, _VALUE, _cell_template
 from ceildyn.cli import CLIError, COMMANDS, ExperimentConfig, export_bfile, main
 from ceildyn.rational import InternalCheckError
 from ceildyn.squaring import StoppingReport
@@ -62,6 +69,133 @@ def test_csv_header_names_every_column_some_row_carries(capsys):
     ]
 
 
+# The renderers as they were before table, JSON and CSV shared one line
+# template (CSV went through csv.writer), kept as the reference.
+def _by_shape(rows, columns, build) -> list:
+    optional = [i for i, c in enumerate(columns) if c.optional]
+    key_of = itemgetter(*optional) if optional else len
+    made: dict = {}
+    out = []
+    for row in rows:
+        f = made.get(key := key_of(row))
+        if f is None:
+            special = [c.optional and any(v is s for s in _SPECIAL) for c, v in zip(columns, row)]
+            f = made[key] = build([v if x else _VALUE for x, v in zip(special, row)])
+        out.append(f(*row))
+    return out
+
+
+def _cells(columns, shape, args, wrap=str, fixed=()):
+    texts = [
+        (i, _cell_template(c.text, 0, args).format)
+        for i, (c, kind) in enumerate(zip(columns, shape))
+        if c.text and kind is _VALUE
+    ]
+
+    def cells(*row):
+        out = list(row)
+        for i, fmt in texts:
+            out[i] = wrap(fmt(out[i]))
+        for i, text in fixed:
+            out[i] = text
+        return out
+
+    return cells
+
+
+def reference_table(rows, columns, args) -> str:
+    def build(shape):
+        parts = [
+            f"{c.name}=" + ("true" if kind is True else _cell_template(c.text or "{}", i, args))
+            for i, (c, kind) in enumerate(zip(columns, shape))
+            if c.table and kind is not None and kind is not False and kind is not _ABSENT
+        ]
+        return (" ".join(parts) + "\n").format
+
+    return "".join(_by_shape(rows, columns, build))
+
+
+def reference_json(rows, columns, args) -> str:
+    def build(shape):
+        parts = [
+            f"{cli._json_string(c.name)}: " + (f"{{{i}}}" if kind is _VALUE else json.dumps(kind))
+            for i, (c, kind) in enumerate(zip(columns, shape))
+            if kind is not _ABSENT
+        ]
+        template = ("{{" + ", ".join(parts) + "}}\n").format
+        cells = _cells(columns, shape, args, cli._json_string)
+        return lambda *row: template(*cells(*row))
+
+    return "".join(_by_shape(rows, columns, build))
+
+
+def reference_csv(rows, columns, args) -> str:
+    carried: set[int] = set()
+
+    def build(shape):
+        carried.update(i for i, kind in enumerate(shape) if kind is not _ABSENT)
+        fixed = [
+            (i, "" if kind is None or kind is _ABSENT else str(kind).lower())
+            for i, kind in enumerate(shape)
+            if kind is not _VALUE
+        ]
+        return _cells(columns, shape, args, fixed=fixed)
+
+    lines = _by_shape(rows, columns, build)
+    if not lines:
+        return ""
+    keep = sorted(carried)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([columns[i].name for i in keep])
+    writer.writerows(lines if len(keep) == len(columns) else ([f[i] for i in keep] for f in lines))
+    return buf.getvalue()
+
+
+RENDERERS = {
+    "table": (cli.render_table, reference_table),
+    "json": (cli.render_json, reference_json),
+    "csv": (cli.render_csv, reference_csv),
+}
+# No command emits a carriage return, and csv.writer quotes a bare one on
+# some Python versions only, so the alphabet leaves it out.
+TEXT = st.text(alphabet=',"\n\\{}:a7 \u00e9\u20ac\U0001f600', max_size=6)
+
+
+def column_cells(data, column):
+    """A strategy for one column's cells: ints without text, numbers under a
+    format spec, else ints, Fractions, floats or text; one type per column,
+    and the four specials besides in an optional column."""
+    if column.text is None:
+        kinds = [st.integers()]
+    elif ":" in column.text:
+        kinds = [st.integers(), st.floats()]
+    else:
+        kinds = [st.integers(), st.fractions(), st.floats(), TEXT]
+    cells = data.draw(st.sampled_from(kinds))
+    return st.one_of(cells, st.sampled_from(_SPECIAL)) if column.optional else cells
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_renderers_match_the_reference(command, data):
+    columns = COMMANDS[command][1]
+    row = st.tuples(*(column_cells(data, c) for c in columns))
+    rows = data.draw(st.lists(row, max_size=30))
+    args = argparse.Namespace(den=data.draw(st.integers(min_value=1, max_value=99)))
+    for render, reference in RENDERERS.values():
+        assert render(rows, columns, args) == reference(rows, columns, args)
+
+
+def test_csv_quotes_a_row_of_one_empty_field():
+    # an empty line would read back as a row of no fields
+    columns = COMMANDS["theta"][1]
+    rows = [("", *[_ABSENT] * 4), ("a,b", *[_ABSENT] * 4)]
+    want = 'input\n""\n"a,b"\n'
+    assert cli.render_csv(rows, columns, None) == reference_csv(rows, columns, None) == want
+
+
 def test_theta_exact_output_is_stable(capsys):
     code, out = run_cli(capsys, "theta", "--num", "5", "--den", "2")
     assert code == 0
@@ -72,6 +206,27 @@ def test_theta_windowed_output_is_stable(capsys):
     code, out = run_cli(capsys, "theta", "--num", "6", "--den", "5", "--window", "25")
     assert code == 0
     assert out == "theta=18\n"
+
+
+@pytest.mark.parametrize(
+    "num,den,code,out,err",
+    [
+        # theta is 1444: the exact walk would head for 256 doubling steps
+        (200, 199, 0, "unresolved=true\n", ""),
+        # theta is 22: the exact walk would build 4,134,726 digits it cannot print
+        (28, 3, 2, "", "error: the integer reached has about 4134726 digits, above the 2000000 "
+         "the CLI prints; use --window for theta alone\n"),
+    ],
+)
+def test_exact_theta_decides_before_the_exact_walk(num, den, code, out, err):
+    result = subprocess.run(
+        [sys.executable, "-m", "ceildyn.cli", "theta", "--num", str(num), "--den", str(den)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
 
 
 def test_theta2_bfile(capsys):
