@@ -9,24 +9,24 @@ of arithmetic progressions realizing a chain, the density exponents
 alpha_d and beta_d, limiting stopping-time distributions, and censuses of
 starts by stopping time.
 
-Chains come from _chain_denominators_windowed, which steps the orbit
-numerator over the fixed denominator d modulo a power of d; chain_of and
-bad_at_size read it.  Only verify_digit_laws builds its chain from the
-exact iterates, which squaring.trajectory walks, since its laws are about
-their digits; it stops at the first integral iterate, past which both laws
-hold trivially.
+Chains come from _numerators, which steps the orbit numerator over the
+fixed denominator d modulo a power of d; chain_of, and so bad_at_size, reads it.
+verify_digit_laws builds its chain from the exact iterates, which
+squaring.trajectory walks, since its laws are about their digits, and
+raises InternalCheckError unless that chain is chain_of's; it stops at the
+first integral iterate, past which both laws hold trivially.
 
 Censuses, distributions, record scans, progression counts and the p-adic
 trees share one chain-prefix sieve.  By the chain theorem, entries 0..m of
 the chain of c/d depend only on c mod d*d_0*...*d_(m-1), so a class c mod
 M_k = d*d_0*...*d_(k-1) has one entry k, d_k, and splits into d_k children
-mod M_k*d_k.  _split lists them, computes each child's entry k+1 with
-_chain_entries, and checks digit law 1 at every node: each e | d_k is the
-entry of exactly phi(e) children, for every d.  The root is the class 0
-mod 1 with entry d.  _stop_classes (census, dist, theta_d3 records) keeps
-the children with entry > 1 and settles those with entry 1 (theta = k+1)
-as whole progressions; a live class whose children's modulus passes the
-range finishes its starts one at a time through window._window_theta.
+mod M_k*d_k.  _split reads their entries k+1 off two _numerators walks and
+checks digit law 1 at every node: each e | d_k is the entry of exactly
+phi(e) children, for every d.  The root is the class 0 mod 1 with entry d.
+_stop_classes (census, dist, theta_d3 records) keeps the children with
+entry > 1 and settles those with entry 1 (theta = k+1) as whole
+progressions; a live class whose children's modulus passes the range
+finishes its starts one at a time through window._window_theta.
 squaring_records ranks only the least start per theta, and certifies each
 record with _window_theta, since law 1 never sees the last split's children.
 ap_count_for_chain keeps the children whose entry is the chain's next one,
@@ -87,7 +87,7 @@ def chain_of(l: int, d: int, m: int) -> Chain:
     """Chain of the first m+1 reduced denominators of the orbit of l/d."""
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
-    return Chain(d, _chain_denominators_windowed(l, d, m))
+    return Chain(d, tuple(d // math.gcd(u, d) for u in _numerators(l, d, m)))
 
 
 def mixed_radix_expand(q, chain: Chain, k: int) -> tuple[int, ...]:
@@ -160,6 +160,8 @@ def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
         raise ValueError("expansion is defined for nonnegative values")
     values = trajectory(Fraction(l, d), max(m, 1)).values()[: m + 1]
     chain = Chain(d, tuple(v.denominator for v in values))
+    if chain != chain_of(l, d, len(values) - 1):
+        raise InternalCheckError(f"the chain of {l}/{d} from digit windows is not its exact chain")
     for k in range(len(values) - 1):
         dk = chain.denominators[k]
         dk1 = chain.denominators[k + 1]
@@ -191,33 +193,15 @@ class APCount:
     enumerated: int | None
 
 
-def _chain_denominators_windowed(c: int, d: int, m: int) -> tuple[int, ...]:
-    """Reduced denominators of the orbit of c/d from digit windows alone.
-
-    Entry j is d/gcd(u_j, d) where u_j, the orbit numerator over the fixed
-    denominator d, steps at the one modulus d^(m+1) as in _chain_entries:
-    u_j is right mod d^(m+1-j), and the extra digits only carry upward.
-    """
+def _numerators(u: int, d: int, m: int) -> list[int]:
+    """Numerators u_0..u_m over d of iterates 0..m of u/d, stepped at the
+    one modulus d^(m+1).  u_j is right mod d^(m+1-j), and the extra digits
+    only carry upward, so entry j of the chain is d/gcd(u_j, d)."""
     mod = d ** (m + 1)
-    u = c % mod
-    dens = [d // math.gcd(u, d)]
+    out = [u := u % mod]
     for _ in range(m):
-        u = u * ((u + d - 1) // d) % mod
-        dens.append(d // math.gcd(u, d))
-    return tuple(dens)
-
-
-def _chain_entries(d: int, j: int, starts: range) -> list[int]:
-    """Entry j of the chain of u/d for each u in starts: u stepped j times
-    modulo d^(j+1), then one gcd.  Any representative of u mod d^(j+1)
-    gives the same entry, and the extra digits only carry upward."""
-    mod = d ** (j + 1)
-    entries = []
-    for u in starts:
-        for _ in range(j):
-            u = u * ((u + d - 1) // d) % mod
-        entries.append(d // math.gcd(u, d))
-    return entries
+        out.append(u := u * ((u + d - 1) // d) % mod)
+    return out
 
 
 @functools.cache
@@ -228,21 +212,31 @@ def _phi_law(dk: int) -> list[int]:
 
 def _split(d: int, k: int, c: int, modulus: int, dk: int) -> list[int]:
     """Entries k+1 of the dk children c + modulus*s, s = 0..dk-1, of the live
-    class c mod modulus = d*d_0*...*d_(k-1) whose entry k is dk.
+    class c mod modulus = d*d_0*...*d_(k-1) whose entry k is dk; the root is
+    the class 0 mod 1 at k = -1 with entry d.  By the chain theorem the
+    children partition the class.  By digit law 1 entry k+1 is
+    dk/gcd(a_0(k) + 1, dk), and a_0(k) runs over every residue mod dk as s
+    does, so each e | dk is the entry of exactly phi(e) children (exactly
+    one stops); anything else raises InternalCheckError.
 
-    The root is the class 0 mod 1 at k = -1 with entry d.  By the chain
-    theorem entry k+1 depends only on c mod modulus*dk, so the children
-    partition the class.  By digit law 1 entry k+1 is dk/gcd(a_0(k) + 1, dk),
-    and a_0(k) runs over every residue mod dk as s does, so each e | dk is
-    the entry of exactly phi(e) children (in particular exactly one child
-    stops); anything else raises InternalCheckError.
+    Two walks give every entry: the numerator u_(k+1) over d of child s is
+    a + s*(b - a) mod d, with a and b those of children 0 and 1 (0 and 1 at
+    the root).  Sketch, derived here and not quoted from the paper: with
+    x_j = u_j/d, d_j = d/gcd(u_j, d) and c_j = x_j*d_j + d_j*ceil(x_j),
+    moving the start by modulus*s/d moves x_j by an integer
+    delta_j = s*(d_j*...*d_(k-1))*Q_j, Q_0 = 1.  As ceil(x_j + delta_j) =
+    ceil(x_j) + delta_j, delta_(j+1) = delta_j*(x_j + ceil(x_j) + delta_j),
+    so Q_(j+1) = Q_j*c_j + s*d_j*(d_j*...*d_(k-1))*Q_j^2.  Each entry divides
+    the one before, so d_k divides the second term for j < k, and
+    Q_k = prod c_j (mod d_k).  Then u_(k+1) moves by d*delta_(k+1) =
+    u_k*delta_k (mod d), which depends only on delta_k = s*Q_k mod d_k.
     """
-    entries = _chain_entries(d, k + 1, range(c, c + modulus * dk, modulus))
-    if sorted(entries) != _phi_law(dk):
-        raise InternalCheckError(
-            f"children of class {c} mod {modulus} (entry {dk}) have entries "
-            f"{sorted(entries)}, not phi(e) of each e | {dk}"
-        )
+    a = _numerators(c, d, k + 1)[-1] % d
+    slope = (_numerators(c + modulus, d, k + 1)[-1] - a) % d
+    entries = [d // math.gcd(a + s * slope, d) for s in range(dk)]
+    if (got := sorted(entries)) != _phi_law(dk):
+        raise InternalCheckError(f"children of class {c} mod {modulus} (entry {dk}) have entries "
+                                 f"{got}, not phi(e) of each e | {dk}")
     return entries
 
 
@@ -440,7 +434,7 @@ def stop_counts(d: int, lo: int, hi: int, depth: int) -> dict[int, int]:
     counts = dict.fromkeys(range(depth + 1), 0)
     for first, step, theta in _stop_classes(d, lo, hi, depth):
         if theta is not None:
-            counts[theta] += len(range(first, hi + 1, step))
+            counts[theta] += (hi - first) // step + 1
     return counts
 
 
@@ -524,7 +518,7 @@ def bad_at_size(l: int, d: int, x: int) -> bool:
     # While the orbit stays fractional the product at least doubles per
     # entry, so it passes x within the first x.bit_length() entries.
     prod = 1
-    for dm in _chain_denominators_windowed(l, d, x.bit_length() - 1):
+    for dm in chain_of(l, d, x.bit_length() - 1).denominators:
         if dm == 1:
             return False
         prod *= dm

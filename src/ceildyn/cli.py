@@ -42,11 +42,12 @@ from typing import NamedTuple
 from ceildyn import chains as chainlib
 from ceildyn import multmaps, padic
 from ceildyn.rational import InternalCheckError, parse_rational
-from ceildyn.squaring import StoppingReport, stopping_time_exact, theta_denominator2, trajectory
+from ceildyn.squaring import (
+    _MAX_STR_DIGITS, StoppingReport, stopping_time_exact, theta_denominator2, trajectory
+)
 from ceildyn.window import stopping_time_windowed, successor_records, track_magnitude
 
 FORMATS = ("table", "json", "csv", "bfile")
-_MAX_STR_DIGITS = 2_000_000  # the longest integer the CLI prints, in decimal digits
 
 
 class CLIError(Exception):

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 from ceildyn.rational import InternalCheckError, digits10, padic_valuation
 
+_MAX_STR_DIGITS = 2_000_000  # the longest integer printed, in decimal digits
+
 
 @dataclass
 class Trajectory:
@@ -68,7 +70,7 @@ def trajectory(q, max_steps: int = 32) -> Trajectory:
 
     An integral start stops at once, with an empty step list.  Each step's
     denominator must divide the one before; anything else raises
-    InternalCheckError.
+    InternalCheckError.  A numerator past _MAX_STR_DIGITS digits raises ValueError.
     """
     q = Fraction(q)
     if max_steps < 1:
@@ -79,6 +81,8 @@ def trajectory(q, max_steps: int = 32) -> Trajectory:
         nxt = cur * math.ceil(cur)
         if cur.denominator % nxt.denominator != 0:
             raise InternalCheckError("denominator chain is not divisibility-monotone")
+        if nxt.numerator.bit_length() > _MAX_STR_DIGITS * math.log2(10) + 1:
+            raise ValueError(f"step {len(steps) + 1} of {q} passes the {_MAX_STR_DIGITS}-digit limit")
         steps.append(nxt)
         cur = nxt
     return Trajectory(q, steps, cur.denominator > 1)

@@ -202,7 +202,7 @@ def brute_force_ap_count(chain: Chain, modulus: int) -> int:
     return sum(
         1
         for c in range(modulus)
-        if chains._chain_denominators_windowed(c, chain.d_start, m) == chain.denominators
+        if chain_of(c, chain.d_start, m) == chain
     )
 
 
@@ -442,7 +442,7 @@ def test_records_name_a_start_unresolved_at_the_cap(monkeypatch):
         squaring_records(3, 7000, 7200, window=25)
 
 
-_true_entries = chains._chain_entries
+_true_numerators = chains._numerators
 
 
 # A step that never drops, and one that is right at the root but never
@@ -450,12 +450,12 @@ _true_entries = chains._chain_entries
 @pytest.mark.parametrize(
     "kernel",
     [
-        lambda d, j, starts: [d] * len(starts),
-        lambda d, j, starts: _true_entries(d, j, starts) if j == 0 else [d] * len(starts),
+        lambda u, d, m: [1] * (m + 1),
+        lambda u, d, m: _true_numerators(u, d, m) if m == 0 else [1] * (m + 1),
     ],
 )
 def test_sieve_requires_exactly_one_dead_child_for_prime_d(kernel, monkeypatch):
-    monkeypatch.setattr(chains, "_chain_entries", kernel)
+    monkeypatch.setattr(chains, "_numerators", kernel)
     for d in (5, 6, 12, 30):
         with pytest.raises(InternalCheckError, match=r"not phi\(e\) of each e"):
             census_thetas(d, 1, 1000, 25)
@@ -465,11 +465,48 @@ def test_sieve_rejects_a_child_stopping_before_its_parent(monkeypatch):
     # the root splits truly, then every child of a live class claims to stop at step 1
     monkeypatch.setattr(
         chains,
-        "_chain_entries",
-        lambda d, j, starts: [1] * len(starts) if j == 1 else _true_entries(d, j, starts),
+        "_numerators",
+        lambda u, d, m: [0] * (m + 1) if m == 1 else _true_numerators(u, d, m),
     )
     with pytest.raises(InternalCheckError, match=r"class 1 mod 6 \(entry 6\) have entries \[1, 1, 1, 1, 1, 1\]"):
         stop_counts(6, 1, 300, 5)
+
+
+def walked_split(d, k, c, modulus, dk):
+    """Entries k+1 of the dk children of class c mod modulus, each child
+    walked k+1 steps from its start modulo d^(k+2), checked against digit
+    law 1: the reference for _split's two-walk affine law."""
+    mod = d ** (k + 2)
+    entries = []
+    for u in range(c, c + modulus * dk, modulus):
+        for _ in range(k + 1):
+            u = u * ((u + d - 1) // d) % mod
+        entries.append(d // math.gcd(u, d))
+    assert sorted(entries) == chains._phi_law(dk)
+    return entries
+
+
+@given(st.integers(min_value=2, max_value=60), st.lists(st.integers(min_value=0), max_size=9))
+@example(7, [0])  # the root alone: entries d/gcd(s, d)
+@example(12, [1, 1, 5, 7, 1, 11, 5, 7, 1])
+@example(30, [1, 7, 11, 13, 1])
+@settings(max_examples=200, deadline=None)
+def test_split_matches_the_walk_of_every_child(d, path):
+    # split at k = -1, 0, ... (up to 7, or 3 above d = 12) down the path of
+    # child indices from the root, until the picked child stops
+    c, modulus, dk = 0, 1, d
+    for k, pick in enumerate(path[: 9 if d <= 12 else 5], start=-1):
+        entries = chains._split(d, k, c, modulus, dk)
+        assert entries == walked_split(d, k, c, modulus, dk)
+        s = pick % dk
+        if entries[s] == 1:
+            break
+        c, modulus, dk = c + modulus * s, modulus * dk, entries[s]
+
+
+def test_stop_counts_past_2_to_the_63():
+    # [1, 3^40] holds exactly 3^40/step starts of every class the sieve yields
+    assert stop_counts(3, 1, 3**40, 5) == {j: chain_stop_mass(3, j) * 3**40 for j in range(6)}
 
 
 def test_bad_at_size_examples():
@@ -519,27 +556,26 @@ def test_integral_starts_are_never_bad(n, x):
 
 
 @pytest.mark.parametrize(
-    "d, lo, hi, splits, child_entries, finishes",
+    "d, lo, hi, splits, walks, finishes",
     [
-        (3, 1, 100000, 1023, 3069, 1746),
-        (12, 20001, 50000, 1848, 6160, 4262),
-        (60, 1, 20000, 1313, 7494, 13961),
+        (3, 1, 100000, 1023, 2046, 1746),
+        (12, 20001, 50000, 1848, 3696, 4262),
+        (60, 1, 20000, 1313, 2626, 13961),
     ],
 )
-def test_census_sieve_kernel_calls_are_pinned(d, lo, hi, splits, child_entries, finishes, monkeypatch):
+def test_census_sieve_kernel_calls_are_pinned(d, lo, hi, splits, walks, finishes, monkeypatch):
     # the work the sieve does at W = 25: how it keeps its live classes must not change it
-    counts = {"splits": 0, "child_entries": 0, "finishes": 0}
+    counts = {"splits": 0, "walks": 0, "finishes": 0}
 
-    def counted(name, kernel, size=lambda out: 1):
+    def counted(name, kernel):
         def wrapper(*args):
-            out = kernel(*args)
-            counts[name] += size(out)
-            return out
+            counts[name] += 1
+            return kernel(*args)
 
         return wrapper
 
     monkeypatch.setattr(chains, "_split", counted("splits", chains._split))
-    monkeypatch.setattr(chains, "_chain_entries", counted("child_entries", _true_entries, len))
+    monkeypatch.setattr(chains, "_numerators", counted("walks", _true_numerators))
     monkeypatch.setattr(chains, "_window_theta", counted("finishes", chains._window_theta))
     census_thetas(d, lo, hi, 25)
-    assert counts == {"splits": splits, "child_entries": child_entries, "finishes": finishes}
+    assert counts == {"splits": splits, "walks": walks, "finishes": finishes}

@@ -229,6 +229,34 @@ def test_exact_theta_decides_before_the_exact_walk(num, den, code, out, err):
     assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        # each iterate doubles its digits; theta is 22 for 28/3 and 1444 for 200/199
+        (("traj", "--num", "28", "--den", "3"), "step 21 of 28/3"),
+        (("traj", "--num", "200", "--den", "199"), "step 24 of 200/199"),
+        (("traj", "--num", "-200", "--den", "199"), "step 25 of -200/199"),
+        (("chains", "--num", "200", "--den", "199", "--m", "300"), "step 24 of 200/199"),
+    ],
+)
+def test_exact_walks_stop_at_the_print_limit(argv, err):
+    result = subprocess.run(
+        [sys.executable, "-m", "ceildyn.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {err} passes the 2000000-digit limit\n"
+
+
+def test_dist_counts_a_scan_past_2_to_the_63(capsys):
+    code, out = run_cli(capsys, "dist", "--den", "3", "--depth", "5", "--scan", str(10**20))
+    assert code == 0
+    assert out.splitlines()[0] == "j=0 exact=1/3 empirical=33333333333333333333/100000000000000000000"
+
+
 def test_theta2_bfile(capsys):
     code, out = run_cli(capsys, "theta2", "--scan", "4", "--format", "bfile")
     assert code == 0
@@ -369,13 +397,13 @@ def test_d3_records_to_10_7_stay_small_in_a_fresh_process():
 def test_d3_records_exit_3_on_a_wrong_entry_at_the_last_split(monkeypatch, capsys):
     # law 1 never sees the children of the last split; without a certificate
     # the table would read arg=28 record=9 ... arg=68617 record=25
-    entries = chains._chain_entries
+    split = chains._split
 
-    def rotated(d, j, starts):
-        out = entries(d, j, starts)
-        return out[1:] + out[:1] if j == 9 else out
+    def rotated(d, k, c, modulus, dk):
+        out = split(d, k, c, modulus, dk)
+        return out[1:] + out[:1] if k == 8 else out
 
-    monkeypatch.setattr(chains, "_chain_entries", rotated)
+    monkeypatch.setattr(chains, "_split", rotated)
     code = main(["records", "--kind", "theta_d3", "--bound", "100000"])
     captured = capsys.readouterr()
     assert code == 3
@@ -404,9 +432,9 @@ def test_succ_records_exit_2_on_a_start_unresolved_at_the_cap(monkeypatch, capsy
     assert "start 8/7 is unresolved at window 1048576" in captured.err
 
 
-# A step that never drops, and one in which every child stops: digit law 1
+# A walk that never drops, and one in which every child stops: digit law 1
 # fails at prime and composite d alike.
-@pytest.mark.parametrize("kernel", [lambda d, j, starts: [d] * len(starts), lambda d, j, starts: [1] * len(starts)])
+@pytest.mark.parametrize("kernel", [lambda u, d, m: [1] * (m + 1), lambda u, d, m: [0] * (m + 1)])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -419,7 +447,7 @@ def test_succ_records_exit_2_on_a_start_unresolved_at_the_cap(monkeypatch, capsy
     ],
 )
 def test_broken_window_kernel_exits_3(argv, kernel, monkeypatch, capsys):
-    monkeypatch.setattr(chains, "_chain_entries", kernel)
+    monkeypatch.setattr(chains, "_numerators", kernel)
     assert main(list(argv)) == 3
     assert "internal check failed" in capsys.readouterr().err
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceildyn import chains, padic
-from ceildyn.chains import _chain_denominators_windowed, _chain_entries
+from ceildyn.chains import _numerators, chain_of
 from ceildyn.padic import (
     PadicWindow,
     _to_digits,
@@ -125,8 +125,8 @@ def survival_cases(draw):
 def test_chain_entry_matches_the_windowed_chain_and_the_unit_loop(case):
     p, k, level, residue = case
     pk = p**k
-    entries = [_chain_entries(pk, j, range(residue, residue + 1))[0] for j in range(level)]
-    assert tuple(entries) == _chain_denominators_windowed(residue, pk, level - 1)
+    entries = [pk // math.gcd(_numerators(residue, pk, j)[-1], pk) for j in range(level)]
+    assert tuple(entries) == chain_of(residue, pk, level - 1).denominators
     assert (entries == [pk] * level) == stepwise_locally_survives(*case)
 
 
@@ -179,14 +179,14 @@ def test_tree_matches_the_three_pass_build(p, k, depth):
 @pytest.mark.parametrize("extra", [False, True])
 def test_tree_raises_on_a_node_that_breaks_the_branching_law(monkeypatch, extra):
     # every extension of node 1 mod 3 at level 2 dies (childless) or survives (3 > phi)
-    real = chains._chain_entries
+    real = chains._numerators
 
-    def broken(d, j, starts):
-        if j == 1 and starts[0] % 3 == 1:
-            return [3 if extra else 1] * len(starts)
-        return real(d, j, starts)
+    def broken(u, d, m):
+        if m == 1 and u % 3 == 1:
+            return [1 if extra else 0] * (m + 1)
+        return real(u, d, m)
 
-    monkeypatch.setattr(chains, "_chain_entries", broken)
+    monkeypatch.setattr(chains, "_numerators", broken)
     with pytest.raises(InternalCheckError, match=r"class 1 mod 3 \(entry 3\)"):
         omega_prefix_tree(3, 1, 3)
 
