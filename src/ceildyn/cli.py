@@ -322,6 +322,8 @@ def cmd_theta2(args) -> list[tuple]:
 def cmd_census(args) -> list[tuple]:
     if args.den < 2:
         raise CLIError("census needs --den >= 2")
+    if args.lo > args.scan + 1:  # --from = --scan + 1 is the empty census
+        raise CLIError("census needs --from <= --scan + 1")
     thetas = chainlib.census_thetas(args.den, args.lo, args.scan, args.window)
     ls = range(args.lo, args.lo + len(thetas))
     return list(zip(ls, ls, thetas, map(is_, thetas, repeat(None))))

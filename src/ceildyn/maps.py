@@ -1,9 +1,8 @@
 """Tagged description of which map a computation iterates.
 
-A MapSpec lets squaring.trajectory iterate "x*ceil(x)", "r*ceil(x)", their
-floor variants or a periodically linear integer map through one exact
-rational step.  The mathematical machinery for the integer maps lives in
-multmaps; the p-adic step lives in padic.
+A MapSpec steps "x*ceil(x)", "r*ceil(x)", their floor variants or a
+periodically linear integer map exactly, one rational at a time.  No ceildyn
+module uses it; bench/run.py imports it on every run, and a traced run wraps it.
 """
 
 from __future__ import annotations

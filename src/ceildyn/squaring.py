@@ -1,8 +1,8 @@
 """Exact iteration of x*ceil(x): trajectories, stopping times, half-integer closed form.
 
-trajectory walks the exact iterates q*ceil(q) as Fractions, checking that
-each denominator divides the one before.  stopping_time_exact runs the same
-map on the numerator u of u/d alone.
+trajectory is the one exact walk: it steps the iterate u/d, in lowest terms,
+as u -> u*ceil(u/d) on plain ints and checks that each denominator divides
+the one before.  stopping_time_exact reads it.
 
 Conventions: for these maps the stopping time counts from k = 0, so an
 integer start already has stopping time 0.  (The r*ceil(x) family in
@@ -70,45 +70,43 @@ def trajectory(q, max_steps: int = 32) -> Trajectory:
 
     An integral start stops at once, with an empty step list.  Each step's
     denominator must divide the one before; anything else raises
-    InternalCheckError.  A numerator past _MAX_STR_DIGITS digits raises ValueError.
+    InternalCheckError.  A numerator past _MAX_STR_DIGITS digits raises
+    ValueError, before its product is built when the factors' sizes show it.
     """
     q = Fraction(q)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    limit = _MAX_STR_DIGITS * math.log2(10) + 1  # in bits
+    u, d = q.numerator, q.denominator
     steps: list[Fraction] = []
-    cur = q
-    while cur.denominator > 1 and len(steps) < max_steps:
-        nxt = cur * math.ceil(cur)
-        if cur.denominator % nxt.denominator != 0:
-            raise InternalCheckError("denominator chain is not divisibility-monotone")
-        if nxt.numerator.bit_length() > _MAX_STR_DIGITS * math.log2(10) + 1:
+    while d > 1 and len(steps) < max_steps:
+        c = -(-u // d)
+        # a floor on the bit count of the next numerator u*c/gcd(u*c, d), as the gcd is below 2^bits(d)
+        bits = u.bit_length() + c.bit_length() - 1 - d.bit_length()
+        if bits <= limit:
+            nxt = Fraction(u * c, d)
+            if d % nxt.denominator != 0:
+                raise InternalCheckError("denominator chain is not divisibility-monotone")
+            u, d = nxt.numerator, nxt.denominator
+            bits = u.bit_length()
+        if bits > limit:
             raise ValueError(f"step {len(steps) + 1} of {q} passes the {_MAX_STR_DIGITS}-digit limit")
         steps.append(nxt)
-        cur = nxt
-    return Trajectory(q, steps, cur.denominator > 1)
+    return Trajectory(q, steps, d > 1)
 
 
 def stopping_time_exact(q, max_steps: int = 256) -> StoppingReport:
-    """Smallest k >= 0 with the k-th iterate of x*ceil(x) an integer.
-
-    Requires q > 1 or q integral; other starts either never resolve (the
-    map fixes (0,1]) or are better walked with trajectory().
-    """
+    """Smallest k >= 0 with the k-th iterate of x*ceil(x) an integer, read off
+    trajectory(q, max_steps), which raises for max_steps < 1 and past the
+    print limit.  Requires q > 1 or q integral; other starts either never
+    resolve (the map fixes (0,1]) or are better walked with trajectory()."""
     q = Fraction(q)
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if q.denominator == 1:
-        n = q.numerator
-        return StoppingReport(theta=0, reached=n, digits=digits10(n))
-    if q < 1:
+    if q < 1 and q.denominator > 1:
         raise ValueError("stopping_time_exact needs q > 1 or integral q; use trajectory()")
-    u, d = q.numerator, q.denominator  # every iterate is u/d for an integer u
-    for k in range(1, max_steps + 1):
-        u *= -(-u // d)
-        if u % d == 0:
-            n = u // d
-            return StoppingReport(theta=k, reached=n, digits=digits10(n))
-    return StoppingReport(theta=None, unresolved_at=max_steps)
+    if (t := trajectory(q, max_steps)).truncated:
+        return StoppingReport(theta=None, unresolved_at=max_steps)
+    n = t.values()[-1].numerator
+    return StoppingReport(theta=len(t.steps), reached=n, digits=digits10(n))
 
 
 def theta_denominator2(l: int) -> tuple[int, int]:

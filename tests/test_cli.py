@@ -334,6 +334,13 @@ def test_zero_denominator_ratio_exits_2_with_one_error_line(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_census_past_the_empty_range_exits_2_with_one_error_line(capsys):
+    # --from 12 --scan 11 is the empty census (a golden case); a start past it is an error
+    code = main(["census", "--den", "3", "--from", "50", "--scan", "10", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: census needs --from <= --scan + 1\n")
+
+
 def test_exceptional_denominator2_reports_certification(capsys):
     code, out = run_cli(capsys, "exceptional", "--r", "1/2", "--format", "json")
     assert code == 0

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ceildyn import squaring
 from ceildyn.maps import MapSpec
-from ceildyn.rational import padic_valuation
+from ceildyn.rational import digits10, padic_valuation
 from ceildyn.squaring import (
     StoppingReport,
     stopping_time_exact,
@@ -120,6 +123,75 @@ def test_stopping_report_is_consistent_with_trajectory(q):
         assert all(v.denominator > 1 for v in t.values()[: rep.theta])
     else:
         assert t.truncated
+
+
+def _fraction_walk(q: Fraction, max_steps: int):
+    """The exact walk on Fractions, checking each built numerator against the
+    print limit: the reference for trajectory's limit on the factors' sizes.
+    Yields the iterates after q."""
+    limit = squaring._MAX_STR_DIGITS * math.log2(10) + 1
+    cur = q
+    for k in range(1, max_steps + 1):
+        if cur.denominator == 1:
+            return
+        nxt = cur * math.ceil(cur)
+        assert cur.denominator % nxt.denominator == 0
+        if nxt.numerator.bit_length() > limit:
+            raise ValueError(f"step {k} of {q} passes the {squaring._MAX_STR_DIGITS}-digit limit")
+        yield nxt
+        cur = nxt
+
+
+def _outcome(walk, *args):
+    try:
+        return walk(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    st.integers(min_value=-400, max_value=400),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=40),
+    st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_print_limit_stops_where_the_fraction_walk_does(l, d, max_steps, data):
+    q = Fraction(l, d)
+    # besides any limit, the two limits around each numerator that fits in 300
+    # digits: the smaller stops the walk there, the larger lets it pass
+    edges = []
+    with patch.object(squaring, "_MAX_STR_DIGITS", 300), contextlib.suppress(ValueError):
+        for v in _fraction_walk(q, max_steps):
+            edges += [int((v.numerator.bit_length() - 1) / math.log2(10)) + e for e in (0, 1)]
+    edges = [digits for digits in edges if 5 <= digits <= 300] or [5]
+    digits = data.draw(st.integers(min_value=5, max_value=300) | st.sampled_from(edges))
+    with patch.object(squaring, "_MAX_STR_DIGITS", digits):
+        expected = _outcome(lambda: list(_fraction_walk(q, max_steps)))
+        assert _outcome(lambda: trajectory(q, max_steps).steps) == expected
+        if q < 1 and q.denominator > 1:
+            with pytest.raises(ValueError, match="needs q > 1"):
+                stopping_time_exact(q, max_steps)
+            return
+        report = _outcome(stopping_time_exact, q, max_steps)
+    if isinstance(expected, str):
+        assert report == expected
+    elif (last := [q, *expected][-1]).denominator > 1:
+        assert report == StoppingReport(theta=None, unresolved_at=max_steps)
+    else:
+        n = last.numerator
+        assert report == StoppingReport(theta=len(expected), reached=n, digits=digits10(n))
+
+
+@pytest.mark.parametrize("l,d,digits", [(125, 7, 5), (316, 3, 8), (175, 3, 14), (37, 3, 141)])
+def test_print_limit_admits_an_integer_the_size_bound_meets_exactly(l, d, digits):
+    # the integer reached has exactly the bound's bit count, and the limit lies
+    # less than one bit above it: a bound one bit larger would stop the walk
+    q = Fraction(l, d)
+    with patch.object(squaring, "_MAX_STR_DIGITS", digits):
+        steps = trajectory(q, 32).steps
+        assert steps == list(_fraction_walk(q, 32))
+    assert steps[-1].denominator == 1
 
 
 def test_stopping_report_resolved_property():
