@@ -9,11 +9,18 @@ W - 1 steps; the valid_digits counter enforces that bookkeeping rather
 than trusting any a-priori bound on the stopping time.
 
 DigitWindow and step_window are the validated single-step API.  Scans run
-the same loop on bare ints through _window_theta, the kernel for the
+the same steps on bare ints through _window_theta, the kernel for the
 first integral step of u -> u*ceil(u/d) mod d^W.  It returns theta from
 the residue u mod d^(W+1) alone: stopping_time_windowed calls it, and so
 does the chain-prefix sieve in chains, to finish one at a time the starts
-of classes too sparse in the range to split.
+of classes too sparse in the range to split.  At thousands of digits,
+dividing each step's double-length product by d^W would cost more than
+the product, so a wide window runs in limbs of d^s, about 1024 bits each:
+a step builds only the limb products below the valid precision, carries
+each limb by one divmod by d^s, and drops the top limb once it holds no
+valid digit.  That is exact: garbage digits above the precision never
+reach below it (see _window_theta), the bookkeeping step_window does with
+valid_digits.  Below a few limbs the run finishes on one int.
 
 Since theta depends only on u mod d^(theta+1), every window W >= theta
 gives the same answer, so stopping_time_windowed treats its window as a
@@ -38,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from operator import mul
 
 from ceildyn.rational import digits10
 from ceildyn.squaring import StoppingReport, prefix_records
@@ -45,6 +53,11 @@ from ceildyn.squaring import StoppingReport, prefix_records
 
 # Smallest rung of stopping_time_windowed's halving ladder, in digits.
 _LADDER_FLOOR = 64
+# _window_theta's wide phase: bits per limb, and the fewest limbs it steps.
+# At d = 199 one step at W = 1500 takes 433 us on one int and 182 us in
+# limbs (CPython 3.11); near 4 limbs (W = 400-500) the two break even.
+_LIMB_BITS = 1024
+_WIDE_LIMBS = 4
 
 
 class PrecisionExhausted(Exception):
@@ -170,12 +183,56 @@ def _window_theta(u: int, d: int, W: int) -> int | None:
     """First k in 1..W at which the k-th iterate u_k/d of u/d is integral,
     or None.
 
-    Uses u mod d^(W+1) only, stepping u -> u*ceil(u/d) mod d^(W+1-k) on
-    plain ints: step_window's loop without a DigitWindow per step.
+    Uses u mod d^(W+1) only: step k takes u mod d^(W+2-k) to
+    u*ceil(u/d) = u*(u + pad)/d mod d^(W+1-k), pad = -u mod d, as
+    step_window does.  While the P valid digits fill _WIDE_LIMBS or more
+    limbs of s = _LIMB_BITS // bits(d) digits, a step holds the residue as
+    limbs of D = d^s: it forms positions 0..L-1 of u*(u + pad) from about
+    L^2/4 limb products (squaring counts each cross product once), carries
+    each position by one divmod by D, and shifts the limbs down one base-d
+    digit.  This is exact: the top limb's digits at or above P are garbage,
+    but garbage never reaches below P, since the dropped products are
+    multiples of D^L, so of d^P, and the shift that divides by d lowers the
+    garbage and the precision together.  A top limb left with no valid digit
+    is dropped.  Below _WIDE_LIMBS limbs, or from the start for a narrower
+    window, the plain loop on one int finishes the run.
     """
     mod = d**W
     u %= mod * d
-    for k in range(1, W + 1):
+    k = 0
+    if W * d.bit_length() >= (_WIDE_LIMBS - 1) * _LIMB_BITS:
+        s = max(_LIMB_BITS // d.bit_length(), 1)
+        D = d**s
+        x = []
+        for _ in range(W // s):
+            u, r = divmod(u, D)
+            x.append(r)
+        x.append(u)
+        while (L := len(x)) >= _WIDE_LIMBS:
+            k += 1
+            pad = -x[0] % d
+            rx = x[::-1]
+            y = []  # a comprehension reading d would slow the plain loop below (d a cell variable)
+            carry = 0
+            for j in range(L):  # position j of x*(x + pad) mod D^L, shifted down a digit into y
+                h = (j + 1) // 2
+                v = 2 * sum(map(mul, x[:h], rx[L - 1 - j:L - 1 - j + h])) + pad * x[j] + carry
+                if j % 2 == 0:
+                    v += x[h] * x[h]
+                carry, v = divmod(v, D)
+                if j:
+                    y.append(low // d + v % d * (D // d))
+                low = v
+            x = y + [low // d]
+            if (W + 1 - k) % s == 0:  # the top limb holds no valid digit
+                x.pop()
+            if x[0] % d == 0:
+                return k
+        u = 0
+        for limb in reversed(x):
+            u = u * D + limb
+        mod = d ** (W - k)
+    for k in range(k + 1, W + 1):
         u = u * ((u + d - 1) // d) % mod
         if u % d == 0:
             return k

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -12,14 +13,15 @@ import sys
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import MULT_RECORDS
 from test_chains import D3_RECORDS_TO_10_7
 
-from ceildyn import chains, cli, multmaps, window
+from ceildyn import chains, cli, multmaps, squaring, window
 from ceildyn.cli import _ABSENT, _SPECIAL, _VALUE, _cell_template
 from ceildyn.cli import CLIError, COMMANDS, ExperimentConfig, export_bfile, main
 from ceildyn.rational import InternalCheckError
@@ -249,6 +251,44 @@ def test_exact_walks_stop_at_the_print_limit(argv, err):
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: {err} passes the 2000000-digit limit\n"
+
+
+def _main_output(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=-400, max_value=400),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=5, max_value=300),
+)
+@settings(max_examples=300, deadline=None)
+@example(d=199, l=200, max_steps=32, digits=300)
+@example(d=3, l=28, max_steps=32, digits=300)
+@example(d=31, l=169, max_steps=36, digits=7)  # numerator 2^B or more at step 3, x_3 below 2^B
+@example(d=41, l=247, max_steps=19, digits=14)
+def test_traj_magnitude_bound_exits_where_the_walk_does(d, l, max_steps, digits):
+    # under a small print limit, traj with its magnitude pre-bound prints what the walk alone prints
+    argv = ["traj", "--num", str(l), "--den", str(d), "--max-steps", str(max_steps)]
+    with mock.patch.object(cli, "_MAX_STR_DIGITS", digits), mock.patch.object(squaring, "_MAX_STR_DIGITS", digits):
+        bounded = _main_output(argv)
+        k = cli._traj_limit_step(Fraction(l, d), max_steps)
+        with mock.patch.object(cli, "_traj_limit_step", lambda q, max_steps: None):
+            walked = _main_output(argv)
+    assert bounded == walked
+    if k is not None:
+        assert walked == (2, "", f"error: step {k} of {Fraction(l, d)} passes the {digits}-digit limit\n")
+
+
+def test_traj_magnitude_bound_decides_the_print_limit_repros():
+    assert cli._traj_limit_step(Fraction(200, 199), 32) == 24
+    assert cli._traj_limit_step(Fraction(28, 3), 32) == 21
+    assert cli._traj_limit_step(Fraction(28, 3), 20) is None  # the walk ends at max_steps first
+    assert cli._traj_limit_step(Fraction(5, 3), 32) is None  # theta 6: the walk ends at an integer
 
 
 def test_dist_counts_a_scan_past_2_to_the_63(capsys):

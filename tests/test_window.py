@@ -6,11 +6,13 @@ import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ceildyn import window
 from ceildyn.squaring import StoppingReport, stopping_time_exact
 from ceildyn.window import (
     DigitWindow,
@@ -111,6 +113,28 @@ def step_window_theta(u: int, d: int, W: int) -> int | None:
 @settings(max_examples=150)
 def test_window_kernel_matches_step_window(d, u, W):
     assert _window_theta(u, d, W) == step_window_theta(u, d, W)
+
+
+@given(
+    st.integers(min_value=2, max_value=64),
+    st.integers(min_value=0, max_value=10**300),
+    st.integers(min_value=1, max_value=150),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=300, deadline=None)
+@example(d=37, u=38, W=150, limb_bits=6)  # theta 200: limb drops, then the hand-off, then None
+@example(d=31, u=32, W=100, limb_bits=5)  # theta 79
+@example(d=64, u=64**151 - 1, W=150, limb_bits=7)  # every limb is D - 1, so u + pad carries out of limb 0
+@example(d=2, u=3, W=150, limb_bits=1)  # one digit per limb
+def test_wide_window_kernel_matches_step_window(d, u, W, limb_bits):
+    # limbs of a few bits put windows of a few dozen digits in the wide phase
+    with mock.patch.object(window, "_LIMB_BITS", limb_bits):
+        assert _window_theta(u, d, W) == step_window_theta(u, d, W)
+
+
+def test_wide_window_kernel_decides_the_successor_record_at_199():
+    assert _window_theta(200, 199, 1444) == 1444
+    assert _window_theta(200, 199, 1443) is None
 
 
 @given(
