@@ -42,8 +42,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize
-from ceildyn.squaring import prefix_records, stopping_time_exact, trajectory
+from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize, prefix_records
+from ceildyn.squaring import stopping_time_exact, trajectory
 from ceildyn.window import _regrown_theta, _window_theta
 
 

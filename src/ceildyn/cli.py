@@ -28,7 +28,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import os
 import string
 import sys
@@ -46,9 +45,7 @@ from ceildyn.rational import InternalCheckError, parse_rational
 from ceildyn.squaring import (
     _MAX_STR_DIGITS, StoppingReport, stopping_time_exact, theta_denominator2, trajectory
 )
-from ceildyn.window import (
-    _LOG10_2, _LOG10_INT_ERR, log10_of_int, stopping_time_windowed, successor_records, track_magnitude
-)
+from ceildyn.window import stopping_time_windowed, successor_records, track_magnitude
 
 FORMATS = ("table", "json", "csv", "bfile")
 
@@ -288,39 +285,8 @@ def export_bfile(pairs) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _traj_limit_step(q: Fraction, max_steps: int) -> int | None:
-    """The step at which trajectory(q, max_steps) passes the print limit,
-    when magnitude bounds decide it without the walk; else None.
-
-    The walk stops at its first numerator of 2^B or more, B = floor of
-    trajectory's limit in bits, and the numerator of x_k in lowest terms
-    lies in [x_k, x_k*d].  From l/d > 1, x_1 > 2 and x_(k+1) >= x_k^2, so
-    x_k passes 2^B by step bits(B) + 1, and the windowed engine tells
-    whether the walk stops at an integer first.
-    """
-    l, d = q.numerator, q.denominator
-    if d < 2 or l < d:
-        return None
-    bits = math.floor(_MAX_STR_DIGITS * math.log2(10) + 1)
-    n = min(max_steps, bits.bit_length() + 1)
-    n = stopping_time_windowed(l, d, n).theta or n  # the walk's length, unless the limit stops it
-    limit = bits * _LOG10_2  # log10 2^B
-    log10_d = log10_of_int(d) + _LOG10_INT_ERR
-    first = None
-    for k in range(n, 0, -1):  # down while x_k is certainly 2^B or more
-        size = track_magnitude(l, d, k, digit_cap=64)
-        # the added _LOG10_INT_ERR covers rounding these sums to 28 digits many times over
-        slack = size.error_bound + _LOG10_INT_ERR
-        if size.log10_value - slack < limit:
-            return first if size.log10_value + slack + log10_d < limit else None
-        first = k
-    return first
-
-
 def cmd_traj(args) -> list[tuple]:
     q = Fraction(args.num, args.den)
-    if (k := _traj_limit_step(q, args.max_steps)) is not None:
-        raise CLIError(f"step {k} of {q} passes the {_MAX_STR_DIGITS}-digit limit")
     t = trajectory(q, max_steps=args.max_steps)
     rows = [(q, j, v, _ABSENT) for j, v in enumerate(t.values())]
     if t.truncated:

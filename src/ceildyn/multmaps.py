@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn
 
-from ceildyn.rational import InternalCheckError, digits10
-from ceildyn.squaring import StoppingReport, prefix_records
+from ceildyn.rational import InternalCheckError, StoppingReport, digits10, prefix_records
 
 
 @dataclass(frozen=True)

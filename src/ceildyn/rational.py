@@ -4,11 +4,15 @@ Rationals are stdlib fractions.Fraction values, which already maintain the
 canonical form needed everywhere else (lowest terms, positive denominator,
 arbitrary precision).  This module adds the handful of number-theoretic
 helpers the dynamics code leans on: primality, p-adic valuations, exact
-decimal digit counts, and small multiplicative functions.
+decimal digit counts, and small multiplicative functions.  It also holds
+what the window, records and multmaps engines share: StoppingReport, the
+result of every stopping-time routine, and prefix_records, the one pass
+that turns start -> theta into a record table.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 _LOG10_2_FLOAT = 0.30102999566398114
@@ -114,3 +118,34 @@ def euler_phi(n: int) -> int:
 def big_omega(n: int) -> int:
     """Number of prime factors counted with multiplicity."""
     return sum(factorize(n).values())
+
+
+@dataclass
+class StoppingReport:
+    """Either theta is set (with the integer reached, when materialized) or
+    unresolved_at records the step/window budget that ran out."""
+
+    theta: int | None
+    reached: int | None = None
+    digits: int | None = None
+    unresolved_at: int | None = None
+
+    @property
+    def resolved(self) -> bool:
+        return self.theta is not None
+
+
+def prefix_records(theta_of: dict[int, int | None], resolve) -> list[tuple[int, int]]:
+    """(start, theta) at each strict prefix maximum of a start -> theta dict,
+    in start order.  A start held as None takes resolve(start, best), where
+    best is the largest theta before it (-1 at first); resolve may raise.
+    """
+    records: list[tuple[int, int]] = []
+    best = -1
+    for start, theta in sorted(theta_of.items()):
+        if theta is None:
+            theta = resolve(start, best)
+        if theta > best:
+            records.append((start, theta))
+            best = theta
+    return records

@@ -2,7 +2,10 @@
 
 trajectory is the one exact walk: it steps the iterate u/d, in lowest terms,
 as u -> u*ceil(u/d) on plain ints and checks that each denominator divides
-the one before.  stopping_time_exact reads it.
+the one before.  stopping_time_exact and chains.verify_digit_laws read it,
+and so does the CLI's traj.  It alone decides where a walk passes the print
+limit: near it, bit-length bounds and window._window_theta name that step
+before the products are built.
 
 Conventions: for these maps the stopping time counts from k = 0, so an
 integer start already has stopping time 0.  (The r*ceil(x) family in
@@ -16,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ceildyn.rational import InternalCheckError, digits10, padic_valuation
+from ceildyn.rational import InternalCheckError, StoppingReport, digits10, padic_valuation
+from ceildyn.window import _window_theta
 
 _MAX_STR_DIGITS = 2_000_000  # the longest integer printed, in decimal digits
 
@@ -34,65 +38,61 @@ class Trajectory:
         return [self.start] + list(self.steps)
 
 
-@dataclass
-class StoppingReport:
-    """Either theta is set (with the integer reached, when materialized) or
-    unresolved_at records the step/window budget that ran out."""
-
-    theta: int | None
-    reached: int | None = None
-    digits: int | None = None
-    unresolved_at: int | None = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.theta is not None
-
-
-def prefix_records(theta_of: dict[int, int | None], resolve) -> list[tuple[int, int]]:
-    """(start, theta) at each strict prefix maximum of a start -> theta dict,
-    in start order.  A start held as None takes resolve(start, best), where
-    best is the largest theta before it (-1 at first); resolve may raise.
-    """
-    records: list[tuple[int, int]] = []
-    best = -1
-    for start, theta in sorted(theta_of.items()):
-        if theta is None:
-            theta = resolve(start, best)
-        if theta > best:
-            records.append((start, theta))
-            best = theta
-    return records
-
-
 def trajectory(q, max_steps: int = 32) -> Trajectory:
     """Iterate x*ceil(x) until an iterate is an integer or max_steps elapse.
 
     An integral start stops at once, with an empty step list.  Each step's
     denominator must divide the one before; anything else raises
     InternalCheckError.  A numerator past _MAX_STR_DIGITS digits raises
-    ValueError, before its product is built when the factors' sizes show it.
+    ValueError.  Digits double per step, so once a numerator is within 8
+    doublings of that limit, _limit_step looks ahead: when it names the step
+    that passes the limit, the walk raises there without building the
+    products before it.
     """
     q = Fraction(q)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    limit = _MAX_STR_DIGITS * math.log2(10) + 1  # in bits
+    limit = math.floor(_MAX_STR_DIGITS * math.log2(10) + 1)  # the most bits a numerator may have
     u, d = q.numerator, q.denominator
     steps: list[Fraction] = []
     while d > 1 and len(steps) < max_steps:
         c = -(-u // d)
-        # a floor on the bit count of the next numerator u*c/gcd(u*c, d), as the gcd is below 2^bits(d)
-        bits = u.bit_length() + c.bit_length() - 1 - d.bit_length()
-        if bits <= limit:
+        # k: the step from here that passes the limit, once one is named
+        k = u.bit_length() << 8 > limit and _limit_step(u, c, d, limit, max_steps - len(steps))
+        if not k:
             nxt = Fraction(u * c, d)
             if d % nxt.denominator != 0:
                 raise InternalCheckError("denominator chain is not divisibility-monotone")
             u, d = nxt.numerator, nxt.denominator
-            bits = u.bit_length()
-        if bits > limit:
-            raise ValueError(f"step {len(steps) + 1} of {q} passes the {_MAX_STR_DIGITS}-digit limit")
+            k = 1 if u.bit_length() > limit else 0
+        if k:
+            raise ValueError(f"step {len(steps) + k} of {q} passes the {_MAX_STR_DIGITS}-digit limit")
         steps.append(nxt)
     return Trajectory(q, steps, d > 1)
+
+
+def _limit_step(u: int, c: int, d: int, limit: int, steps_left: int) -> int:
+    """The step, counted from u/d, at which the walk's numerator first has
+    more than limit bits, when bit lengths and the window engine decide it
+    within steps_left steps; else 0.
+
+    With c = ceil(u/d), the next numerator u*c/gcd(u*c, d) has between
+    bits(u) + bits(c) - 1 - bits(d) and bits(u) + bits(c) bits.  Past it the
+    iterates are >= 0 and a step takes b bits to at most 2b, as
+    ceil(u/d) <= u, and to at least 2b - 2*bits(d) - 1, as ceil(u/d) >= u/d
+    and the gcd divides a denominator dividing d.  At the first step m whose
+    floor passes the limit, no ceiling before it having passed, the walk
+    passes the limit at m unless an iterate before m is integral.
+    """
+    b = u.bit_length() + c.bit_length()
+    lo, hi = b - 1 - d.bit_length(), b
+    for m in range(1, steps_left + 1):
+        if lo > limit:
+            return 0 if _window_theta(u, d, m - 1) else m
+        if hi > limit:
+            return 0
+        lo, hi = 2 * lo - 2 * d.bit_length() - 1, 2 * hi
+    return 0
 
 
 def stopping_time_exact(q, max_steps: int = 256) -> StoppingReport:

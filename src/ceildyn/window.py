@@ -11,9 +11,11 @@ than trusting any a-priori bound on the stopping time.
 DigitWindow and step_window are the validated single-step API.  Scans run
 the same steps on bare ints through _window_theta, the kernel for the
 first integral step of u -> u*ceil(u/d) mod d^W.  It returns theta from
-the residue u mod d^(W+1) alone: stopping_time_windowed calls it, and so
+the residue u mod d^(W+1) alone: stopping_time_windowed calls it, so
 does the chain-prefix sieve in chains, to finish one at a time the starts
-of classes too sparse in the range to split.  At thousands of digits,
+of classes too sparse in the range to split, and so does the print-limit
+look-ahead of squaring.trajectory, which is why this module imports only
+rational.  At thousands of digits,
 dividing each step's double-length product by d^W would cost more than
 the product, so a wide window runs in limbs of d^s, about 1024 bits each:
 a step builds only the limb products below the valid precision, carries
@@ -28,7 +30,7 @@ budget rather than a fixed precision: it tries the halving ladder M>>j
 (down to a floor of 64 digits) in ascending order before M itself.  Its
 cost follows theta, not M, and its output does not depend on the rungs.
 successor_records and chains.squaring_records rank their starts through
-squaring.prefix_records, regrowing each start their window leaves
+rational.prefix_records, regrowing each start their window leaves
 unresolved through _regrown_theta, which runs it with auto_grow and raises
 the one "start l/d is unresolved at window W" error.
 
@@ -47,12 +49,13 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from operator import mul
 
-from ceildyn.rational import digits10
-from ceildyn.squaring import StoppingReport, prefix_records
+from ceildyn.rational import StoppingReport, digits10, prefix_records
 
 
-# Smallest rung of stopping_time_windowed's halving ladder, in digits.
+# Smallest rung of stopping_time_windowed's halving ladder, and the cap on
+# its auto_grow window, in digits.
 _LADDER_FLOOR = 64
+_MAX_WINDOW = 1 << 20
 # _window_theta's wide phase: bits per limb, and the fewest limbs it steps.
 # At d = 199 one step at W = 1500 takes 433 us on one int and 182 us in
 # limbs (CPython 3.11); near 4 limbs (W = 400-500) the two break even.
@@ -120,13 +123,7 @@ def step_window(w: DigitWindow) -> DigitWindow:
     return DigitWindow(d, u * c % mod, w.valid_digits - 1, w.steps_taken + 1)
 
 
-def stopping_time_windowed(
-    l: int,
-    d: int,
-    M: int,
-    auto_grow: bool = False,
-    max_window: int = 1 << 20,
-) -> StoppingReport:
+def stopping_time_windowed(l: int, d: int, M: int, auto_grow: bool = False) -> StoppingReport:
     """Stopping time of l/d without materializing the iterates.
 
     Needs a noninteger start greater than 1.  The reached integer is never
@@ -135,7 +132,7 @@ def stopping_time_windowed(
     first that resolves answers.  Every window >= theta gives the same
     theta, so the result is the one M alone would give, at the cost of a
     window near theta.  With auto_grow the window then doubles and the run
-    restarts until resolution (or the max_window safety cap, since
+    restarts until resolution (or the _MAX_WINDOW safety cap, since
     termination is conjectural in general); unresolved_at is the last
     window tried.
     """
@@ -149,8 +146,8 @@ def stopping_time_windowed(
         if rung:
             rung -= 1
             window = M >> rung
-        elif auto_grow and window < max_window:
-            window = min(2 * window, max_window)
+        elif auto_grow and window < _MAX_WINDOW:
+            window = min(2 * window, _MAX_WINDOW)
         else:
             return StoppingReport(theta=None, unresolved_at=window)
     return StoppingReport(theta=theta)

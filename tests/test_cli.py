@@ -25,7 +25,7 @@ from ceildyn import chains, cli, multmaps, squaring, window
 from ceildyn.cli import _ABSENT, _SPECIAL, _VALUE, _cell_template
 from ceildyn.cli import CLIError, COMMANDS, ExperimentConfig, export_bfile, main
 from ceildyn.rational import InternalCheckError
-from ceildyn.squaring import StoppingReport
+from ceildyn.squaring import StoppingReport, trajectory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -260,6 +260,18 @@ def _main_output(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _deciding_look_ahead(decided: list[int]):
+    """trajectory's print-limit look-ahead, appending each step it names to decided."""
+    look_ahead = squaring._limit_step
+
+    def wrapped(*args):
+        if m := look_ahead(*args):
+            decided.append(m)
+        return m
+
+    return mock.patch.object(squaring, "_limit_step", wrapped)
+
+
 @given(
     st.integers(min_value=2, max_value=60),
     st.integers(min_value=-400, max_value=400),
@@ -272,23 +284,36 @@ def _main_output(argv: list[str]) -> tuple[int, str, str]:
 @example(d=31, l=169, max_steps=36, digits=7)  # numerator 2^B or more at step 3, x_3 below 2^B
 @example(d=41, l=247, max_steps=19, digits=14)
 def test_traj_magnitude_bound_exits_where_the_walk_does(d, l, max_steps, digits):
-    # under a small print limit, traj with its magnitude pre-bound prints what the walk alone prints
+    # under a small print limit, traj with the walk's look-ahead prints what
+    # the walk prints with the look-ahead patched out, which builds every product
     argv = ["traj", "--num", str(l), "--den", str(d), "--max-steps", str(max_steps)]
+    decided: list[int] = []
     with mock.patch.object(cli, "_MAX_STR_DIGITS", digits), mock.patch.object(squaring, "_MAX_STR_DIGITS", digits):
-        bounded = _main_output(argv)
-        k = cli._traj_limit_step(Fraction(l, d), max_steps)
-        with mock.patch.object(cli, "_traj_limit_step", lambda q, max_steps: None):
+        with _deciding_look_ahead(decided):
+            bounded = _main_output(argv)
+        with mock.patch.object(squaring, "_limit_step", lambda *args: 0):
             walked = _main_output(argv)
     assert bounded == walked
-    if k is not None:
-        assert walked == (2, "", f"error: step {k} of {Fraction(l, d)} passes the {digits}-digit limit\n")
+    if decided:
+        assert walked[:2] == (2, "") and walked[2].endswith(f"passes the {digits}-digit limit\n")
 
 
 def test_traj_magnitude_bound_decides_the_print_limit_repros():
-    assert cli._traj_limit_step(Fraction(200, 199), 32) == 24
-    assert cli._traj_limit_step(Fraction(28, 3), 32) == 21
-    assert cli._traj_limit_step(Fraction(28, 3), 20) is None  # the walk ends at max_steps first
-    assert cli._traj_limit_step(Fraction(5, 3), 32) is None  # theta 6: the walk ends at an integer
+    for q, max_steps, step, walked in [
+        (Fraction(200, 199), 32, 24, None),
+        (Fraction(28, 3), 32, 21, None),
+        (Fraction(28, 3), 20, None, (20, True)),  # the walk ends at max_steps first
+        (Fraction(5, 3), 32, None, (6, False)),  # theta 6: the walk ends at an integer
+    ]:
+        decided: list[int] = []
+        with _deciding_look_ahead(decided):
+            if step is None:
+                t = trajectory(q, max_steps)
+                assert (len(t.steps), t.truncated) == walked
+            else:
+                with pytest.raises(ValueError, match=f"^step {step} of {q} passes"):
+                    trajectory(q, max_steps)
+        assert bool(decided) == (step is not None)  # the look-ahead, not a built numerator, decides
 
 
 def test_dist_counts_a_scan_past_2_to_the_63(capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceildyn import squaring
+from ceildyn import chains, squaring
 from ceildyn.maps import MapSpec
 from ceildyn.rational import digits10, padic_valuation
 from ceildyn.squaring import (
@@ -192,6 +192,40 @@ def test_print_limit_admits_an_integer_the_size_bound_meets_exactly(l, d, digits
         steps = trajectory(q, 32).steps
         assert steps == list(_fraction_walk(q, 32))
     assert steps[-1].denominator == 1
+
+
+@pytest.mark.parametrize(
+    "walk,err",
+    [
+        (lambda: trajectory(Fraction(-200, 199), 32), "step 25 of -200/199"),
+        (lambda: trajectory(Fraction(200, 199), 32), "step 24 of 200/199"),
+        (lambda: chains.verify_digit_laws(200, 199, 300), "step 24 of 200/199"),
+    ],
+    ids=["traj-minus-200/199", "traj-200/199", "digit-laws-200/199"],
+)
+def test_print_limit_is_named_before_the_large_numerators_are_built(walk, err):
+    # digits double per step, so a walk that built the numerators up to the
+    # limit would pass limit/2 bits; the look-ahead stops it far below that
+    built = []
+
+    def recording_fraction(*args):
+        value = Fraction(*args)
+        built.append(value.numerator.bit_length())
+        return value
+
+    with patch.object(squaring, "Fraction", recording_fraction):
+        with pytest.raises(ValueError, match=f"^{err} passes the 2000000-digit limit$"):
+            walk()
+    assert max(built) <= (squaring._MAX_STR_DIGITS * math.log2(10) + 1) / 16
+
+
+def test_print_limit_past_max_steps_leaves_the_walk_truncated():
+    # under a 300-digit limit the numerator of 200/199 first passes it at step 11
+    with patch.object(squaring, "_MAX_STR_DIGITS", 300):
+        t = trajectory(Fraction(200, 199), 10)
+        assert (len(t.steps), t.truncated) == (10, True)
+        with pytest.raises(ValueError, match="^step 11 of 200/199 passes the 300-digit limit$"):
+            trajectory(Fraction(200, 199), 11)
 
 
 def test_stopping_report_resolved_property():

@@ -219,7 +219,8 @@ def test_window_ladder_matches_one_shot_reference(d, k, r, M, auto_grow, extra):
     l = k * d + 1 + r % (d - 1)
     max_window = M + extra % (901 - M)
     want = one_shot_report(l, d, M, auto_grow, max_window)
-    assert stopping_time_windowed(l, d, M, auto_grow, max_window) == want
+    with mock.patch.object(window, "_MAX_WINDOW", max_window):
+        assert stopping_time_windowed(l, d, M, auto_grow) == want
 
 
 @functools.cache
