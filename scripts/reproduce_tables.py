@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 
-from ceildyn.chains import chain_stop_mass, squaring_census
+from ceildyn.chains import census_thetas, chain_stop_mass
 from ceildyn.multmaps import mult_records, stopping_time_mult
 from ceildyn.squaring import theta_denominator2
 from ceildyn.window import successor_records
@@ -25,9 +25,8 @@ def table_half() -> None:
 def table_third() -> None:
     print("# starts l/3, exact stopping times")
     print("l theta")
-    report = squaring_census(3, 11, window=25, lo=3)
-    for l in range(3, 12):
-        print(l, report.thetas[l])
+    for l, theta in enumerate(census_thetas(3, 3, 11, 25), start=3):
+        print(l, theta)
 
 
 def table_succ(bound: int) -> None:

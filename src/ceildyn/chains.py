@@ -165,7 +165,9 @@ def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
     for k in range(len(values) - 1):
         dk = chain.denominators[k]
         dk1 = chain.denominators[k + 1]
-        a0 = mixed_radix_expand(values[k], chain, k)[1]
+        # a_0(k) depends only on the numerator mod d_k^2, so only that
+        # residue is expanded, not every digit of the iterate
+        a0 = mixed_radix_expand(Fraction(values[k].numerator % dk**2, dk), chain, k)[1]
         drop = dk // dk1
         law1 = math.gcd(a0 + 1, dk)
         if law1 != drop:
@@ -440,7 +442,9 @@ def stop_counts(d: int, lo: int, hi: int, depth: int) -> dict[int, int]:
 
 def census_thetas(d: int, lo: int, hi: int, window: int) -> list[int | None]:
     """Stopping times of l/d for lo <= l <= hi, None where above window or
-    where l < d (a fixed start in (0, 1))."""
+    where l < d (a fixed start in (0, 1)); lo = hi + 1 is the empty census."""
+    if d < 2 or lo < 1 or hi < lo - 1 or window < 1:
+        raise ValueError("need d >= 2, 1 <= lo <= hi + 1 and window >= 1")
     n = hi - lo + 1
     out: list[int | None] = [None] * n
     for first, step, theta in _stop_classes(d, lo, hi, window):
@@ -449,44 +453,14 @@ def census_thetas(d: int, lo: int, hi: int, window: int) -> list[int | None]:
     return out
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    d: int
-    x: int
-    window: int
-    thetas: dict[int, int | None]
-    histogram: dict[int, int]
-    unresolved: tuple[int, ...]
-    records: tuple[tuple[int, int], ...]
-
-
-def squaring_census(d: int, x: int, window: int = 25, lo: int = 1) -> CensusReport:
-    """Stopping times of l/d for l in [lo, x] at a fixed digit window.
-
-    Starts below d (value in (0,1), provably fixed) and starts the window
-    cannot resolve are reported unresolved.  Records: as squaring_records.
-    """
-    if d < 2 or lo < 1 or x < lo or window < 1:
-        raise ValueError("need d >= 2, 1 <= lo <= x and window >= 1")
-    values = census_thetas(d, lo, x, window)
-    thetas = dict(zip(range(lo, x + 1), values))
-    histogram: dict[int, int] = {}
-    for theta in values:
-        if theta is not None:
-            histogram[theta] = histogram.get(theta, 0) + 1
-    unresolved = tuple(l for l, theta in thetas.items() if theta is None)
-    # the unresolved starts >= d and the least start per theta hold every record
-    ranked = dict.fromkeys(l for l in unresolved if l >= d)
-    ranked.update((lo + values.index(theta), theta) for theta in histogram)
-    records = _certified_records(d, ranked, window)
-    return CensusReport(d, x, window, thetas, histogram, unresolved, tuple(records))
-
-
 def squaring_records(d: int, lo: int, hi: int, window: int = 25) -> list[tuple[int, int]]:
     """Record stopping times (l, theta) of l/d over lo <= l <= hi.
 
-    A record is the least start with its theta, so _certified_records ranks
-    the least first per theta of _stop_classes and the unresolved starts >= d.
+    A record is the least start with its theta, so prefix_records ranks the
+    least first per theta of _stop_classes and the unresolved starts >= d.
+    As in successor_records, an unresolved start is regrown from
+    max(window, best so far), so a non-record never pays for a window above
+    the record.  A _window_theta run at window theta certifies each record.
     """
     least: dict[int, int] = {}  # theta -> least start; a root first can pass hi
     theta_of: dict[int, int | None] = {}
@@ -496,13 +470,7 @@ def squaring_records(d: int, lo: int, hi: int, window: int = 25) -> list[tuple[i
         elif first < least.get(theta, hi + 1):
             least[theta] = first
     theta_of.update((l, theta) for theta, l in least.items())
-    return _certified_records(d, theta_of, window)
-
-
-def _certified_records(d: int, theta_of: dict[int, int | None], window: int):
-    """prefix_records of start -> theta of l/d, a None theta regrown from
-    window; a _window_theta run at window theta certifies each record."""
-    records = prefix_records(theta_of, lambda l, best: _regrown_theta(l, d, window))
+    records = prefix_records(theta_of, lambda l, best: _regrown_theta(l, d, max(window, best)))
     for l, theta in records:
         if (l % d == 0) != (theta == 0) or theta and _window_theta(l, d, theta) != theta:
             raise InternalCheckError(f"record {l}/{d} does not stop after {theta} steps")

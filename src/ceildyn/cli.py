@@ -400,7 +400,8 @@ def cmd_mahler(args) -> list[tuple]:
 
 def cmd_floorcheck(args) -> list[tuple]:
     ok = (multmaps.floor_shift_check(args.den, m, args.max_steps) for m in range(1, args.scan + 1))
-    return [(args.den, m, "yes" if good else "no") for m, good in enumerate(ok, start=1)]
+    verdicts = {True: "yes", False: "no", None: "unresolved"}
+    return [(args.den, m, verdicts[good]) for m, good in enumerate(ok, start=1)]
 
 
 def cmd_records(args) -> list[tuple]:

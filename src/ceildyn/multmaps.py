@@ -508,13 +508,14 @@ def mahler_witness(n: int, j_max: int = 256) -> int | None:
     return None
 
 
-def floor_shift_check(d: int, m: int, horizon: int) -> bool:
+def floor_shift_check(d: int, m: int, horizon: int) -> bool | None:
     """For r = (d+1)/d, the floor orbit of m+d tracks the ceiling orbit of
     m at constant offset d+1 until the common stopping step.
 
     Returns True when the offset identity holds at every step up to the
-    first integral ceiling iterate (or the horizon) and both orbits become
-    integral together.
+    first integral ceiling iterate and both orbits become integral
+    together, False at the first step where either fails, and None when
+    the horizon ends the walk first.
     """
     if d < 1 or m < 1 or horizon < 1:
         raise ValueError("need d >= 1, m >= 1, horizon >= 1")
@@ -526,4 +527,4 @@ def floor_shift_check(d: int, m: int, horizon: int) -> bool:
             return False
         if x % d == 0:
             return X % d == 0
-    return True
+    return None

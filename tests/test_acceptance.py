@@ -15,9 +15,10 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 from ceildyn.chains import (
+    census_thetas,
     chain_stop_mass,
     enumerate_stop_mass,
-    squaring_census,
+    squaring_records,
     verify_digit_laws,
 )
 from ceildyn.multmaps import (
@@ -86,12 +87,11 @@ def test_criterion_04_denominator3_table():
 
 
 def test_criterion_05_denominator3_records():
-    census = squaring_census(3, 2000, window=25)
-    ok = census.records == ((3, 0), (4, 2), (5, 6), (28, 22), (1783, 23)) and census.unresolved == (
-        1,
-        2,
-    )
-    assert _line(5, ok, f"thirds records to 2000: {census.records}, unresolved {census.unresolved}")
+    records = tuple(squaring_records(3, 1, 2000, 25))
+    thetas = enumerate(census_thetas(3, 1, 2000, 25), start=1)
+    unresolved = tuple(l for l, theta in thetas if theta is None)
+    ok = records == ((3, 0), (4, 2), (5, 6), (28, 22), (1783, 23)) and unresolved == (1, 2)
+    assert _line(5, ok, f"thirds records to 2000: {records}, unresolved {unresolved}")
 
 
 SUCCESSOR_RECORDS = (
@@ -305,7 +305,7 @@ def test_criterion_14_floor_shift():
     bad = None
     for d in range(1, 9):
         for m in range(1, 101):
-            if not floor_shift_check(d, m, 512):
+            if floor_shift_check(d, m, 512) is not True:
                 bad = (d, m)
                 break
         if bad:

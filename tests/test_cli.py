@@ -549,6 +549,15 @@ def test_chains_runs_far_past_the_first_integral_iterate(capsys):
     )
 
 
+def test_floorcheck_marks_starts_its_horizon_leaves_unresolved(capsys):
+    # at one step only m = 5 of 6/5's ceiling orbits is integral
+    code, out = run_cli(capsys, "floorcheck", "--den", "5", "--scan", "6", "--max-steps", "1")
+    assert code == 0
+    assert out == "".join(
+        f"d=5 m={m} ok={'yes' if m == 5 else 'unresolved'}\n" for m in range(1, 7)
+    )
+
+
 def test_mult_records_print_the_pinned_4_thirds_table(capsys):
     code, out = run_cli(capsys, "records", "--kind", "theta_mult", "--r", "4/3", "--bound", "491729")
     assert code == 0
