@@ -16,7 +16,10 @@ mod d^(k+1) carries the exact k-th iterate of its residue, and refining it
 one level keeps only the children that meet the scanned interval.
 Exceptional sieves and censuses run it to a fixed depth; record scans of
 x -> r*ceil(x) run it until every class holds one start, reading off the
-least start with theta > k at each level.  Past the sieve, every orbit is
+least start with theta > k at each level.  A map whose first step is
+constant on the blocks (d(q-1), dq], as the conjugate maps are, is censused
+on the block representatives dq alone, the class 0 (mod d), and each
+surviving dq stands for its whole block.  Past the sieve, every orbit is
 walked by one stopping-time loop, _finish: the single starts of
 stopping_time_mult, the survivors of a record scan and the members of a
 census.  A record scan never skips a start its step budget leaves
@@ -196,9 +199,8 @@ def _refine(
 
 
 def _sieve_classes(
-    m: PeriodicallyLinearMap, depth_k: int, lo: int, hi: int
+    m: PeriodicallyLinearMap, classes: list[tuple[int, int]], depth_k: int, lo: int, hi: int
 ) -> list[tuple[int, int]]:
-    classes = [(b, b) for b in range(m.d)]
     for level in range(depth_k):
         classes = _refine(m, classes, level, lo, hi)
     return classes
@@ -270,7 +272,7 @@ def exceptional_sieve(m: PeriodicallyLinearMap, depth_k: int) -> frozenset[int]:
     """
     if depth_k < 1:
         raise ValueError("depth_k must be >= 1")
-    classes = _sieve_classes(m, depth_k, 0, m.d ** (depth_k + 1) - 1)
+    classes = _sieve_classes(m, [(b, b) for b in range(m.d)], depth_k, 0, m.d ** (depth_k + 1) - 1)
     expected = m.d * (m.d - 1) ** depth_k
     if len(classes) != expected:
         raise InternalCheckError(
@@ -308,6 +310,12 @@ def exceptional_census(
     [-x, x] in at most a couple of points, so the census count is comparable
     to the true exceptional count and the 4*d*x**beta_d bound applies.
     Shallower censuses would over-approximate wildly and are rejected.
+
+    When m.apply is constant on each block (d(q-1), dq], as it is for
+    conjugate_g, all d starts of a block share their iterates from step 1
+    on, so the sieve runs on the representatives dq of the blocks meeting
+    [-x, x] and each survivor is expanded to its block cut to [-x, x].
+    Other maps are sieved from all d residues.
     """
     if x < 1:
         raise ValueError("census bound x must be >= 1")
@@ -319,13 +327,20 @@ def exceptional_census(
         raise ValueError(
             f"depth_k={depth_k} is below the minimum {floor_depth} for x={x}"
         )
-    # Refine while a class can hold several members of [-x, x]; past that,
-    # stepping each member alone is cheaper than splitting its class d ways.
-    level = min(depth_k, min_depth_for_census(d, 2 * x + 1) - 1)
-    classes = _sieve_classes(m, level, -x, x)
+    blocks = all(m.apply(b) == m.apply(d) for b in range(1, d))
+    if blocks:
+        lo, hi, classes = -d * (x // d), d * -(-x // d), [(0, 0)]
+    else:
+        lo, hi, classes = -x, x, [(b, b) for b in range(d)]
+    # Refine while a class can hold several starts in [lo, hi]; past that,
+    # stepping each start alone is cheaper than splitting its class d ways.
+    level = min(depth_k, min_depth_for_census(d, hi - lo + 1) - 1)
+    classes = _sieve_classes(m, classes, level, lo, hi)
     members = sorted(
-        n for n, j, _ in _finish(m, _members(m, classes, level, -x, x), level, depth_k) if j is None
+        n for n, j, _ in _finish(m, _members(m, classes, level, lo, hi), level, depth_k) if j is None
     )
+    if blocks:
+        members = [n for q in members for n in range(max(q - d + 1, -x), min(q, x) + 1)]
     beta = math.log(d - 1) / math.log(d)
     return ExceptionalCensus(
         map=m,
@@ -489,6 +504,9 @@ def lower_bound_check(d: int, x: int) -> bool:
     return count >= x**beta / d
 
 
+_THREE_HALVES = ceiling_map(Fraction(3, 2))
+
+
 def mahler_witness(n: int, j_max: int = 256) -> int | None:
     """Least j >= 1 with the j-th ceil(3x/2)-iterate of n congruent to
     3 mod 4, or None if none occurs within j_max steps.
@@ -499,10 +517,9 @@ def mahler_witness(n: int, j_max: int = 256) -> int | None:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = ceiling_map(Fraction(3, 2))
     x = n
     for j in range(1, j_max + 1):
-        x = g.apply(x)
+        x = _THREE_HALVES.apply(x)
         if x % 4 == 3:
             return j
     return None

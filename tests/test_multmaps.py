@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import MULT_RECORDS
 
+from ceildyn import multmaps
 from ceildyn.multmaps import (
     PeriodicallyLinearMap,
     _cycle_before_divisible,
@@ -214,25 +216,87 @@ def test_census_members_are_genuinely_exceptional():
         assert not certified_exceptional(m, n)
 
 
+def block_map(l: int, d: int, s: int) -> PeriodicallyLinearMap:
+    """A map whose first step is l + s on every block (d(q-1), dq]; s = 0 is
+    the conjugate of l/d."""
+    return make_map(l, d, [d * s] + [d * s + l * (d - b) for b in range(1, d)])
+
+
 @st.composite
 def census_maps(draw):
-    """The conjugate of a random l/d, or a map with random valid offsets."""
+    """The conjugate of a random l/d, another map that is constant on blocks
+    of d starts, or a map with random valid offsets."""
     d = draw(st.integers(min_value=2, max_value=7))
     l = draw(st.integers(min_value=-12, max_value=12).filter(lambda l: l and math.gcd(l, d) == 1))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("conjugate", "blocks", "offsets")))
+    if kind == "conjugate":
         return conjugate_g(Fraction(l, d))
+    if kind == "blocks":
+        return block_map(l, d, draw(st.sampled_from((-2, -1, 1, 2))))
     shifts = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
     return make_map(l, d, [(-l * b) % d + d * s for b, s in enumerate(shifts)])
+
+
+def brute_census(m: PeriodicallyLinearMap, x: int, depth: int) -> tuple[int, ...]:
+    return tuple(n for n in range(-x, x + 1) if all(v % m.d for v in m.orbit(n, depth)))
 
 
 @given(census_maps(), st.integers(min_value=1, max_value=300), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_census_matches_brute_force_iteration(m, x, extra_depth):
     depth = min_depth_for_census(m.d, x) + extra_depth
-    brute = [n for n in range(-x, x + 1) if all(v % m.d for v in m.orbit(n, depth))]
+    brute = brute_census(m, x, depth)
     census = exceptional_census(m, x, depth)
-    assert census.survivors == tuple(brute)
+    assert census.survivors == brute
     assert census.count == len(brute)
+
+
+# a block of d starts that [-x, x] cuts at either end, or meets in one start
+@pytest.mark.parametrize(
+    "m",
+    [conjugate_g(Fraction(7, 4)), conjugate_g(Fraction(-5, 3)), block_map(2, 3, 1), block_map(5, 6, -2)],
+    ids=["7/4", "-5/3", "blocks-2/3", "blocks-5/6"],
+)
+@pytest.mark.parametrize(
+    "x_of_d",
+    [lambda d: 1, lambda d: d - 1, lambda d: d, lambda d: d + 1, lambda d: 3 * d - 1],
+    ids=["1", "d-1", "d", "d+1", "3d-1"],
+)
+def test_census_clips_the_end_blocks(m, x_of_d):
+    x = x_of_d(m.d)
+    census = exceptional_census(m, x)
+    assert census.survivors == brute_census(m, x, census.depth_k)
+
+
+def _record_walks(monkeypatch) -> list[int]:
+    walked: list[int] = []
+    finish = multmaps._finish
+
+    def recorded(m, pairs, k, last):
+        pairs = list(pairs)
+        walked.extend(n for n, _ in pairs)
+        return finish(m, pairs, k, last)
+
+    monkeypatch.setattr(multmaps, "_finish", recorded)
+    return walked
+
+
+def test_census_of_a_conjugate_map_walks_only_block_representatives(monkeypatch):
+    walked = _record_walks(monkeypatch)
+    census = exceptional_census(conjugate_g(Fraction(7, 4)), 10**4)
+    assert census.count > 0
+    assert walked and {n % 4 for n in walked} == {0}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_census_of_a_map_without_blocks_walks_every_residue(seed, monkeypatch):
+    # offsets[1] would have to be offsets[0] + 21 for 7/4 to step blocks of 4
+    # to one value; shifts in [-2, 2] keep it below that
+    rng = random.Random(seed)
+    m = make_map(7, 4, [(-7 * b) % 4 + 4 * rng.randint(-2, 2) for b in range(4)])
+    walked = _record_walks(monkeypatch)
+    exceptional_census(m, 10**4)
+    assert {n % 4 for n in walked} == {0, 1, 2, 3}
 
 
 def test_census_depth_floor():
