@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize, prefix_records
-from ceildyn.squaring import stopping_time_exact, trajectory
+from ceildyn.squaring import trajectory
 from ceildyn.window import _regrown_theta, _window_theta
 
 
@@ -189,7 +189,6 @@ class APCount:
     starts c/d, 0 <= c < modulus, whose chain it is (None when the modulus
     is above the cap of ap_count_for_chain)."""
 
-    chain: Chain
     predicted: int
     modulus: int
     enumerated: int | None
@@ -260,7 +259,7 @@ def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount
     predicted = math.prod(euler_phi(t) for t in dens)
     modulus = d * math.prod(dens[:-1])
     if modulus > enumerate_cap:
-        return APCount(chain, predicted, modulus, None)
+        return APCount(predicted, modulus, None)
     # (entry k, entry k+1) for k = -1, 0, ...: the root, then while entry k > 1
     levels = [(d, dens[0])] + [(dk, want) for dk, want in zip(dens, dens[1:]) if dk > 1]
     live, step = [0], 1
@@ -274,12 +273,11 @@ def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount
         step *= dk
     dk, want = levels[-1]
     enumerated = sum(_split(d, len(levels) - 2, c, step, dk).count(want) for c in live)
-    return APCount(chain, predicted, modulus, enumerated)
+    return APCount(predicted, modulus, enumerated)
 
 
 @dataclass(frozen=True)
 class AlphaExponent:
-    d: int
     value: float
     prime: int
     multiplicity: int
@@ -292,7 +290,7 @@ def alpha_d(d: int) -> AlphaExponent:
         raise ValueError("d must be >= 2")
     return min(
         (
-            AlphaExponent(d, math.log(1 + 1 / (p - 1)) / (j * math.log(p)), p, j)
+            AlphaExponent(math.log(1 + 1 / (p - 1)) / (j * math.log(p)), p, j)
             for p, j in factorize(d).items()
         ),
         key=lambda a: a.value,
@@ -350,18 +348,18 @@ def prime_stop_mass(p: int, j: int) -> Fraction:
 def theta_residues(d: int, j: int) -> frozenset[int]:
     """Representatives 1..d^(j+1) whose start l/d stops in exactly j steps.
 
-    Stopping time through step j depends only on l mod d^(j+1), so this
-    enumerates the full residue description of the event; it is the
-    independent oracle for chain_stop_mass.
+    Stopping time through step j depends only on l mod d^(j+1), all that
+    _window_theta(l, d, j) reads, so this lists the event by residue; it is
+    the independent oracle for chain_stop_mass.
     """
     modulus = d ** (j + 1)
+    if j == 0:  # theta 0 means d | l; _window_theta counts from step 1
+        return frozenset({0})
     hit = set()
-    for l in range(1, modulus + 1):
-        if l % d != 0 and l < d:
-            continue  # a start in (0, 1) is fixed and never stops
-        report = stopping_time_exact(Fraction(l, d), max_steps=j + 1)
-        if report.theta == j:
-            hit.add(l % modulus)
+    for l in range(d + 1, modulus + 1):
+        # a start in (0, 1) is fixed and never stops, and d | l stops at 0
+        if l % d and _window_theta(l, d, j) == j:
+            hit.add(l)
     return frozenset(hit)
 
 
@@ -371,11 +369,8 @@ def enumerate_stop_mass(d: int, j: int) -> Fraction:
 
 @dataclass(frozen=True)
 class StopDistribution:
-    d: int
-    depth: int
     probabilities: dict[int, Fraction]
     unresolved_mass: Fraction
-    x_scan: int
     empirical_counts: dict[int, int]
 
 
@@ -389,7 +384,7 @@ def stop_distribution(d: int, x_scan: int, depth: int) -> StopDistribution:
     if unresolved < 0:
         raise InternalCheckError("stop masses exceed total probability 1")
     counts = stop_counts(d, 1, x_scan, depth)
-    return StopDistribution(d, depth, probabilities, unresolved, x_scan, counts)
+    return StopDistribution(probabilities, unresolved, counts)
 
 
 # ---------------------------------------------------------------------------

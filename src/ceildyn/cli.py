@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import is_, itemgetter
+from operator import is_, itemgetter, lt
 from typing import NamedTuple
 
 from ceildyn import chains as chainlib
@@ -266,18 +266,17 @@ _BFILE_VALUE_LIMIT = 10**1000  # b-file values have at most 1000 decimal digits
 
 def export_bfile(pairs) -> str:
     """OEIS b-file text: one "index value" line per term, no header."""
-    lines = []
-    prev = None
-    for index, value in pairs:
-        if prev is not None and index <= prev:
-            raise CLIError("b-file indices must be strictly increasing")
-        prev = index
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise CLIError("b-file values must be integers")
-        if abs(value) >= _BFILE_VALUE_LIMIT:
-            raise CLIError("b-file values are limited to 1000 decimal digits")
-        lines.append(f"{index} {value}")
-    return "".join(line + "\n" for line in lines)
+    if not pairs:
+        return ""
+    indices = [index for index, _ in pairs]
+    values = [value for _, value in pairs]
+    if not all(map(lt, indices, indices[1:])):
+        raise CLIError("b-file indices must be strictly increasing")
+    if not all(type(v) is int for v in values):
+        raise CLIError("b-file values must be integers")
+    if max(values) >= _BFILE_VALUE_LIMIT or -min(values) >= _BFILE_VALUE_LIMIT:
+        raise CLIError("b-file values are limited to 1000 decimal digits")
+    return "".join(f"{index} {value}\n" for index, value in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,7 @@ def cmd_exceptional(args) -> list[tuple]:
         raise CLIError("exceptional needs a fractional --r l/d with d >= 2")
     if args.offsets is not None:
         offsets = tuple(int(part) for part in args.offsets.split(","))
-        m = multmaps.make_map(l, d, offsets)
+        m = multmaps.PeriodicallyLinearMap(l, d, offsets)
     else:
         m = multmaps.conjugate_g(r)
     if d == 2:

@@ -87,10 +87,6 @@ class PeriodicallyLinearMap:
         return out
 
 
-def make_map(l: int, d: int, offsets) -> PeriodicallyLinearMap:
-    return PeriodicallyLinearMap(l, d, tuple(offsets))
-
-
 def conjugate_g(r) -> PeriodicallyLinearMap:
     """The integer conjugate n |-> l*ceil(n/d) of x -> r*ceil(x), r = l/d."""
     r = Fraction(r)
@@ -292,8 +288,6 @@ def min_depth_for_census(d: int, x: int) -> int:
 
 @dataclass(frozen=True)
 class ExceptionalCensus:
-    map: PeriodicallyLinearMap
-    bound_x: int
     depth_k: int
     survivors: tuple[int, ...]
     count: int
@@ -343,8 +337,6 @@ def exceptional_census(
         members = [n for q in members for n in range(max(q - d + 1, -x), min(q, x) + 1)]
     beta = math.log(d - 1) / math.log(d)
     return ExceptionalCensus(
-        map=m,
-        bound_x=x,
         depth_k=depth_k,
         survivors=tuple(members),
         count=len(members),

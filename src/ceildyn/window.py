@@ -264,7 +264,6 @@ class MagnitudeTracker:
 
     log10_value: Decimal
     error_bound: Decimal
-    steps: int
     exact_digits: int | None = None
 
 
@@ -294,7 +293,7 @@ def track_magnitude(l: int, d: int, steps: int, digit_cap: int = 100_000) -> Mag
         ctx.prec = 60
         log_now = +(log10_of_int(u) - log10_of_int(d))
         if done == steps:
-            return MagnitudeTracker(log_now, 2 * _LOG10_INT_ERR, steps, digits10(u // d))
+            return MagnitudeTracker(log_now, 2 * _LOG10_INT_ERR, digits10(u // d))
         rest = steps - done
         amp = Decimal(2) ** rest
         value = +(log_now * amp)
@@ -303,4 +302,4 @@ def track_magnitude(l: int, d: int, steps: int, digit_cap: int = 100_000) -> Mag
         # amplified by at most 2^rest.
         ceil_slack = amp * Decimal(10) ** -(digit_cap - 12)
         err = +(amp * (2 * _LOG10_INT_ERR) + ceil_slack)
-        return MagnitudeTracker(value, err, steps, None)
+        return MagnitudeTracker(value, err, None)

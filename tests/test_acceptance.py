@@ -22,6 +22,7 @@ from ceildyn.chains import (
     verify_digit_laws,
 )
 from ceildyn.multmaps import (
+    PeriodicallyLinearMap,
     ceiling_map,
     certified_exceptional,
     conjugate_g,
@@ -29,7 +30,6 @@ from ceildyn.multmaps import (
     exceptional_sieve,
     floor_shift_check,
     lower_bound_check,
-    make_map,
     sigma_literal,
     sigma_prime,
     stopping_time_mult,
@@ -213,7 +213,7 @@ def test_criterion_07_mult_table_and_records():
 
 def test_criterion_08_integer_chase_sets():
     tilde = exceptional_denominator2(ceiling_map(Fraction(3, 2)))
-    shifted = exceptional_denominator2(make_map(3, 2, (-2, 1)))
+    shifted = exceptional_denominator2(PeriodicallyLinearMap(3, 2, (-2, 1)))
     ok = (
         [(c.value, c.certified) for c in tilde] == [(-1, True)]
         and [(c.value, c.certified) for c in shifted] == [(-1, True), (0, True)]

@@ -318,6 +318,21 @@ def test_theta_residues_depend_only_on_the_class():
         assert stopping_time_exact(Fraction(b + 2 * modulus, 3), max_steps=3).theta == 2
 
 
+@pytest.mark.parametrize("d,j", [(3, 4), (4, 3), (6, 3), (12, 2)])
+def test_theta_residues_match_a_fraction_walk(d, j):
+    """theta_residues reads _window_theta; this reference walks each start
+    l/d, 1 <= l <= d^(j+1), as a Fraction through x -> x*ceil(x)."""
+    modulus = d ** (j + 1)
+    hit = set()
+    for l in range(1, modulus + 1):
+        x, k = Fraction(l, d), 0
+        while x.denominator != 1 and x > 1 and k < j:  # x in (0, 1) is fixed
+            x, k = x * math.ceil(x), k + 1
+        if x.denominator == 1 and k == j:
+            hit.add(l % modulus)
+    assert theta_residues(d, j) == hit
+
+
 def test_stop_distribution_combines_exact_and_empirical():
     dist = stop_distribution(3, 3000, 3)
     assert dist.probabilities[0] == Fraction(1, 3)

@@ -339,12 +339,19 @@ def test_census_bfile(capsys):
 def test_export_bfile_rules():
     assert export_bfile([]) == ""
     assert export_bfile([(1, 5), (3, -2)]) == "1 5\n3 -2\n"
-    with pytest.raises(CLIError):
-        export_bfile([(1, 1), (1, 2)])
-    with pytest.raises(CLIError):
-        export_bfile([(1, 10**1000)])
-    with pytest.raises(CLIError):
-        export_bfile([(1, True)])
+    top = 10**1000 - 1  # the largest magnitude with 1000 digits
+    assert export_bfile([(1, top), (2, -top)]) == f"1 {top}\n2 {-top}\n"
+    faults = {  # each fault in the first pair it can reach, then in later pairs
+        "strictly increasing": [[(1, 1), (1, 2)], [(1, 1), (3, 2), (2, 3)],
+                                [(1, 1), (2, 2), (3, 3), (3, 4)]],
+        "must be integers": [[(1, True)], [(1, 1), (2, 2.0)], [(1, 1), (2, 2), (3, Fraction(3))]],
+        "1000 decimal digits": [[(1, top + 1)], [(1, 1), (2, -top - 1)],
+                                [(1, 1), (2, 2), (3, 10**1001)]],
+    }
+    for message, cases in faults.items():
+        for pairs in cases:
+            with pytest.raises(CLIError, match=message):
+                export_bfile(pairs)
 
 
 def test_json_rows_are_valid_json_lines(capsys):

@@ -25,13 +25,13 @@ from ceildyn.multmaps import (
     floor_shift_check,
     lower_bound_check,
     mahler_witness,
-    make_map,
     min_depth_for_census,
     mult_records,
     sigma_literal,
     sigma_prime,
     stopping_time_mult,
 )
+from ceildyn.rational import InternalCheckError
 
 ratios = st.builds(
     Fraction, st.integers(min_value=1, max_value=9), st.integers(min_value=2, max_value=9)
@@ -40,11 +40,11 @@ ratios = st.builds(
 
 def test_map_validation():
     with pytest.raises(ValueError):
-        make_map(2, 4, (0, 0, 0, 0))  # slope shares a factor with the modulus
+        PeriodicallyLinearMap(2, 4, (0, 0, 0, 0))  # slope shares a factor with the modulus
     with pytest.raises(ValueError):
-        make_map(3, 2, (0, 0))  # offset 0 at residue 1 leaves 3n+0 odd
+        PeriodicallyLinearMap(3, 2, (0, 0))  # offset 0 at residue 1 leaves 3n+0 odd
     with pytest.raises(ValueError):
-        make_map(3, 2, (0,))  # wrong arity
+        PeriodicallyLinearMap(3, 2, (0,))  # wrong arity
 
 
 def test_conjugate_and_ceiling_maps_agree_with_rational_forms():
@@ -219,7 +219,7 @@ def test_census_members_are_genuinely_exceptional():
 def block_map(l: int, d: int, s: int) -> PeriodicallyLinearMap:
     """A map whose first step is l + s on every block (d(q-1), dq]; s = 0 is
     the conjugate of l/d."""
-    return make_map(l, d, [d * s] + [d * s + l * (d - b) for b in range(1, d)])
+    return PeriodicallyLinearMap(l, d, (d * s, *(d * s + l * (d - b) for b in range(1, d))))
 
 
 @st.composite
@@ -234,7 +234,7 @@ def census_maps(draw):
     if kind == "blocks":
         return block_map(l, d, draw(st.sampled_from((-2, -1, 1, 2))))
     shifts = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
-    return make_map(l, d, [(-l * b) % d + d * s for b, s in enumerate(shifts)])
+    return PeriodicallyLinearMap(l, d, tuple((-l * b) % d + d * s for b, s in enumerate(shifts)))
 
 
 def brute_census(m: PeriodicallyLinearMap, x: int, depth: int) -> tuple[int, ...]:
@@ -293,10 +293,27 @@ def test_census_of_a_map_without_blocks_walks_every_residue(seed, monkeypatch):
     # offsets[1] would have to be offsets[0] + 21 for 7/4 to step blocks of 4
     # to one value; shifts in [-2, 2] keep it below that
     rng = random.Random(seed)
-    m = make_map(7, 4, [(-7 * b) % 4 + 4 * rng.randint(-2, 2) for b in range(4)])
+    m = PeriodicallyLinearMap(7, 4, tuple((-7 * b) % 4 + 4 * rng.randint(-2, 2) for b in range(4)))
     walked = _record_walks(monkeypatch)
     exceptional_census(m, 10**4)
     assert {n % 4 for n in walked} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("offsets", [(0, 2, 0, 2), (0, 6, 4, 2)])
+def test_refinement_rejects_a_slope_sharing_a_factor_with_d(offsets):
+    """l = 2, d = 4 past the constructor's check: every step is integral,
+    but a class's children step by a multiple of 2, so the number killed
+    is 0 or 2, never 1.  (0, 2, 0, 2) sieves from all residues; (0, 6, 4, 2)
+    sends each block of 4 to one value, so its census sieves the blocks."""
+    m = object.__new__(PeriodicallyLinearMap)
+    for name, value in (("l", 2), ("d", 4), ("offsets", offsets)):
+        object.__setattr__(m, name, value)
+    blocks = len({m.apply(n) for n in range(1, 5)}) == 1  # the census's block seed
+    assert blocks == (offsets == (0, 6, 4, 2))
+    with pytest.raises(InternalCheckError, match="exactly one is required"):
+        exceptional_sieve(m, 1)
+    with pytest.raises(InternalCheckError, match="exactly one is required"):
+        exceptional_census(m, 100)
 
 
 def test_census_depth_floor():
@@ -344,7 +361,7 @@ def test_certification_walk_is_tri_state():
 
 
 def test_denominator2_offset_map_finds_zero_and_minus_one():
-    out = exceptional_denominator2(make_map(3, 2, (-2, 1)))
+    out = exceptional_denominator2(PeriodicallyLinearMap(3, 2, (-2, 1)))
     assert sorted(c.value for c in out) == [-1, 0]
     assert all(c.certified for c in out)
 
@@ -356,7 +373,7 @@ def test_denominator2_conjugate_map():
 
 
 def test_denominator2_rejects_a_depth_below_stabilization():
-    m = make_map(1, 2, (-2, 1))
+    m = PeriodicallyLinearMap(1, 2, (-2, 1))
     with pytest.raises(ValueError, match="below the stabilization depth"):
         exceptional_denominator2(m, depth_K=7)
     with pytest.raises(ValueError, match="below the stabilization depth"):

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceildyn import chains, squaring
-from ceildyn.maps import MapSpec
 from ceildyn.rational import digits10, padic_valuation
 from ceildyn.squaring import (
     StoppingReport,
@@ -24,17 +23,6 @@ from ceildyn.squaring import (
 starts = st.builds(
     Fraction, st.integers(min_value=2, max_value=400), st.integers(min_value=1, max_value=12)
 ).filter(lambda q: q > 1)
-
-
-def test_map_spec_steps():
-    assert MapSpec.squaring().step(Fraction(5, 2)) == Fraction(15, 2)
-    assert MapSpec.floor_squaring().step(Fraction(5, 2)) == 5
-    assert MapSpec.mult(Fraction(4, 3)).step(Fraction(5, 2)) == 4
-    assert MapSpec.floor_mult(Fraction(4, 3)).step(Fraction(5, 2)) == Fraction(8, 3)
-    tripling = MapSpec.periodic(Fraction(3, 2), (0, 1))
-    assert tripling.step(5) == 8  # (3*5 + 1)/2
-    with pytest.raises(ValueError):
-        tripling.step(Fraction(1, 2))
 
 
 def test_trajectory_of_8_sevenths():
