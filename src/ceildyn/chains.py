@@ -11,10 +11,8 @@ starts by stopping time.
 
 Chains come from _numerators, which steps the orbit numerator over the
 fixed denominator d modulo a power of d; chain_of, and so bad_at_size, reads it.
-verify_digit_laws builds its chain from the exact iterates, which
-squaring.trajectory walks, since its laws are about their digits, and
-raises InternalCheckError unless that chain is chain_of's; it stops at the
-first integral iterate, past which both laws hold trivially.
+verify_digit_laws walks the iterates as Fractions mod shrinking integers,
+and raises InternalCheckError unless that walk's chain is chain_of's.
 
 Censuses, distributions, record scans, progression counts and the p-adic
 trees share one chain-prefix sieve.  By the chain theorem, entries 0..m of
@@ -43,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize, prefix_records
-from ceildyn.squaring import trajectory
 from ceildyn.window import _regrown_theta, _window_theta
 
 
@@ -145,29 +142,31 @@ class DigitLawReport:
 
 
 def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
-    """Check both digit transition laws along the exact orbit of l/d.
+    """Check both digit transition laws along the orbit of l/d for m steps.
 
     Law 1: the denominator drop d_k/d_{k+1} equals gcd(a_0(k)+1, d_k).
     Law 2: the next fractional digit a_-1(k+1) is coprime to d_{k+1}.
 
-    The walk stops at the first integral iterate.  From there on every
-    d_k is 1, so both laws hold trivially: the drop is 1 = gcd(a_0+1, 1),
-    and every digit is coprime to 1.  Squaring the integers further would
-    only double their digits each step.  The expansion needs nonnegative
-    values, so a negative start with m >= 1 raises ValueError.
+    Both laws read x_k only mod d_k, so the walk holds x_k mod M_k, with
+    M_0 = d^(m+1) and M_(k+1) = M_k/d_k: as ceil(x + M*t) = ceil(x) + M*t,
+    x*ceil(x) is right mod M/d_k when x is right mod M, and d_k | M_k for
+    k <= m.  It shares no code with _numerators, so its chain checks
+    chain_of.  The expansion needs nonnegative values, so a negative start
+    with m >= 1 raises ValueError.
     """
     if l < 0 and m > 0:
         raise ValueError("expansion is defined for nonnegative values")
-    values = trajectory(Fraction(l, d), max(m, 1)).values()[: m + 1]
+    values = [x := Fraction(l, d) % (modulus := d ** (m + 1))]
+    for _ in range(m):
+        modulus //= x.denominator
+        values.append(x := x * math.ceil(x) % modulus)
     chain = Chain(d, tuple(v.denominator for v in values))
-    if chain != chain_of(l, d, len(values) - 1):
+    if chain != chain_of(l, d, m):
         raise InternalCheckError(f"the chain of {l}/{d} from digit windows is not its exact chain")
-    for k in range(len(values) - 1):
+    for k in range(m):
         dk = chain.denominators[k]
         dk1 = chain.denominators[k + 1]
-        # a_0(k) depends only on the numerator mod d_k^2, so only that
-        # residue is expanded, not every digit of the iterate
-        a0 = mixed_radix_expand(Fraction(values[k].numerator % dk**2, dk), chain, k)[1]
+        a0 = mixed_radix_expand(values[k] % dk, chain, k)[1]
         drop = dk // dk1
         law1 = math.gcd(a0 + 1, dk)
         if law1 != drop:

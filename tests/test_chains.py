@@ -121,7 +121,7 @@ def test_digit_laws_property(l, d):
 
 def full_walk_digit_laws(l: int, d: int, m: int) -> tuple:
     """verify_digit_laws on all m exact iterates, integral ones included:
-    the reference for the walk that stops at the first integral iterate."""
+    the reference for the walk that reads their residues only."""
     values = [Fraction(l, d)]
     for _ in range(m):
         values.append(values[-1] * math.ceil(values[-1]))
@@ -157,8 +157,8 @@ def test_digit_laws_match_the_full_walk(l, d, m):
 
 
 def test_digit_laws_stop_at_the_first_integral_iterate():
-    # 14/9 is integral after 4 steps; the full walk to step 40 would square
-    # integers of ever more digits (step 24 alone took seconds).
+    # 14/9 is integral after 4 steps; a walk of the exact iterates to step 40
+    # would square integers of ever more digits (step 24 alone took seconds).
     start = time.perf_counter()
     report = verify_digit_laws(14, 9, 40)
     assert time.perf_counter() - start < 1.0
@@ -173,6 +173,15 @@ def test_digit_laws_read_a0_without_expanding_every_digit():
     report = verify_digit_laws(28, 3, 18)
     assert time.perf_counter() - start < 5.0
     assert (report.ok, report.checked_steps, report.first_violation) == (True, 18, None)
+
+
+def test_digit_laws_walk_checks_the_window_chain(monkeypatch):
+    # a kernel that never drops gives chain_of the chain 9, 9, ..., 9 for 14/9,
+    # whose orbit is integral from step 4 on; the digit-law walk must not read it
+    monkeypatch.setattr(chains, "_numerators", lambda u, d, m: [1] * (m + 1))
+    err = "^the chain of 14/9 from digit windows is not its exact chain$"
+    with pytest.raises(InternalCheckError, match=err):
+        verify_digit_laws(14, 9, 6)
 
 
 @pytest.mark.parametrize("m", [4, 40])

@@ -238,7 +238,8 @@ def test_exact_theta_decides_before_the_exact_walk(num, den, code, out, err):
         (("traj", "--num", "28", "--den", "3"), "step 21 of 28/3"),
         (("traj", "--num", "200", "--den", "199"), "step 24 of 200/199"),
         (("traj", "--num", "-200", "--den", "199"), "step 25 of -200/199"),
-        (("chains", "--num", "200", "--den", "199", "--m", "300"), "step 24 of 200/199"),
+        # theta2 composes y(y+1)/2 and stops at the step traj names for 524289/2
+        (("theta2", "--l", "262144"), "step 19 of 524289/2"),
     ],
 )
 def test_exact_walks_stop_at_the_print_limit(argv, err):
@@ -553,6 +554,26 @@ def test_chains_runs_far_past_the_first_integral_iterate(capsys):
     assert out == (
         f"input=14/9 denominators=9,9,9,9{',1' * 37} breaks=4:9 complete=true "
         "ap_predicted=1296 ap_modulus=59049 ap_enumerated=1296 digit_laws=ok\n"
+    )
+
+
+def test_chains_checks_the_digit_laws_past_the_print_limit(capsys):
+    # iterate 21 of 28/3 passes the 2,000,000-digit print limit, but the digit
+    # laws read its residues only, so theta(28/3) = 22 shows
+    code, out = run_cli(capsys, "chains", "--num", "28", "--den", "3", "--m", "22")
+    assert code == 0
+    assert out == (
+        f"input=28/3 denominators={'3,' * 22}1 breaks=22:3 complete=true "
+        "ap_predicted=4194304 ap_modulus=94143178827 digit_laws=ok\n"
+    )
+
+
+def test_chains_runs_300_fractional_steps_of_200_over_199(capsys):
+    code, out = run_cli(capsys, "chains", "--num", "200", "--den", "199", "--m", "300")
+    assert code == 0
+    assert out == (
+        f"input=200/199 denominators={','.join(['199'] * 301)} breaks=none "
+        f"ap_predicted={198**301} ap_modulus={199**301} digit_laws=ok\n"
     )
 
 

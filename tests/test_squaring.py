@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceildyn import chains, squaring
+from ceildyn import squaring
 from ceildyn.rational import digits10, padic_valuation
 from ceildyn.squaring import (
     StoppingReport,
@@ -187,9 +187,8 @@ def test_print_limit_admits_an_integer_the_size_bound_meets_exactly(l, d, digits
     [
         (lambda: trajectory(Fraction(-200, 199), 32), "step 25 of -200/199"),
         (lambda: trajectory(Fraction(200, 199), 32), "step 24 of 200/199"),
-        (lambda: chains.verify_digit_laws(200, 199, 300), "step 24 of 200/199"),
     ],
-    ids=["traj-minus-200/199", "traj-200/199", "digit-laws-200/199"],
+    ids=["traj-minus-200/199", "traj-200/199"],
 )
 def test_print_limit_is_named_before_the_large_numerators_are_built(walk, err):
     # digits double per step, so a walk that built the numerators up to the
@@ -214,6 +213,21 @@ def test_print_limit_past_max_steps_leaves_the_walk_truncated():
         assert (len(t.steps), t.truncated) == (10, True)
         with pytest.raises(ValueError, match="^step 11 of 200/199 passes the 300-digit limit$"):
             trajectory(Fraction(200, 199), 11)
+
+
+@given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=200), st.data())
+@settings(max_examples=200, deadline=None)
+def test_theta2_stops_at_the_print_limit_where_trajectory_does(v, k, data):
+    l = (2 * k + 1) << v
+    q = Fraction(2 * l + 1, 2)
+    # besides any limit, the two limits around each numerator that fits in 300 digits
+    edges = [int((s.numerator.bit_length() - 1) / math.log2(10)) + e
+             for s in trajectory(q, v + 1).steps for e in (0, 1)]
+    edges = [digits for digits in edges if 5 <= digits <= 300] or [5]
+    digits = data.draw(st.integers(min_value=5, max_value=300) | st.sampled_from(edges))
+    with patch.object(squaring, "_MAX_STR_DIGITS", digits):
+        expected = _outcome(lambda: (v + 1, trajectory(q, v + 1).steps[-1].numerator))
+        assert _outcome(theta_denominator2, l) == expected
 
 
 def test_stopping_report_resolved_property():
