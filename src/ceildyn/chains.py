@@ -10,7 +10,8 @@ alpha_d and beta_d, limiting stopping-time distributions, and censuses of
 starts by stopping time.
 
 Chains come from _numerators, which steps the orbit numerator over the
-fixed denominator d modulo a power of d; chain_of, and so bad_at_size, reads it.
+fixed denominator d modulo a power of d that shrinks by d each step;
+chain_of, and so bad_at_size, reads it.
 verify_digit_laws walks the iterates as Fractions mod shrinking integers,
 and raises InternalCheckError unless that walk's chain is chain_of's.
 
@@ -136,9 +137,12 @@ def mixed_radix_value(digits, chain: Chain, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class DigitLawReport:
+    """The verdict on both digit laws, and the chain they were checked on."""
+
     ok: bool
     checked_steps: int
-    first_violation: tuple[int, str, str] | None = None
+    first_violation: tuple[int, str, str] | None
+    chain: Chain
 
 
 def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
@@ -170,15 +174,13 @@ def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
         drop = dk // dk1
         law1 = math.gcd(a0 + 1, dk)
         if law1 != drop:
-            return DigitLawReport(
-                False, k, (k, "drop", f"gcd(a0+1, d_k) = {law1} but d_k/d_k+1 = {drop}")
-            )
+            violation = (k, "drop", f"gcd(a0+1, d_k) = {law1} but d_k/d_k+1 = {drop}")
+            return DigitLawReport(False, k, violation, chain)
         a_frac = values[k + 1].numerator % dk1
         if math.gcd(a_frac, dk1) != 1:
-            return DigitLawReport(
-                False, k, (k, "coprime", f"a_-1 = {a_frac} shares a factor with {dk1}")
-            )
-    return DigitLawReport(True, m, None)
+            violation = (k, "coprime", f"a_-1 = {a_frac} shares a factor with {dk1}")
+            return DigitLawReport(False, k, violation, chain)
+    return DigitLawReport(True, m, None, chain)
 
 
 @dataclass(frozen=True)
@@ -194,12 +196,14 @@ class APCount:
 
 
 def _numerators(u: int, d: int, m: int) -> list[int]:
-    """Numerators u_0..u_m over d of iterates 0..m of u/d, stepped at the
-    one modulus d^(m+1).  u_j is right mod d^(m+1-j), and the extra digits
-    only carry upward, so entry j of the chain is d/gcd(u_j, d)."""
+    """Numerators u_0..u_m over d of iterates 0..m of u/d, u_j held mod
+    d^(m+1-j).  As ceil((u + d^i*t)/d) = ceil(u/d) + d^(i-1)*t, a step maps
+    a numerator right mod d^i to one right mod d^(i-1), so u_m is right mod
+    d and entry j of the chain is d/gcd(u_j, d)."""
     mod = d ** (m + 1)
     out = [u := u % mod]
     for _ in range(m):
+        mod //= d
         out.append(u := u * ((u + d - 1) // d) % mod)
     return out
 

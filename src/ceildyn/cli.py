@@ -32,7 +32,6 @@ import os
 import string
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
@@ -55,47 +54,8 @@ class CLIError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config and cache
+# Cache
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Semantic description of one run: command, parameters, output format.
-
-    cache_dir says where results are stored, never what they are, so it
-    stays outside the cache key, as does the no-op --workers flag.
-    """
-
-    command: str
-    params: tuple[tuple[str, object], ...]
-    fmt: str
-    cache_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.fmt not in FORMATS:
-            raise CLIError(f"unknown format {self.fmt!r}")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> ExperimentConfig:
-        skip = {"command", "format", "workers", "cache"}
-        params = tuple(
-            sorted((k, v) for k, v in vars(args).items() if k not in skip and v is not None)
-        )
-        return cls(args.command, params, args.format, getattr(args, "cache", None))
-
-    def identity(self) -> dict:
-        """What the cache key hashes: the source digest and the run's semantics."""
-        return {
-            "engine": _source_digest(),
-            "command": self.command,
-            "params": dict(self.params),
-            "format": self.fmt,
-        }
-
-    def cache_key(self) -> str:
-        blob = json.dumps(self.identity(), sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @functools.cache
@@ -112,12 +72,22 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-def cache_load(config: ExperimentConfig) -> str | None:
-    if config.cache_dir is None:
+def _cache_entry(args: argparse.Namespace) -> tuple[str, dict]:
+    """The cache file of a run and the identity its name hashes: the source
+    digest and every set argument.  The cache directory says where results
+    are stored, never what they are, so it stays out, as does --workers."""
+    skip = ("workers", "cache_dir")
+    params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    identity = {"engine": _source_digest(), "args": params}
+    blob = json.dumps(identity, sort_keys=True, default=str).encode("utf-8")
+    return os.path.join(args.cache_dir, hashlib.sha256(blob).hexdigest() + ".json"), identity
+
+
+def cache_load(args: argparse.Namespace) -> str | None:
+    if args.cache_dir is None:
         return None
-    path = os.path.join(config.cache_dir, config.cache_key() + ".json")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(_cache_entry(args)[0], encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
@@ -125,16 +95,16 @@ def cache_load(config: ExperimentConfig) -> str | None:
     return output if isinstance(output, str) else None  # any other shape is a miss
 
 
-def cache_store(config: ExperimentConfig, output: str) -> None:
-    if config.cache_dir is None:
+def cache_store(args: argparse.Namespace, output: str) -> None:
+    if args.cache_dir is None:
         return
-    os.makedirs(config.cache_dir, exist_ok=True)
-    payload = {**config.identity(), "output": output}
-    fd, tmp = tempfile.mkstemp(dir=config.cache_dir, suffix=".tmp")
+    os.makedirs(args.cache_dir, exist_ok=True)
+    path, identity = _cache_entry(args)
+    fd, tmp = tempfile.mkstemp(dir=args.cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, default=str)
-        os.replace(tmp, os.path.join(config.cache_dir, config.cache_key() + ".json"))
+            json.dump({**identity, "output": output}, fh, default=str)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -341,9 +311,9 @@ def cmd_dist(args) -> list[tuple]:
 
 
 def cmd_chains(args) -> list[tuple]:
-    chain = chainlib.chain_of(args.num, args.den, args.m)
-    ap = chainlib.ap_count_for_chain(chain)
     laws = chainlib.verify_digit_laws(args.num, args.den, args.m)
+    chain = laws.chain
+    ap = chainlib.ap_count_for_chain(chain)
     denominators = ",".join(str(t) for t in chain.denominators)
     breaks = ";".join(f"{j}:{r}" for j, r in chain.break_points) or "none"
     verdict = "ok" if laws.ok else f"violated at step {laws.checked_steps}"
@@ -461,21 +431,21 @@ COMMANDS = {
 }
 
 
-def run_command(config: ExperimentConfig, args: argparse.Namespace) -> str:
-    if config.command == "padic-tree" and config.fmt == "json":
+def run_command(args: argparse.Namespace) -> str:
+    if args.command == "padic-tree" and args.format == "json":
         return padic.tree_to_json(padic.omega_prefix_tree(args.p, args.k, args.levels)) + "\n"
-    handler, columns, bfile = COMMANDS[config.command]
+    handler, columns, bfile = COMMANDS[args.command]
     rows = handler(args)
-    if config.fmt == "bfile":
+    if args.format == "bfile":
         if bfile is None:
-            raise CLIError(f"{config.command} output has no b-file representation")
+            raise CLIError(f"{args.command} output has no b-file representation")
         index, value, what = bfile
         names = [c.name for c in columns]
         pairs = list(map(itemgetter(names.index(index), names.index(value)), rows))
         if any(v is None for _, v in pairs):
             raise CLIError(f"cannot export unresolved {what} rows as a b-file")
         return export_bfile(pairs)
-    render = {"table": render_table, "json": render_json, "csv": render_csv}[config.fmt]
+    render = {"table": render_table, "json": render_json, "csv": render_csv}[args.format]
     return render(rows, columns, args)
 
 
@@ -505,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     and no default is mutable, so every call of main can share it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table")
-    common.add_argument("--cache", metavar="DIR", default=None, help="result cache directory")
+    common.add_argument("--cache", dest="cache_dir", metavar="DIR", help="result cache directory")
     common.add_argument(
         "--workers", type=_positive, default=1, help="accepted but unused: scans run in process"
     )
@@ -599,12 +569,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = ExperimentConfig.from_args(args)
-        cached = cache_load(config)
+        cached = cache_load(args)
         if cached is not None:
             sys.stdout.write(cached)
             return 0
-        output = run_command(config, args)
+        output = run_command(args)
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -612,7 +581,7 @@ def main(argv=None) -> int:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(output)
-    cache_store(config, output)
+    cache_store(args, output)
     return 0
 
 

@@ -23,7 +23,7 @@ from test_chains import D3_RECORDS_TO_10_7
 
 from ceildyn import chains, cli, multmaps, squaring, window
 from ceildyn.cli import _ABSENT, _SPECIAL, _VALUE, _cell_template
-from ceildyn.cli import CLIError, COMMANDS, ExperimentConfig, export_bfile, main
+from ceildyn.cli import CLIError, COMMANDS, export_bfile, main
 from ceildyn.rational import InternalCheckError
 from ceildyn.squaring import StoppingReport, trajectory
 
@@ -672,14 +672,17 @@ def test_cache_key_separates_formats(tmp_path, capsys):
 
 
 def test_cache_key_tracks_the_source_digest(monkeypatch):
-    args = cli.build_parser().parse_args(["census", "--den", "3", "--scan", "20"])
-    config = ExperimentConfig.from_args(args)
-    key = config.cache_key()
-    for workers, cache_dir in ((4, None), (1, "elsewhere")):
-        args.workers, args.cache = workers, cache_dir
-        assert ExperimentConfig.from_args(args).cache_key() == key
+    args = cli.build_parser().parse_args(["census", "--den", "3", "--scan", "20", "--cache", "a"])
+
+    def key():
+        return os.path.basename(cli._cache_entry(args)[0])
+
+    first = key()
+    for workers, cache_dir in ((4, "a"), (1, "elsewhere")):
+        args.workers, args.cache_dir = workers, cache_dir
+        assert key() == first
     monkeypatch.setattr(cli, "_source_digest", lambda: "edited source")
-    assert config.cache_key() != key
+    assert key() != first
 
 
 def test_source_digest_is_only_computed_for_cached_runs(tmp_path, capsys):
