@@ -28,18 +28,20 @@ progressions; a live class whose children's modulus passes the range
 finishes its starts one at a time through window._window_theta.
 squaring_records ranks only the least start per theta, and certifies each
 record with _window_theta, since law 1 never sees the last split's children.
-ap_count_for_chain keeps the children whose entry is the chain's next one,
-and padic.omega_prefix_tree those whose entry stays p^k.  chain_stop_mass
-sums the progression densities over all complete chains through a
-recurrence on the divisors of d instead of listing them.
+_chain_classes descends along one fixed chain: ap_count_for_chain follows
+a chain, padic.omega_prefix_tree the constant chain (p^k, ..., p^k).
+chain_stop_mass sums the progression densities over all complete chains
+through a recurrence on the divisors of d instead of listing them.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize, prefix_records
 from ceildyn.window import _regrown_theta, _window_theta
@@ -244,6 +246,27 @@ def _split(d: int, k: int, c: int, modulus: int, dk: int) -> list[int]:
     return entries
 
 
+def _chain_classes(d: int, wants: tuple[int, ...]):
+    """Descend the chain-prefix sieve along wants: for k = -1 .. len(wants)-2
+    yield the sorted classes c mod d*wants[0]*...*wants[k-1] (the root 0 mod
+    1 at k = -1) whose entries 0..k are wants[0..k], and for each class the
+    number of its children (_split) whose entry k+1 is wants[k+1].  The last
+    level's children are counted, not listed."""
+    classes, step, dk = [0], 1, d
+    for k, want in enumerate(wants, start=-1):
+        if k == len(wants) - 2:
+            yield classes, [_split(d, k, c, step, dk).count(want) for c in classes]
+            return
+        kids, counts = [], []
+        for c in classes:
+            mine = [c + step * s for s, e in enumerate(_split(d, k, c, step, dk)) if e == want]
+            kids += mine
+            counts.append(len(mine))
+        yield classes, counts
+        kids.sort()
+        classes, step, dk = kids, step * dk, want
+
+
 def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount:
     """Progression count of the chain theorem, checked by an exact count.
 
@@ -252,31 +275,18 @@ def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount
     c in [0, modulus) whose chain of c/d equals the given one; it is None
     when the modulus exceeds enumerate_cap.
 
-    The count runs on the chain-prefix sieve: from the root, each level
-    splits every kept class with _split and keeps the children whose entry
-    is the chain's next one.  Once an entry is 1 the classes stop splitting,
-    so the kept classes mod modulus are exactly the starts counted; those of
-    the last split are counted, not listed.
+    _chain_classes descends along the chain to its first entry 1, past which
+    classes no longer split, and the last level's counts sum to enumerated.
     """
     d, dens = chain.d_start, chain.denominators
     predicted = math.prod(euler_phi(t) for t in dens)
     modulus = d * math.prod(dens[:-1])
     if modulus > enumerate_cap:
         return APCount(predicted, modulus, None)
-    # (entry k, entry k+1) for k = -1, 0, ...: the root, then while entry k > 1
-    levels = [(d, dens[0])] + [(dk, want) for dk, want in zip(dens, dens[1:]) if dk > 1]
-    live, step = [0], 1
-    for k, (dk, want) in enumerate(levels[:-1], start=-1):
-        live = [
-            c + step * s
-            for c in live
-            for s, e in enumerate(_split(d, k, c, step, dk))
-            if e == want
-        ]
-        step *= dk
-    dk, want = levels[-1]
-    enumerated = sum(_split(d, len(levels) - 2, c, step, dk).count(want) for c in live)
-    return APCount(predicted, modulus, enumerated)
+    wants = dens[:1] + tuple(want for dk, want in zip(dens, dens[1:]) if dk > 1)
+    for _, counts in _chain_classes(d, wants):  # hold one level at a time
+        pass
+    return APCount(predicted, modulus, sum(counts))
 
 
 @dataclass(frozen=True)
@@ -455,20 +465,29 @@ def squaring_records(d: int, lo: int, hi: int, window: int = 25) -> list[tuple[i
     """Record stopping times (l, theta) of l/d over lo <= l <= hi.
 
     A record is the least start with its theta, so prefix_records ranks the
-    least first per theta of _stop_classes and the unresolved starts >= d.
+    least first per theta of _stop_classes merged in start order with the
+    unresolved starts >= d, held as progressions, one stream per step.
     As in successor_records, an unresolved start is regrown from
     max(window, best so far), so a non-record never pays for a window above
     the record.  A _window_theta run at window theta certifies each record.
     """
     least: dict[int, int] = {}  # theta -> least start; a root first can pass hi
-    theta_of: dict[int, int | None] = {}
+    live: dict[int, list[int]] = {}  # step -> least start >= d of each unresolved class
     for first, step, theta in _stop_classes(d, lo, hi, window):
         if theta is None:
-            theta_of.update((l, None) for l in range(first, hi + 1, step) if l >= d)
+            live.setdefault(step, []).append(max(first, d + (first - d) % step))
         elif first < least.get(theta, hi + 1):
             least[theta] = first
-    theta_of.update((l, theta) for theta, l in least.items())
-    records = prefix_records(theta_of, lambda l, best: _regrown_theta(l, d, max(window, best)))
+
+    def unresolved(step: int, firsts: list[int]):
+        # the firsts lie in [max(lo, d), max(lo, d) + step): each shift passes them in order
+        firsts.sort()
+        for shift in range(0, hi - firsts[0] + 1, step):
+            yield from ((l + shift, None) for l in firsts if l + shift <= hi)
+
+    pairs = heapq.merge(sorted((l, theta) for theta, l in least.items()),
+                        *(unresolved(*item) for item in live.items()), key=itemgetter(0))
+    records = prefix_records(pairs, lambda l, best: _regrown_theta(l, d, max(window, best)))
     for l, theta in records:
         if (l % d == 0) != (theta == 0) or theta and _window_theta(l, d, theta) != theta:
             raise InternalCheckError(f"record {l}/{d} does not stop after {theta} steps")

@@ -257,7 +257,7 @@ def mult_records(r, lo: int, hi: int, max_steps: int = 512) -> list[tuple[int, i
         k, modulus = k + 1, modulus * d
     for x, theta, _ in _finish(g, _members(g, classes, k, a, b), k, max_steps):
         theta_of[x // d] = theta
-    return prefix_records(theta_of, unresolved)
+    return prefix_records(sorted(theta_of.items()), unresolved)
 
 
 def exceptional_sieve(m: PeriodicallyLinearMap, depth_k: int) -> frozenset[int]:
@@ -409,30 +409,20 @@ def sigma_prime(d: int, k: int) -> frozenset[int]:
     [1, d-1] and every higher digit in [0, d-2]; size (d-1)**k.
 
     Each member's orbit under n -> ceil(n/d) walks down to the fixed point
-    1 without any iterate divisible by d (verified here by iteration), so
+    1 with no iterate divisible by d (checked by certified_exceptional), so
     the whole set lies in the exceptional set of that map.
     """
     if d < 3:
         raise ValueError("digit construction needs d >= 3")
     if k < 1:
         raise ValueError("k must be >= 1")
-    members: set[int] = set()
-    stack: list[tuple[int, int]] = [(a0, d) for a0 in range(1, d)]
-    while stack:
-        n, place = stack.pop()
-        if place >= d**k:
-            members.add(n)
-            continue
-        for a in range(d - 1):
-            stack.append((n + a * place, place * d))
+    members = set(range(1, d))  # the leading digit, then one digit place at a time
+    for i in range(1, k):
+        members = {n + a * d**i for n in members for a in range(d - 1)}
+    g = conjugate_g(Fraction(1, d))
     for n in members:
-        x = n
-        while x != 1:
-            x = -(-x // d)
-            if x % d == 0:
-                raise InternalCheckError(
-                    f"digit-set member {n} reached the divisible iterate {x}"
-                )
+        if not certified_exceptional(g, n):
+            raise InternalCheckError(f"digit-set member {n} reaches an iterate divisible by {d}")
     if len(members) != (d - 1) ** k:
         raise InternalCheckError("digit set has the wrong cardinality")
     return frozenset(members)

@@ -10,24 +10,23 @@ residues modulo p^{lk}, and every surviving node extends in exactly phi(p^k)
 ways.  The tree is built in one pass that checks this branching law on every
 node, and digit strings are made only for the JSON export.
 
-fp_step is the validated single step on a PadicWindow.  The tree is
-chains' chain-prefix sieve at d = p^k following the constant chain
-(d, d, ..., d): on a p-unit u the step u*(u//p^k + 1) is u*ceil(u/d), and
-a prefix survives while every chain entry stays d, that is while no
-iterate is divisible by p.  chains._split checks the branching law, which
-is digit law 1 for the entry d.
+fp_step is the validated single step on a PadicWindow.  The tree is the
+one descent of chains' chain-prefix sieve, chains._chain_classes, at
+d = p^k along the constant chain (d, d, ..., d): on a p-unit u the step
+u*(u//p^k + 1) is u*ceil(u/d), and a prefix survives while every chain
+entry stays d, that is while no iterate is divisible by p.  chains._split
+checks the branching law, which is digit law 1 for the entry d.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ceildyn.chains import _split
+from ceildyn.chains import _chain_classes
 from ceildyn.rational import InternalCheckError, euler_phi, is_prime
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -115,11 +114,11 @@ class PrefixTree:
 def omega_prefix_tree(p: int, k: int, depth: int) -> PrefixTree:
     """Build the exceptional-set prefix tree down to the given depth.
 
-    One pass over levels 0..depth from the root class mod 1: each node
-    splits with chains._split, and its children whose chain entry stays p^k
-    form the next level.  _split raises InternalCheckError at any node whose
-    children break digit law 1, so every node has exactly phi(p^k) of them
-    (the equal-branching law).
+    chains._chain_classes descends from the root class mod 1 along the
+    constant chain (p^k, ..., p^k) of depth + 1 entries; its levels past the
+    root are the tree's.  chains._split raises InternalCheckError at any node
+    whose children break digit law 1, so every node has exactly phi(p^k)
+    children whose entry stays p^k (the equal-branching law).
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
@@ -128,19 +127,9 @@ def omega_prefix_tree(p: int, k: int, depth: int) -> PrefixTree:
     pk = p**k
     if pk < 3:
         raise ValueError("p^k must be at least 3 for the tree exploration")
-    nodes, modulus = [0], 1  # level 0: the root class mod 1
-    levels: list[tuple[int, ...]] = []
-    counts: list[tuple[int, ...]] = []
-    for l in range(depth + 1):
-        kids = [
-            [b + modulus * s for s, e in enumerate(_split(pk, l - 1, b, modulus, pk)) if e == pk]
-            for b in nodes
-        ]
-        levels.append(tuple(nodes))
-        counts.append(tuple(map(len, kids)))
-        nodes = sorted(itertools.chain.from_iterable(kids))
-        modulus *= pk
-    return PrefixTree(p, k, depth, tuple(levels[1:]), tuple(counts[1:]))
+    _, *levels = _chain_classes(pk, (pk,) * (depth + 1))
+    nodes, counts = zip(*levels)
+    return PrefixTree(p, k, depth, tuple(map(tuple, nodes)), tuple(map(tuple, counts)))
 
 
 def hausdorff_dimension(p: int, k: int) -> float:

@@ -7,11 +7,12 @@ helpers the dynamics code leans on: primality, p-adic valuations, exact
 decimal digit counts, and small multiplicative functions.  It also holds
 what the window, records and multmaps engines share: StoppingReport, the
 result of every stopping-time routine, and prefix_records, the one pass
-that turns start -> theta into a record table.
+that turns a start-ordered stream of thetas into a record table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,14 +136,14 @@ class StoppingReport:
         return self.theta is not None
 
 
-def prefix_records(theta_of: dict[int, int | None], resolve) -> list[tuple[int, int]]:
-    """(start, theta) at each strict prefix maximum of a start -> theta dict,
-    in start order.  A start held as None takes resolve(start, best), where
-    best is the largest theta before it (-1 at first); resolve may raise.
+def prefix_records(pairs: Iterable[tuple[int, int | None]], resolve) -> list[tuple[int, int]]:
+    """(start, theta) at each strict prefix maximum of start-ordered pairs
+    (start, theta).  A start paired with None takes resolve(start, best),
+    where best is the largest theta before it (-1 at first); resolve may raise.
     """
     records: list[tuple[int, int]] = []
     best = -1
-    for start, theta in sorted(theta_of.items()):
+    for start, theta in pairs:
         if theta is None:
             theta = resolve(start, best)
         if theta > best:

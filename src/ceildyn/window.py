@@ -162,7 +162,7 @@ def successor_records(lo: int, hi: int, window: int) -> list[tuple[int, int]]:
     unresolved at the auto_grow cap raises ValueError naming it; 2/1 has theta 0.
     """
     return prefix_records(
-        dict.fromkeys(range(lo, hi + 1)),
+        ((d, None) for d in range(lo, hi + 1)),
         lambda d, best: 0 if d == 1 else _regrown_theta(d + 1, d, max(window, best)),
     )
 

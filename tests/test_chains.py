@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from ceildyn.chains import (
     theta_residues,
     verify_digit_laws,
 )
+from ceildyn.padic import omega_prefix_tree
 from ceildyn.rational import InternalCheckError, euler_phi
 from ceildyn.squaring import StoppingReport
 from ceildyn.window import _regrown_theta
@@ -626,3 +628,55 @@ def test_census_sieve_kernel_calls_are_pinned(d, lo, hi, splits, walks, finishes
     monkeypatch.setattr(chains, "_window_theta", counted("finishes", chains._window_theta))
     census_thetas(d, lo, hi, 25)
     assert counts == {"splits": splits, "walks": walks, "finishes": finishes}
+
+
+def counted_splits(monkeypatch) -> dict[str, int]:
+    counts = {"splits": 0}
+    split = chains._split
+
+    def wrapper(*args):
+        counts["splits"] += 1
+        return split(*args)
+
+    monkeypatch.setattr(chains, "_split", wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("p, k, depth, splits", [(3, 1, 4, 31), (2, 2, 5, 63), (5, 1, 3, 85)])
+def test_prefix_tree_splits_are_pinned(p, k, depth, splits, monkeypatch):
+    # one split per node of levels 0..depth: the last level's children are counted, not listed
+    counts = counted_splits(monkeypatch)
+    omega_prefix_tree(p, k, depth)
+    assert counts == {"splits": splits}
+
+
+@pytest.mark.parametrize("l, d, m, splits", [(38, 9, 8, 691), (31, 30, 5, 5449), (9, 7, 4, 1555)])
+def test_ap_count_splits_are_pinned(l, d, m, splits, monkeypatch):
+    counts = counted_splits(monkeypatch)
+    ap_count_for_chain(chain_of(l, d, m))
+    assert counts == {"splits": splits}
+
+
+def traced_peak(call):
+    """call() and the peak of the memory traced while it runs, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ap_count_counts_the_last_level_without_listing_it():
+    # 46656 starts mod 7^6; listing them as the last level's children peaks above 2 MB
+    ap, peak = traced_peak(lambda: ap_count_for_chain(chain_of(9, 7, 5)))
+    assert ap.enumerated == ap.predicted == 46656
+    assert peak < 1.5e6
+
+
+def test_records_hold_unresolved_starts_as_progressions():
+    # at window 1, 4/9 of the starts are unresolved after the sieve; one key
+    # per start peaked near 1.2 MB
+    want = squaring_records(3, 1, 20000, 64)
+    records, peak = traced_peak(lambda: squaring_records(3, 1, 20000, 1))
+    assert records == want
+    assert peak < 0.3e6
