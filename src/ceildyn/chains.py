@@ -188,9 +188,9 @@ def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
 @dataclass(frozen=True)
 class APCount:
     """Predicted number of arithmetic progressions of starts realizing a
-    chain, the modulus those progressions live in, and the exact number of
-    starts c/d, 0 <= c < modulus, whose chain it is (None when the modulus
-    is above the cap of ap_count_for_chain)."""
+    chain, the modulus those progressions live in, and the number of starts
+    c/d, 0 <= c < modulus, whose chain it is, counted on the sieve (None
+    when the modulus is above the cap of ap_count_for_chain)."""
 
     predicted: int
     modulus: int
@@ -268,7 +268,7 @@ def _chain_classes(d: int, wants: tuple[int, ...]):
 
 
 def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount:
-    """Progression count of the chain theorem, checked by an exact count.
+    """Progression count of the chain theorem, beside a count on the sieve.
 
     predicted is the product of phi(d_j) over the chain, and modulus is
     d * d_0 * ... * d_{m-1} with d = d_start.  enumerated is the number of
@@ -277,6 +277,9 @@ def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount
 
     _chain_classes descends along the chain to its first entry 1, past which
     classes no longer split, and the last level's counts sum to enumerated.
+    _split's law-1 check gives each class phi(e) children of entry e, so
+    enumerated == predicted is forced, not an independent check; that is
+    test_ap_prediction_matches_enumeration, against brute_force_ap_count.
     """
     d, dens = chain.d_start, chain.denominators
     predicted = math.prod(euler_phi(t) for t in dens)
@@ -426,7 +429,7 @@ def _stop_classes(d: int, lo: int, hi: int, depth: int):
             child_mod = modulus * dk
             if k >= 0 and child_mod > n:
                 for l in range(lo + (c - lo) % modulus, hi + 1, modulus):
-                    yield l, n, _window_theta(l, d, depth)
+                    yield l, n, None if l < d else _window_theta(l, d, depth)
                 continue
             for s, e in enumerate(_split(d, k, c, modulus, dk)):
                 child = c + modulus * s

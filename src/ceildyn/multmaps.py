@@ -43,6 +43,9 @@ from typing import NoReturn
 
 from ceildyn.rational import InternalCheckError, StoppingReport, digits10, prefix_records
 
+_STABILIZATION = 8  # depths a d = 2 candidate's representative must hold still
+_CERT_STEPS = 4096  # iterates certified_exceptional walks before it gives up
+
 
 @dataclass(frozen=True)
 class PeriodicallyLinearMap:
@@ -352,30 +355,27 @@ class ExceptionalCandidate:
 
 
 def exceptional_denominator2(
-    m: PeriodicallyLinearMap,
-    depth_K: int = 64,
-    stabilization: int = 8,
-    max_cert_steps: int = 512,
+    m: PeriodicallyLinearMap, depth_K: int = 64, max_cert_steps: int = 512
 ) -> list[ExceptionalCandidate]:
     """Chase the two nested surviving classes of a d=2 map to depth_K.
 
     At every depth exactly two classes survive, one even and one odd.  If a
     chain's signed representatives (the member of smallest absolute value)
-    sit on the same integer for the last `stabilization` depths, that
+    sit on the same integer for the last _STABILIZATION depths, that
     integer is a candidate exceptional point: its iterates 1..depth_K are
     certainly all odd.  A candidate whose orbit is then observed to be
     eventually periodic with only odd iterates is certified; a candidate
     whose orbit escapes the certification budget is reported uncertified;
     a candidate refuted by an even iterate beyond depth_K is dropped.
 
-    A streak needs `stabilization` levels, so depth_K < stabilization could
+    A streak needs _STABILIZATION levels, so a shallower depth_K could
     only return an empty list that decides nothing; it raises ValueError.
     """
     if m.d != 2:
         raise ValueError("the nested-class chase applies to d = 2 maps only")
-    if depth_K < stabilization:
+    if depth_K < _STABILIZATION:
         raise ValueError(
-            f"depth {depth_K} is below the stabilization depth {stabilization}: "
+            f"depth {depth_K} is below the stabilization depth {_STABILIZATION}: "
             "no candidate can be found or ruled out"
         )
     classes = [(0, 0), (1, 1)]
@@ -390,7 +390,7 @@ def exceptional_denominator2(
             chain.append(residue if residue <= modulus // 2 else residue - modulus)
     candidates: list[ExceptionalCandidate] = []
     for chain in reps:
-        if len(set(chain[-max(stabilization, 1) :])) != 1:
+        if len(set(chain[-_STABILIZATION:])) != 1:
             continue
         verdict = _cycle_before_divisible(m, chain[-1], max_cert_steps)
         if verdict is not False:
@@ -450,10 +450,10 @@ def sigma_literal(d: int, k: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def certified_exceptional(m: PeriodicallyLinearMap, n: int, max_steps: int = 4096) -> bool:
+def certified_exceptional(m: PeriodicallyLinearMap, n: int) -> bool:
     """True when n's orbit is observed eventually periodic with no iterate
-    divisible by d.  False on a divisible iterate or an exhausted budget."""
-    return _cycle_before_divisible(m, n, max_steps) is True
+    divisible by d.  False on a divisible iterate or once _CERT_STEPS pass."""
+    return _cycle_before_divisible(m, n, _CERT_STEPS) is True
 
 
 def _cycle_before_divisible(m: PeriodicallyLinearMap, n: int, max_steps: int) -> bool | None:

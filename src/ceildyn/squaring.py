@@ -4,8 +4,8 @@ trajectory is the one exact walk: it steps the iterate u/d, in lowest terms,
 as u -> u*ceil(u/d) on plain ints and checks that each denominator divides
 the one before.  stopping_time_exact and the CLI's traj read it.  It
 decides where a walk passes the print limit: near it, bit-length bounds and
-window._window_theta name that step before the products are built, and
-theta_denominator2 reuses those bounds.
+window._window_theta name that step before the products are built.
+theta_denominator2 reads it too, and certifies the closed form's step count.
 
 Conventions: for these maps the stopping time counts from k = 0, so an
 integer start already has stopping time 0.  (The r*ceil(x) family in
@@ -110,23 +110,13 @@ def stopping_time_exact(q, max_steps: int = 256) -> StoppingReport:
 
 
 def theta_denominator2(l: int) -> tuple[int, int]:
-    """Closed form for starts (2l+1)/2, l >= 1: iterate j is y_j/2, with
-    y_0 = 2l + 1 and y_(j+1) = y_j(y_j + 1)/2, and the first integer is
-    y/2 at j = v2(l) + 1.  Returns (steps, reached), or raises ValueError
-    at the step where trajectory passes the print limit, by its look-ahead.
-    """
+    """Closed form for starts (2l+1)/2, l >= 1: the first integer is at step
+    v2(l) + 1.  Returns (steps, reached) read off trajectory, which raises
+    ValueError past the print limit; any other stop is InternalCheckError."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    v = padic_valuation(l, 2)
-    limit = math.floor(_MAX_STR_DIGITS * math.log2(10) + 1)
-    y = 2 * l + 1
-    for j in range(v + 1):  # trajectory's numerator at step j + 1 is y_(j+1), halved at j = v
-        k = y.bit_length() << 8 > limit and _limit_step(y, (y + 1) // 2, 2, limit, v + 1 - j)
-        if not k:
-            y = y * (y + 1) // 2
-            k = 1 if y.bit_length() - (j == v) > limit else 0
-        if k:
-            raise ValueError(f"step {j + k} of {2 * l + 1}/2 passes the {_MAX_STR_DIGITS}-digit limit")
-    if y % 2 != 0:
-        raise InternalCheckError("closed-form terminal value is not an even integer")
-    return v + 1, y // 2
+    steps = padic_valuation(l, 2) + 1
+    t = trajectory(Fraction(2 * l + 1, 2), steps)
+    if t.truncated or len(t.steps) != steps:
+        raise InternalCheckError(f"{2 * l + 1}/2 does not first reach an integer at step {steps}")
+    return steps, t.steps[-1].numerator

@@ -607,9 +607,9 @@ def test_integral_starts_are_never_bad(n, x):
 @pytest.mark.parametrize(
     "d, lo, hi, splits, walks, finishes",
     [
-        (3, 1, 100000, 1023, 2046, 1746),
+        (3, 1, 100000, 1023, 2046, 1744),
         (12, 20001, 50000, 1848, 3696, 4262),
-        (60, 1, 20000, 1313, 2626, 13961),
+        (60, 1, 20000, 1313, 2626, 13902),
     ],
 )
 def test_census_sieve_kernel_calls_are_pinned(d, lo, hi, splits, walks, finishes, monkeypatch):
@@ -628,6 +628,22 @@ def test_census_sieve_kernel_calls_are_pinned(d, lo, hi, splits, walks, finishes
     monkeypatch.setattr(chains, "_window_theta", counted("finishes", chains._window_theta))
     census_thetas(d, lo, hi, 25)
     assert counts == {"splits": splits, "walks": walks, "finishes": finishes}
+
+
+@pytest.mark.parametrize("d, lo, hi", [(3, 1, 100000), (60, 1, 20000), (7, 1, 3000), (12, 5, 400)])
+def test_fixed_starts_are_not_walked(d, lo, hi, monkeypatch):
+    # l < d is a fixed point in (0, 1): its theta is None without a finish
+    finished = []
+    finish = chains._window_theta
+
+    def wrapper(l, d, W):
+        finished.append(l)
+        return finish(l, d, W)
+
+    monkeypatch.setattr(chains, "_window_theta", wrapper)
+    thetas = census_thetas(d, lo, hi, 25)
+    assert finished and min(finished) >= d
+    assert thetas[: max(d - lo, 0)] == [None] * max(d - lo, 0)
 
 
 def counted_splits(monkeypatch) -> dict[str, int]:

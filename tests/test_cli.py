@@ -532,6 +532,18 @@ def test_broken_window_kernel_exits_3(argv, kernel, monkeypatch, capsys):
     assert "internal check failed" in capsys.readouterr().err
 
 
+def test_theta2_exits_3_when_the_closed_form_names_a_wrong_step(monkeypatch, capsys):
+    # the patched count for l = 2 is 3 steps, but 5/2 is integral at step 2
+    valuation = squaring.padic_valuation
+    monkeypatch.setattr(squaring, "padic_valuation", lambda n, p: valuation(n, p) + 1)
+    with pytest.raises(InternalCheckError):
+        squaring.theta_denominator2(2)
+    assert main(["theta2", "--l", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal check failed" in captured.err
+
+
 def test_dist_window_does_not_change_output(capsys):
     argv = ("dist", "--den", "3", "--depth", "9", "--scan", "5000")
     _, default = run_cli(capsys, *argv)

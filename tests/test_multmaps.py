@@ -372,12 +372,14 @@ def test_denominator2_conjugate_map():
     assert all(c.certified for c in out)
 
 
-def test_denominator2_rejects_a_depth_below_stabilization():
+def test_denominator2_rejects_a_depth_below_stabilization(monkeypatch):
     m = PeriodicallyLinearMap(1, 2, (-2, 1))
     with pytest.raises(ValueError, match="below the stabilization depth"):
         exceptional_denominator2(m, depth_K=7)
-    with pytest.raises(ValueError, match="below the stabilization depth"):
-        exceptional_denominator2(m, depth_K=11, stabilization=12)
+    with monkeypatch.context() as patch:
+        patch.setattr(multmaps, "_STABILIZATION", 12)
+        with pytest.raises(ValueError, match="below the stabilization depth 12"):
+            exceptional_denominator2(m, depth_K=11)
     assert [c.value for c in exceptional_denominator2(m, depth_K=8)] == [1]
     assert [c.value for c in exceptional_denominator2(m, depth_K=12)] == [1, 4]
 
