@@ -46,6 +46,8 @@ from operator import itemgetter
 from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize, prefix_records
 from ceildyn.window import _regrown_theta, _window_theta
 
+_ENUMERATE_CAP = 10_000_000  # largest progression modulus ap_count_for_chain sieves
+
 
 @dataclass(frozen=True)
 class Chain:
@@ -267,13 +269,13 @@ def _chain_classes(d: int, wants: tuple[int, ...]):
         classes, step, dk = kids, step * dk, want
 
 
-def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount:
+def ap_count_for_chain(chain: Chain) -> APCount:
     """Progression count of the chain theorem, beside a count on the sieve.
 
     predicted is the product of phi(d_j) over the chain, and modulus is
     d * d_0 * ... * d_{m-1} with d = d_start.  enumerated is the number of
     c in [0, modulus) whose chain of c/d equals the given one; it is None
-    when the modulus exceeds enumerate_cap.
+    when the modulus exceeds _ENUMERATE_CAP.
 
     _chain_classes descends along the chain to its first entry 1, past which
     classes no longer split, and the last level's counts sum to enumerated.
@@ -284,7 +286,7 @@ def ap_count_for_chain(chain: Chain, enumerate_cap: int = 10_000_000) -> APCount
     d, dens = chain.d_start, chain.denominators
     predicted = math.prod(euler_phi(t) for t in dens)
     modulus = d * math.prod(dens[:-1])
-    if modulus > enumerate_cap:
+    if modulus > _ENUMERATE_CAP:
         return APCount(predicted, modulus, None)
     wants = dens[:1] + tuple(want for dk, want in zip(dens, dens[1:]) if dk > 1)
     for _, counts in _chain_classes(d, wants):  # hold one level at a time
@@ -362,11 +364,12 @@ def prime_stop_mass(p: int, j: int) -> Fraction:
 
 
 def theta_residues(d: int, j: int) -> frozenset[int]:
-    """Representatives 1..d^(j+1) whose start l/d stops in exactly j steps.
+    """Residues mod d^(j+1) of the starts l/d that stop in exactly j steps.
 
     Stopping time through step j depends only on l mod d^(j+1), all that
     _window_theta(l, d, j) reads, so this lists the event by residue; it is
-    the independent oracle for chain_stop_mass.
+    the independent oracle for chain_stop_mass.  Theta 0 is the residue 0;
+    a residue of theta j >= 1 is named by its representative in d+1..d^(j+1).
     """
     modulus = d ** (j + 1)
     if j == 0:  # theta 0 means d | l; _window_theta counts from step 1

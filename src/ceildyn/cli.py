@@ -351,8 +351,9 @@ def cmd_exceptional(args) -> list[tuple]:
     else:
         m = multmaps.conjugate_g(r)
     if d == 2:
-        candidates = multmaps.exceptional_denominator2(m, depth_K=args.depth or 64)
-        return [(i, c.value, c.verified_depth, c.certified) for i, c in enumerate(candidates, 1)]
+        depth = args.depth or 64
+        candidates = multmaps.exceptional_denominator2(m, depth_K=depth)
+        return [(i, c.value, depth, c.certified) for i, c in enumerate(candidates, 1)]
     census = multmaps.exceptional_census(m, args.bound, args.depth)
     return [(i, n, _ABSENT, _ABSENT) for i, n in enumerate(census.survivors, start=1)]
 
@@ -435,10 +436,10 @@ def run_command(args: argparse.Namespace) -> str:
     if args.command == "padic-tree" and args.format == "json":
         return padic.tree_to_json(padic.omega_prefix_tree(args.p, args.k, args.levels)) + "\n"
     handler, columns, bfile = COMMANDS[args.command]
+    if args.format == "bfile" and bfile is None:
+        raise CLIError(f"{args.command} output has no b-file representation")
     rows = handler(args)
     if args.format == "bfile":
-        if bfile is None:
-            raise CLIError(f"{args.command} output has no b-file representation")
         index, value, what = bfile
         names = [c.name for c in columns]
         pairs = list(map(itemgetter(names.index(index), names.index(value)), rows))

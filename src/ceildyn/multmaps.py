@@ -45,6 +45,7 @@ from ceildyn.rational import InternalCheckError, StoppingReport, digits10, prefi
 
 _STABILIZATION = 8  # depths a d = 2 candidate's representative must hold still
 _CERT_STEPS = 4096  # iterates certified_exceptional walks before it gives up
+_CANDIDATE_CERT_STEPS = 512  # iterates exceptional_denominator2 walks per candidate
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,6 @@ class PeriodicallyLinearMap:
         if num % self.d != 0:
             raise InternalCheckError("periodically linear step is not integral")
         return num // self.d
-
-    def orbit(self, n: int, steps: int) -> list[int]:
-        """Iterates 1..steps from n (the start itself is not included)."""
-        out: list[int] = []
-        for _ in range(steps):
-            n = self.apply(n)
-            out.append(n)
-        return out
 
 
 def conjugate_g(r) -> PeriodicallyLinearMap:
@@ -294,7 +287,6 @@ class ExceptionalCensus:
     depth_k: int
     survivors: tuple[int, ...]
     count: int
-    theorem_bound: float
 
 
 def exceptional_census(
@@ -338,24 +330,17 @@ def exceptional_census(
     )
     if blocks:
         members = [n for q in members for n in range(max(q - d + 1, -x), min(q, x) + 1)]
-    beta = math.log(d - 1) / math.log(d)
-    return ExceptionalCensus(
-        depth_k=depth_k,
-        survivors=tuple(members),
-        count=len(members),
-        theorem_bound=4.0 * d * x**beta,
-    )
+    return ExceptionalCensus(depth_k=depth_k, survivors=tuple(members), count=len(members))
 
 
 @dataclass(frozen=True)
 class ExceptionalCandidate:
     value: int
-    verified_depth: int
     certified: bool
 
 
 def exceptional_denominator2(
-    m: PeriodicallyLinearMap, depth_K: int = 64, max_cert_steps: int = 512
+    m: PeriodicallyLinearMap, depth_K: int = 64
 ) -> list[ExceptionalCandidate]:
     """Chase the two nested surviving classes of a d=2 map to depth_K.
 
@@ -365,7 +350,7 @@ def exceptional_denominator2(
     integer is a candidate exceptional point: its iterates 1..depth_K are
     certainly all odd.  A candidate whose orbit is then observed to be
     eventually periodic with only odd iterates is certified; a candidate
-    whose orbit escapes the certification budget is reported uncertified;
+    whose orbit escapes _CANDIDATE_CERT_STEPS iterates is reported uncertified;
     a candidate refuted by an even iterate beyond depth_K is dropped.
 
     A streak needs _STABILIZATION levels, so a shallower depth_K could
@@ -392,9 +377,9 @@ def exceptional_denominator2(
     for chain in reps:
         if len(set(chain[-_STABILIZATION:])) != 1:
             continue
-        verdict = _cycle_before_divisible(m, chain[-1], max_cert_steps)
+        verdict = _cycle_before_divisible(m, chain[-1], _CANDIDATE_CERT_STEPS)
         if verdict is not False:
-            candidates.append(ExceptionalCandidate(chain[-1], depth_K, verdict is True))
+            candidates.append(ExceptionalCandidate(chain[-1], verdict is True))
     candidates.sort(key=lambda c: c.value)
     return candidates
 

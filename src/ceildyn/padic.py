@@ -98,17 +98,12 @@ class PrefixTree:
 
     p: int
     k: int
-    depth: int
     levels: tuple[tuple[int, ...], ...]
     child_counts: tuple[tuple[int, ...], ...]
 
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)
-
-    @property
-    def branching_ratio(self) -> int:
-        return euler_phi(self.p**self.k)
 
 
 def omega_prefix_tree(p: int, k: int, depth: int) -> PrefixTree:
@@ -129,7 +124,7 @@ def omega_prefix_tree(p: int, k: int, depth: int) -> PrefixTree:
         raise ValueError("p^k must be at least 3 for the tree exploration")
     _, *levels = _chain_classes(pk, (pk,) * (depth + 1))
     nodes, counts = zip(*levels)
-    return PrefixTree(p, k, depth, tuple(map(tuple, nodes)), tuple(map(tuple, counts)))
+    return PrefixTree(p, k, tuple(map(tuple, nodes)), tuple(map(tuple, counts)))
 
 
 def hausdorff_dimension(p: int, k: int) -> float:
@@ -152,9 +147,9 @@ def hausdorff_measure_bounds(p: int, k: int) -> tuple[float, float]:
 def box_dimension_estimate(tree: PrefixTree) -> float:
     """Slope of log|W_l| against l*k*log p; converges to the Hausdorff
     dimension as the tree deepens."""
-    if tree.depth < 3:
+    if len(tree.levels) < 3:
         raise ValueError("need at least 3 levels for a slope estimate")
-    xs = [l * tree.k * math.log(tree.p) for l in range(1, tree.depth + 1)]
+    xs = [l * tree.k * math.log(tree.p) for l in range(1, len(tree.levels) + 1)]
     ys = [math.log(size) for size in tree.sizes]
     return statistics.linear_regression(xs, ys).slope
 
@@ -189,5 +184,5 @@ def tree_to_json(tree: PrefixTree) -> str:
         levels.append(
             {"level": l, "prefixes": prefixes, "child_counts": list(tree.child_counts[l - 1])}
         )
-    payload = {"p": p, "k": k, "branching_ratio": tree.branching_ratio, "levels": levels}
+    payload = {"p": p, "k": k, "branching_ratio": euler_phi(pk), "levels": levels}
     return json.dumps(payload, indent=2)

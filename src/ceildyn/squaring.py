@@ -31,9 +31,6 @@ class Trajectory:
     steps: list[Fraction]
     truncated: bool
 
-    def denominators(self) -> list[int]:
-        return [self.start.denominator] + [v.denominator for v in self.steps]
-
     def values(self) -> list[Fraction]:
         return [self.start] + list(self.steps)
 

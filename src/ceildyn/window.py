@@ -87,13 +87,8 @@ class DigitWindow:
         return self.base ** self.valid_digits
 
     @property
-    def fraction_digit(self) -> int:
-        """Digit a_{-1} of the represented value u/d: zero exactly when integral."""
-        return self.scaled_residue % self.base
-
-    @property
     def integral(self) -> bool:
-        return self.fraction_digit == 0
+        return self.scaled_residue % self.base == 0  # digit a_{-1} of u/d
 
 
 def window_from_rational(l: int, d: int, M: int) -> DigitWindow:

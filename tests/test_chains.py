@@ -208,9 +208,10 @@ def test_ap_count_known_chains():
     assert (ap.predicted, ap.modulus, ap.enumerated) == (1, 8, 1)
 
 
-def test_ap_count_skips_oversized_moduli():
+def test_ap_count_skips_oversized_moduli(monkeypatch):
+    monkeypatch.setattr(chains, "_ENUMERATE_CAP", 1000)
     chain = chain_of(5, 7, 8)
-    ap = ap_count_for_chain(chain, enumerate_cap=1000)
+    ap = ap_count_for_chain(chain)
     assert ap.enumerated is None
     assert ap.modulus > 1000
 

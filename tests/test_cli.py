@@ -414,6 +414,30 @@ def test_census_past_the_empty_range_exits_2_with_one_error_line(capsys):
     assert (code, captured.out, captured.err) == (2, "", "error: census needs --from <= --scan + 1\n")
 
 
+@pytest.mark.parametrize("l,d", [(5, 3), (7, 4)])
+def test_exceptional_census_of_a_map_off_blocks_matches_a_loop(l, d, capsys):
+    # offsets 0..d-1 give n -> (l*n + n mod d)/d, which is not constant on
+    # the blocks (d(q-1), dq], so the census sieves every residue; the loop
+    # walks every start to the default depth, the least k with d^k >= x, + 3
+    x = 10_000
+    offsets = ",".join(map(str, range(d)))
+    code, out = run_cli(capsys, "exceptional", "--r", f"{l}/{d}", f"--offsets={offsets}",
+                        "--bound", str(x), "--format", "bfile")
+    depth = 3 + next(k for k in range(x + 1) if d**k >= x)
+    expected = []
+    for n in range(-x, x + 1):
+        v = n
+        for _ in range(depth):
+            v = (l * v + v % d) // d
+            if v % d == 0:
+                break
+        else:
+            expected.append(n)
+    assert expected
+    assert code == 0
+    assert out == "".join(f"{i} {n}\n" for i, n in enumerate(expected, 1))
+
+
 def test_exceptional_denominator2_reports_certification(capsys):
     code, out = run_cli(capsys, "exceptional", "--r", "1/2", "--format", "json")
     assert code == 0
@@ -763,6 +787,18 @@ def test_invalid_input_exits_2(capsys):
 def test_bfile_without_representation_exits_2(capsys):
     assert main(["alpha", "--den", "6", "--format", "bfile"]) == 2
     capsys.readouterr()
+
+
+def test_bfile_refusal_runs_no_handler(monkeypatch, capsys):
+    calls = []
+    _, columns, bfile = COMMANDS["chains"]
+    assert bfile is None
+    monkeypatch.setitem(COMMANDS, "chains", (lambda args: calls.append(args) or [], columns, None))
+    code = main(["chains", "--num", "200", "--den", "199", "--m", "2000", "--format", "bfile"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: chains output has no b-file representation\n"
+    assert calls == []
 
 
 def test_internal_check_failure_exits_3(monkeypatch, capsys):

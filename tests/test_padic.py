@@ -300,6 +300,6 @@ def test_json_prefixes_match_a_plain_digit_loop(p, k, depth):
 def test_json_export_rejects_a_node_without_a_parent(orphan):
     tree = omega_prefix_tree(3, 1, 2)
     level2 = tuple(sorted(tree.levels[1] + (orphan,)))
-    broken = padic.PrefixTree(3, 1, 2, (tree.levels[0], level2), tree.child_counts)
+    broken = padic.PrefixTree(3, 1, (tree.levels[0], level2), tree.child_counts)
     with pytest.raises(InternalCheckError):
         tree_to_json(broken)

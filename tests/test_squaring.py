@@ -29,7 +29,7 @@ def test_trajectory_of_8_sevenths():
     t = trajectory(Fraction(8, 7))
     assert t.values() == [Fraction(8, 7), Fraction(16, 7), Fraction(48, 7), Fraction(48)]
     assert not t.truncated
-    assert t.denominators() == [7, 7, 7, 1]
+    assert [v.denominator for v in t.values()] == [7, 7, 7, 1]
 
 
 def test_trajectory_integral_start_is_absorbing():
@@ -47,7 +47,7 @@ def test_trajectory_respects_step_budget():
 @given(starts)
 @settings(max_examples=60)
 def test_trajectory_denominators_divide_downward(q):
-    dens = trajectory(q, max_steps=8).denominators()
+    dens = [v.denominator for v in trajectory(q, max_steps=8).values()]
     for a, b in zip(dens, dens[1:]):
         assert a % b == 0
 
@@ -217,16 +217,26 @@ def test_print_limit_past_max_steps_leaves_the_walk_truncated():
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=200), st.data())
 @settings(max_examples=200, deadline=None)
-def test_theta2_stops_at_the_print_limit_where_trajectory_does(v, k, data):
+def test_theta2_stops_at_the_print_limit_where_the_half_integer_walk_does(v, k, data):
     l = (2 * k + 1) << v
     q = Fraction(2 * l + 1, 2)
+    # x = n/2 steps to (n/2)((n+1)/2) = (n(n+1)/2)/2 while n is odd; the
+    # reduced numerator is n, and n/2 at step v + 1, where n is first even
+    ns = [2 * l + 1]
+    for _ in range(v + 1):
+        ns.append(ns[-1] * (ns[-1] + 1) // 2)
+    assert [n % 2 for n in ns] == [1] * (v + 1) + [0]
+    nums = [*ns[1:-1], ns[-1] // 2]
     # besides any limit, the two limits around each numerator that fits in 300 digits
-    edges = [int((s.numerator.bit_length() - 1) / math.log2(10)) + e
-             for s in trajectory(q, v + 1).steps for e in (0, 1)]
+    edges = [int((n.bit_length() - 1) / math.log2(10)) + e for n in nums for e in (0, 1)]
     edges = [digits for digits in edges if 5 <= digits <= 300] or [5]
     digits = data.draw(st.integers(min_value=5, max_value=300) | st.sampled_from(edges))
+    limit = math.floor(digits * math.log2(10) + 1)  # the most bits a printed numerator may have
+    over = next((j for j, n in enumerate(nums, 1) if n.bit_length() > limit), None)
+    expected = (v + 1, nums[-1])
+    if over is not None:
+        expected = f"step {over} of {q} passes the {digits}-digit limit"
     with patch.object(squaring, "_MAX_STR_DIGITS", digits):
-        expected = _outcome(lambda: (v + 1, trajectory(q, v + 1).steps[-1].numerator))
         assert _outcome(theta_denominator2, l) == expected
 
 
