@@ -7,10 +7,11 @@ searches.  Results render as a plain table, JSON Lines, CSV, or an
 OEIS-style b-file; runs can be cached on disk.  Every scan runs once, in
 this process, on the library's residue sieves.
 
-COMMANDS declares each subcommand's columns once; handlers return plain
-tuples, one cell per column.  Table, JSON and CSV share one line-template
-builder, _render: one str.format template per row shape, so a large census
-pays no per-cell dispatch, and no format builds a cell it does not show.
+COMMANDS declares each subcommand's columns once; handlers return one
+sequence of cells per column.  Table, JSON and CSV share one renderer,
+_render: one %-template per row shape, joined over the rows and filled by
+a single % with every shown cell, so a large census does no Python work
+per row, and no format builds a cell it does not show.
 
 A process builds its parser once (build_parser) and parses every command
 with it, so main may be called repeatedly in one process, each call paying
@@ -33,9 +34,9 @@ import string
 import sys
 import tempfile
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
-from operator import is_, itemgetter, lt
+from operator import is_, lt
 from typing import NamedTuple
 
 from ceildyn import chains as chainlib
@@ -118,17 +119,22 @@ def cache_store(args: argparse.Namespace, output: str) -> None:
 _ABSENT = object()  # the cell of a column that a row does not carry
 _VALUE = object()  # the shape of a cell shown as its value
 _SPECIAL = (None, True, False, _ABSENT)  # the cells whose shape is themselves
+_KINDS = {id(s): s for s in _SPECIAL}  # a special cell's id -> its shape
+_NOT_VALUES = {bool, type(None), object}  # the types of an optional column's special cells
+_FOLDABLE = {int, Fraction, float} | _NOT_VALUES  # numbers, whose str is _PLAIN, and specials
+_PLAIN = set(map(chr, range(32, 127))) - set(',"\\')  # text CSV and JSON leave unquoted
 
 
 class Column(NamedTuple):
-    """One output column of a subcommand; each row holds one cell per column.
+    """One output column of a subcommand; a handler returns one sequence of
+    cells per column, all of one length, so row j holds each column's cell j.
 
-    text formats a cell: a str.format template whose "{}" is the cell and
-    whose named fields are the command's arguments ("{}/{den}"), shown in
-    JSON as a string.  Without text a cell is an int, shown as it is.  Only
-    an optional column's cells may be None, a bool or _ABSENT, and its other
-    cells share one type.  The table leaves out None, False and _ABSENT
-    cells, and the whole column when table is False.
+    text formats a cell: a str.format template whose one "{}" is the cell
+    and whose named fields are the command's arguments ("{}/{den}"), shown
+    in JSON as a string.  Without text a cell is an int, shown as it is.
+    Only an optional column's cells may be None, a bool or _ABSENT, and its
+    other cells share one type.  The table leaves out None, False and
+    _ABSENT cells, and the whole column when table is False.
     """
 
     name: str
@@ -137,51 +143,94 @@ class Column(NamedTuple):
     table: bool = True
 
 
-def _cell_template(text: str, index: int, args) -> str:
-    """text as a str.format template over a row whose cell is row[index],
-    with text's named fields set from the command's arguments."""
-    parts = []
-    for literal, field, spec, _ in string.Formatter().parse(text):
-        parts.append(literal.replace("{", "{{").replace("}", "}}"))
+def _lit(text: str) -> str:
+    """text as the literal part of a %-template."""
+    return text.replace("%", "%%")
+
+
+def _cell_text(text: str, args) -> tuple[str, str, str]:
+    """text as (prefix, spec, suffix) around its "{}" field, with its named
+    fields set from the command's arguments."""
+    parts, spec = [""], ""
+    for literal, field, field_spec, _ in string.Formatter().parse(text):
+        parts[-1] += literal
         if field == "":
-            parts.append(f"{{{index}:{spec}}}")
+            parts.append("")
+            spec = field_spec
         elif field is not None:
-            parts.append(format(getattr(args, field), spec).replace("{", "{{").replace("}", "}}"))
-    return "".join(parts)
+            parts[-1] += format(getattr(args, field), field_spec)
+    prefix, suffix = parts
+    return prefix, spec, suffix
 
 
-def _render(rows, columns, args, piece, sep, ends, quote=None) -> str:
-    """One line per row, from one str.format template per row shape: each
-    optional cell in _SPECIAL stands for itself, every other cell is _VALUE.
-    piece(i, column, kind) is column i's part of the template, or None to
-    leave the column out; the parts are joined by sep inside ends.  With
-    quote, a shown text cell fills {i} formatted by its text, then quoted."""
+class _Templates(dict):
+    """Line templates by shape key, each built by line(key) on first use."""
+
+    def __init__(self, line):
+        self.line = line
+
+    def __missing__(self, key):
+        template = self[key] = self.line(key)
+        return template
+
+
+def _render(cells, columns, args, piece, sep, ends, quote=None, wrap="") -> str:
+    """One line per row, from one %-template per row shape, filled by one %
+    over the whole output: each optional cell in _SPECIAL stands for itself,
+    every other cell is _VALUE.  piece(i, column, kind, value) is column i's
+    part of the template, holding the %-placeholder value where it shows the
+    cell, or None to leave the column out; the parts are joined by sep
+    inside ends.  Every template consumes, in column order, each column
+    whose cells some row shows, as "%.0s" where its own row does not.
+
+    A shown text cell is text's prefix, the cell formatted by text's spec,
+    and its suffix.  With quote that text is quoted cell by cell, unless no
+    spec formats the column, its cells are _FOLDABLE and its prefix and
+    suffix are _PLAIN: then quote only wraps it, and the template holds it."""
+    n = len(cells[0])
+    if not n:
+        return ""
+    types = [set(map(type, col)) if c.optional or c.text and quote else None
+             for c, col in zip(columns, cells)]
     optional = [i for i, c in enumerate(columns) if c.optional]
-    key_of = itemgetter(*optional) if optional else len  # len: rows share one shape
-    made: dict = {}
-    out = []
-    for row in rows:
-        if (entry := made.get(key := key_of(row))) is None:
-            shape = [
-                v if c.optional and any(v is s for s in _SPECIAL) else _VALUE
-                for c, v in zip(columns, row)
-            ]
-            parts = {
-                i: p for i, c in enumerate(columns) if (p := piece(i, c, shape[i])) is not None
-            }
-            texts = [
-                (i, _cell_template(columns[i].text, 0, args).format)
-                for i in parts
-                if quote and columns[i].text and shape[i] is _VALUE
-            ]
-            entry = made[key] = ((ends[0] + sep.join(parts.values()) + ends[1]).format, texts)
-        template, texts = entry
-        if texts:
-            row = list(row)
-            for i, fmt in texts:
-                row[i] = quote(fmt(row[i]))
-        out.append(template(*row))
-    return "".join(out)
+    keyed = [  # the shape key's columns: the cells, or their shapes where a bool meets 1 == True
+        list(map(_KINDS.get, map(id, cells[i]), repeat(_VALUE)))
+        if bool in types[i] and types[i] - _NOT_VALUES
+        else cells[i]
+        for i in optional
+    ]
+    value, filled, shown = ["%s"] * len(columns), set(), []
+    for i, (c, col) in enumerate(zip(columns, cells)):
+        if piece(i, c, _VALUE, "") is None or c.optional and types[i] <= _NOT_VALUES:
+            continue  # no row shows this column's cells
+        if c.text:
+            prefix, spec, suffix = _cell_text(c.text, args)
+            plain = not spec and _PLAIN >= set(prefix + suffix)
+            if spec:  # a special cell is not shown as its value
+                col = [v if id(v) in _KINDS else format(v, spec) for v in col]
+            if quote is None or plain and types[i] <= _FOLDABLE:
+                value[i] = wrap + _lit(prefix) + "%s" + _lit(suffix) + wrap
+            else:
+                col = list(map(quote, map("{}{}{}".format, repeat(prefix), col, repeat(suffix))))
+        filled.add(i)
+        shown.append(col)
+
+    def line(key) -> str:
+        kinds = dict(zip(optional, key))
+        lead, parts = "", []
+        for i, c in enumerate(columns):
+            kind = _KINDS.get(id(kinds.get(i, _VALUE)), _VALUE)
+            if (part := piece(i, c, kind, value[i])) is not None:
+                parts.append(part)
+            if i in filled and kind is not _VALUE:
+                if parts:
+                    parts[-1] += "%.0s"
+                else:
+                    lead += "%.0s"
+        return _lit(ends[0]) + lead + _lit(sep).join(parts) + _lit(ends[1])
+
+    body = "".join(map(_Templates(line).__getitem__, zip(*keyed))) if keyed else line(()) * n
+    return body % tuple(chain.from_iterable(zip(*shown)))
 
 
 def _csv_field(text: str) -> str:
@@ -192,78 +241,76 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def render_table(rows, columns, args) -> str:
+def render_table(cells, columns, args) -> str:
     """One "name=value" group per row; None, False and absent cells are left out."""
 
-    def piece(i, c, kind):
+    def piece(i, c, kind, value):
         if c.table and kind is not None and kind is not False and kind is not _ABSENT:
-            text = "true" if kind is True else _cell_template(c.text or "{}", i, args)
-            return f"{c.name}={text}"
+            return f"{_lit(c.name)}={'true' if kind is True else value}"
 
-    return _render(rows, columns, args, piece, " ", ("", "\n"))
+    return _render(cells, columns, args, piece, " ", ("", "\n"))
 
 
-def render_json(rows, columns, args) -> str:
+def render_json(cells, columns, args) -> str:
     """JSON Lines: one object per row holding the cells it carries."""
 
-    def piece(i, c, kind):
+    def piece(i, c, kind, value):
         if kind is not _ABSENT:
-            value = f"{{{i}}}" if kind is _VALUE else json.dumps(kind)
-            return f"{_json_string(c.name)}: {value}"
+            return f"{_lit(_json_string(c.name))}: {value if kind is _VALUE else json.dumps(kind)}"
 
-    return _render(rows, columns, args, piece, ", ", ("{{", "}}\n"), _json_string)
+    return _render(cells, columns, args, piece, ", ", ("{", "}\n"), _json_string, '"')
 
 
-def render_csv(rows, columns, args) -> str:
+def render_csv(cells, columns, args) -> str:
     """CSV headed by every column that some row carries, in column order;
     None and absent cells are empty, bools lower-case."""
-    if not rows:
+    if not len(cells[0]):
         return ""
-    shown = [not (c.optional and all(r[i] is _ABSENT for r in rows)) for i, c in enumerate(columns)]
+    shown = [not (c.optional and all(map(is_, col, repeat(_ABSENT))))
+             for c, col in zip(columns, cells)]
     empty = '""' if sum(shown) == 1 else ""  # csv.writer quotes a row's lone empty field
 
-    def piece(i, c, kind):
+    def piece(i, c, kind, value):
         if shown[i]:
-            return f"{{{i}}}" if kind is _VALUE else {True: "true", False: "false"}.get(kind, empty)
+            return value if kind is _VALUE else {True: "true", False: "false"}.get(kind, empty)
 
     quote = (lambda text: _csv_field(text) or empty) if empty else _csv_field
     header = ",".join(c.name for c, s in zip(columns, shown) if s) + "\n"
-    return header + _render(rows, columns, args, piece, ",", ("", "\n"), quote)
+    return header + _render(cells, columns, args, piece, ",", ("", "\n"), quote)
 
 
 _BFILE_VALUE_LIMIT = 10**1000  # b-file values have at most 1000 decimal digits
 
 
-def export_bfile(pairs) -> str:
+def export_bfile(indices, values) -> str:
     """OEIS b-file text: one "index value" line per term, no header."""
-    if not pairs:
+    if not len(indices):
         return ""
-    indices = [index for index, _ in pairs]
-    values = [value for _, value in pairs]
     if not all(map(lt, indices, indices[1:])):
         raise CLIError("b-file indices must be strictly increasing")
-    if not all(type(v) is int for v in values):
+    if set(map(type, values)) != {int}:
         raise CLIError("b-file values must be integers")
     if max(values) >= _BFILE_VALUE_LIMIT or -min(values) >= _BFILE_VALUE_LIMIT:
         raise CLIError("b-file values are limited to 1000 decimal digits")
-    return "".join(f"{index} {value}\n" for index, value in pairs)
+    return "%s %s\n" * len(indices) % tuple(chain.from_iterable(zip(indices, values)))
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns a list of rows, one cell per column in COMMANDS
+# Commands: each returns one sequence of cells per column in COMMANDS
 # ---------------------------------------------------------------------------
 
 
-def cmd_traj(args) -> list[tuple]:
+def cmd_traj(args) -> list:
     q = Fraction(args.num, args.den)
     t = trajectory(q, max_steps=args.max_steps)
-    rows = [(q, j, v, _ABSENT) for j, v in enumerate(t.values())]
+    values = t.values()
+    truncated = [_ABSENT] * len(values)
     if t.truncated:
-        rows[-1] = (*rows[-1][:3], True)
-    return rows
+        truncated[-1] = True
+    return [[q] * len(values), range(len(values)), values, truncated]
 
 
-def cmd_theta(args) -> list[tuple]:
+def cmd_theta(args) -> list:
     q = Fraction(args.num, args.den)
     if args.num % args.den == 0:
         rep = stopping_time_exact(q)
@@ -280,25 +327,26 @@ def cmd_theta(args) -> list[tuple]:
                                f"{_MAX_STR_DIGITS} the CLI prints; use --window for theta alone")
             rep = stopping_time_exact(q, max_steps=args.max_steps)
     reached = (rep.reached, rep.digits) if rep.reached is not None else (_ABSENT, _ABSENT)
-    return [(q, rep.theta, *reached, not rep.resolved)]
+    return [[cell] for cell in (q, rep.theta, *reached, not rep.resolved)]
 
 
-def cmd_theta2(args) -> list[tuple]:
+def cmd_theta2(args) -> list:
     ls = range(1, args.scan + 1) if args.scan is not None else [args.l]
-    return [(2 * l + 1, l, *theta_denominator2(l), False) for l in ls]
+    thetas, reached = zip(*map(theta_denominator2, ls))
+    return [[2 * l + 1 for l in ls], ls, thetas, reached, [False] * len(ls)]
 
 
-def cmd_census(args) -> list[tuple]:
+def cmd_census(args) -> list:
     if args.den < 2:
         raise CLIError("census needs --den >= 2")
     if args.lo > args.scan + 1:  # --from = --scan + 1 is the empty census
         raise CLIError("census needs --from <= --scan + 1")
     thetas = chainlib.census_thetas(args.den, args.lo, args.scan, args.window)
-    ls = range(args.lo, args.lo + len(thetas))
-    return list(zip(ls, ls, thetas, map(is_, thetas, repeat(None))))
+    ls = list(range(args.lo, args.lo + len(thetas)))  # one int per start for input and l
+    return [ls, ls, thetas, list(map(is_, thetas, repeat(None)))]
 
 
-def cmd_dist(args) -> list[tuple]:
+def cmd_dist(args) -> list:
     d = args.den
     if d < 2:
         raise CLIError("dist needs --den >= 2")
@@ -307,10 +355,10 @@ def cmd_dist(args) -> list[tuple]:
     counts = list(dist.empirical_counts.values())
     counts.append(args.scan - sum(counts))
     seen = [Fraction(n, args.scan) if args.scan else _ABSENT for n in counts]
-    return list(zip([*range(args.depth + 1), "tail"], exact, seen))
+    return [[*range(args.depth + 1), "tail"], exact, seen]
 
 
-def cmd_chains(args) -> list[tuple]:
+def cmd_chains(args) -> list:
     laws = chainlib.verify_digit_laws(args.num, args.den, args.m)
     chain = laws.chain
     ap = chainlib.ap_count_for_chain(chain)
@@ -318,18 +366,19 @@ def cmd_chains(args) -> list[tuple]:
     breaks = ";".join(f"{j}:{r}" for j, r in chain.break_points) or "none"
     verdict = "ok" if laws.ok else f"violated at step {laws.checked_steps}"
     counts = (ap.predicted, ap.modulus, ap.enumerated)
-    return [(args.num, denominators, breaks, chain.complete, *counts, verdict)]
+    return [[cell] for cell in (args.num, denominators, breaks, chain.complete, *counts, verdict)]
 
 
-def cmd_alpha(args) -> list[tuple]:
+def cmd_alpha(args) -> list:
     if args.den < 2:
         raise CLIError("alpha needs --den >= 2")
     a = chainlib.alpha_d(args.den)
     divisor_form = chainlib.alpha_d_divisor_form(args.den)
-    return [(args.den, a.value, a.prime, a.multiplicity, divisor_form, chainlib.beta_d(args.den))]
+    row = (args.den, a.value, a.prime, a.multiplicity, divisor_form, chainlib.beta_d(args.den))
+    return [[cell] for cell in row]
 
 
-def cmd_padic_tree(args) -> list[tuple]:
+def cmd_padic_tree(args) -> list:
     tree = padic.omega_prefix_tree(args.p, args.k, args.levels)
     rows = [
         (l, len(level), min(counts), max(counts), _ABSENT, _ABSENT)
@@ -337,10 +386,10 @@ def cmd_padic_tree(args) -> list[tuple]:
     ]
     estimate = padic.box_dimension_estimate(tree) if args.levels >= 3 else _ABSENT
     rows.append(("dim", None, None, None, padic.hausdorff_dimension(args.p, args.k), estimate))
-    return rows
+    return list(zip(*rows))
 
 
-def cmd_exceptional(args) -> list[tuple]:
+def cmd_exceptional(args) -> list:
     r = parse_rational(args.r)
     l, d = r.numerator, r.denominator
     if d < 2:
@@ -353,33 +402,39 @@ def cmd_exceptional(args) -> list[tuple]:
     if d == 2:
         depth = args.depth or 64
         candidates = multmaps.exceptional_denominator2(m, depth_K=depth)
-        return [(i, c.value, depth, c.certified) for i, c in enumerate(candidates, 1)]
-    census = multmaps.exceptional_census(m, args.bound, args.depth)
-    return [(i, n, _ABSENT, _ABSENT) for i, n in enumerate(census.survivors, start=1)]
+        rows = [(i, c.value, depth, c.certified) for i, c in enumerate(candidates, 1)]
+        return list(zip(*rows)) or [()] * 4
+    survivors = multmaps.exceptional_census(m, args.bound, args.depth).survivors
+    n = len(survivors)
+    return [range(1, n + 1), survivors, [_ABSENT] * n, [_ABSENT] * n]
 
 
-def cmd_sigma(args) -> list[tuple]:
+def cmd_sigma(args) -> list:
     sigma = multmaps.sigma_literal if args.literal else multmaps.sigma_prime
-    return list(enumerate(sorted(sigma(args.den, args.k)), start=1))
+    members = sorted(sigma(args.den, args.k))
+    return [range(1, len(members) + 1), members]
 
 
-def cmd_mahler(args) -> list[tuple]:
+def cmd_mahler(args) -> list:
     js = [multmaps.mahler_witness(n, args.max_steps) for n in range(1, args.scan + 1)]
-    return [(n, j, j is None) for n, j in enumerate(js, start=1)]
+    return [range(1, args.scan + 1), js, list(map(is_, js, repeat(None)))]
 
 
-def cmd_floorcheck(args) -> list[tuple]:
-    ok = (multmaps.floor_shift_check(args.den, m, args.max_steps) for m in range(1, args.scan + 1))
+def cmd_floorcheck(args) -> list:
+    ms = range(1, args.scan + 1)
     verdicts = {True: "yes", False: "no", None: "unresolved"}
-    return [(args.den, m, verdicts[good]) for m, good in enumerate(ok, start=1)]
+    ok = [verdicts[multmaps.floor_shift_check(args.den, m, args.max_steps)] for m in ms]
+    return [[args.den] * len(ms), ms, ok]
 
 
-def cmd_records(args) -> list[tuple]:
+def cmd_records(args) -> list:
     if args.kind == "theta_d3":
-        return chainlib.squaring_records(3, 1, args.bound, args.window or 25)
-    if args.kind == "theta_mult":
-        return multmaps.mult_records(parse_rational(args.r), 0, args.bound, args.max_steps)
-    return successor_records(1, args.bound, args.window or 64)
+        pairs = chainlib.squaring_records(3, 1, args.bound, args.window or 25)
+    elif args.kind == "theta_mult":
+        pairs = multmaps.mult_records(parse_rational(args.r), 0, args.bound, args.max_steps)
+    else:
+        pairs = successor_records(1, args.bound, args.window or 64)
+    return list(zip(*pairs)) or [(), ()]
 
 
 _INPUT = Column("input", "{}", table=False)
@@ -438,16 +493,16 @@ def run_command(args: argparse.Namespace) -> str:
     handler, columns, bfile = COMMANDS[args.command]
     if args.format == "bfile" and bfile is None:
         raise CLIError(f"{args.command} output has no b-file representation")
-    rows = handler(args)
+    cells = handler(args)
     if args.format == "bfile":
         index, value, what = bfile
         names = [c.name for c in columns]
-        pairs = list(map(itemgetter(names.index(index), names.index(value)), rows))
-        if any(v is None for _, v in pairs):
+        values = cells[names.index(value)]
+        if None in values:
             raise CLIError(f"cannot export unresolved {what} rows as a b-file")
-        return export_bfile(pairs)
+        return export_bfile(cells[names.index(index)], values)
     render = {"table": render_table, "json": render_json, "csv": render_csv}[args.format]
-    return render(rows, columns, args)
+    return render(cells, columns, args)
 
 
 # ---------------------------------------------------------------------------

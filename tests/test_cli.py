@@ -5,13 +5,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
+import string
 import subprocess
 import sys
 from fractions import Fraction
-from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -22,8 +23,8 @@ from test_acceptance import MULT_RECORDS
 from test_chains import D3_RECORDS_TO_10_7
 
 from ceildyn import chains, cli, multmaps, squaring, window
-from ceildyn.cli import _ABSENT, _SPECIAL, _VALUE, _cell_template
-from ceildyn.cli import CLIError, COMMANDS, export_bfile, main
+from ceildyn.cli import _ABSENT, _SPECIAL, _VALUE
+from ceildyn.cli import CLIError, COMMANDS, Column, export_bfile, main
 from ceildyn.rational import InternalCheckError
 from ceildyn.squaring import StoppingReport, trajectory
 
@@ -72,17 +73,32 @@ def test_csv_header_names_every_column_some_row_carries(capsys):
 
 
 # The renderers as they were before table, JSON and CSV shared one line
-# template (CSV went through csv.writer), kept as the reference.
+# template (CSV went through csv.writer), kept as the reference.  They take
+# rows; the CLI renderers take one sequence of cells per column.
+def _cell_template(text: str, index: int, args) -> str:
+    """text as a str.format template over a row whose cell is row[index],
+    with text's named fields set from the command's arguments."""
+    parts = []
+    for literal, field, spec, _ in string.Formatter().parse(text):
+        parts.append(literal.replace("{", "{{").replace("}", "}}"))
+        if field == "":
+            parts.append(f"{{{index}:{spec}}}")
+        elif field is not None:
+            parts.append(format(getattr(args, field), spec).replace("{", "{{").replace("}", "}}"))
+    return "".join(parts)
+
+
 def _by_shape(rows, columns, build) -> list:
-    optional = [i for i, c in enumerate(columns) if c.optional]
-    key_of = itemgetter(*optional) if optional else len
+    # each row's shape comes from that row, so 1 and True never share one
     made: dict = {}
     out = []
     for row in rows:
-        f = made.get(key := key_of(row))
-        if f is None:
-            special = [c.optional and any(v is s for s in _SPECIAL) for c, v in zip(columns, row)]
-            f = made[key] = build([v if x else _VALUE for x, v in zip(special, row)])
+        shape = tuple(
+            v if c.optional and any(v is s for s in _SPECIAL) else _VALUE
+            for c, v in zip(columns, row)
+        )
+        if (f := made.get(shape)) is None:
+            f = made[shape] = build(list(shape))
         out.append(f(*row))
     return out
 
@@ -154,6 +170,11 @@ def reference_csv(rows, columns, args) -> str:
     return buf.getvalue()
 
 
+def transposed(rows, columns) -> list[list]:
+    """rows as the CLI renderers take them: one list of cells per column."""
+    return [[row[i] for row in rows] for i in range(len(columns))]
+
+
 RENDERERS = {
     "table": (cli.render_table, reference_table),
     "json": (cli.render_json, reference_json),
@@ -164,30 +185,67 @@ RENDERERS = {
 TEXT = st.text(alphabet=',"\n\\{}:a7 \u00e9\u20ac\U0001f600', max_size=6)
 
 
+# Small ints meet the bools of an optional column: 0 == False, 1 == True.
+INTS = st.one_of(st.integers(-1, 2), st.integers())
+# Text around the cell that CSV or JSON quoting changes, so an int or
+# Fraction cell there is quoted cell by cell, where the COMMANDS texts fold
+# into the line template; and an optional column of ints and bools.
+QUOTED = (
+    Column("comma", "{},{den}"), Column("quote", '"{}"', optional=True),
+    Column("backslash", "\\{}"), Column("accent", "{}\u00e9", optional=True),
+    Column("flag", optional=True),
+)
+
+
 def column_cells(data, column):
     """A strategy for one column's cells: ints without text, numbers under a
     format spec, else ints, Fractions, floats or text; one type per column,
     and the four specials besides in an optional column."""
     if column.text is None:
-        kinds = [st.integers()]
+        kinds = [INTS]
     elif ":" in column.text:
-        kinds = [st.integers(), st.floats()]
+        kinds = [INTS, st.floats()]
     else:
-        kinds = [st.integers(), st.fractions(), st.floats(), TEXT]
+        kinds = [INTS, st.fractions(), st.floats(), TEXT]
     cells = data.draw(st.sampled_from(kinds))
     return st.one_of(cells, st.sampled_from(_SPECIAL)) if column.optional else cells
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", [*sorted(COMMANDS), "quoted"])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_renderers_match_the_reference(command, data):
-    columns = COMMANDS[command][1]
+    columns = COMMANDS[command][1] if command in COMMANDS else QUOTED
     row = st.tuples(*(column_cells(data, c) for c in columns))
     rows = data.draw(st.lists(row, max_size=30))
     args = argparse.Namespace(den=data.draw(st.integers(min_value=1, max_value=99)))
     for render, reference in RENDERERS.values():
-        assert render(rows, columns, args) == reference(rows, columns, args)
+        assert render(transposed(rows, columns), columns, args) == reference(rows, columns, args)
+
+
+def test_renderers_match_the_reference_on_a_census():
+    columns = COMMANDS["census"][1]
+    thetas = chains.census_thetas(3, 1, 5000, 10)  # l = 1, 2 and 63 starts past window 10
+    assert thetas.count(None) == 65
+    rows = [(l, l, theta, theta is None) for l, theta in enumerate(thetas, start=1)]
+    args = argparse.Namespace(den=3)
+    for render, reference in RENDERERS.values():
+        assert render(transposed(rows, columns), columns, args) == reference(rows, columns, args)
+
+
+# A shape key of raw cells would give 1 and True one template, so the first
+# row's shape would decide the second's: "j=True", or JSON "j": False.
+@pytest.mark.parametrize("fmt, rows, want", [
+    ("table", [(1, 1, False), (2, True, False)], "n=1 j=1\nn=2 j=true\n"),
+    ("table", [(2, True, False), (1, 1, False)], "n=2 j=true\nn=1 j=1\n"),
+    ("json", [(1, 0, False), (2, False, False)],
+     '{"n": 1, "j": 0, "unresolved": false}\n{"n": 2, "j": false, "unresolved": false}\n'),
+])
+def test_a_bool_cell_never_shares_a_template_with_an_equal_int(fmt, rows, want):
+    columns = COMMANDS["mahler"][1]
+    render, reference = RENDERERS[fmt]
+    assert render(transposed(rows, columns), columns, None) == want
+    assert reference(rows, columns, None) == want
 
 
 def test_csv_quotes_a_row_of_one_empty_field():
@@ -195,7 +253,8 @@ def test_csv_quotes_a_row_of_one_empty_field():
     columns = COMMANDS["theta"][1]
     rows = [("", *[_ABSENT] * 4), ("a,b", *[_ABSENT] * 4)]
     want = 'input\n""\n"a,b"\n'
-    assert cli.render_csv(rows, columns, None) == reference_csv(rows, columns, None) == want
+    cells = transposed(rows, columns)
+    assert cli.render_csv(cells, columns, None) == reference_csv(rows, columns, None) == want
 
 
 def test_theta_exact_output_is_stable(capsys):
@@ -338,10 +397,10 @@ def test_census_bfile(capsys):
 
 
 def test_export_bfile_rules():
-    assert export_bfile([]) == ""
-    assert export_bfile([(1, 5), (3, -2)]) == "1 5\n3 -2\n"
+    assert export_bfile([], []) == ""
+    assert export_bfile([1, 3], [5, -2]) == "1 5\n3 -2\n"
     top = 10**1000 - 1  # the largest magnitude with 1000 digits
-    assert export_bfile([(1, top), (2, -top)]) == f"1 {top}\n2 {-top}\n"
+    assert export_bfile(range(1, 3), [top, -top]) == f"1 {top}\n2 {-top}\n"
     faults = {  # each fault in the first pair it can reach, then in later pairs
         "strictly increasing": [[(1, 1), (1, 2)], [(1, 1), (3, 2), (2, 3)],
                                 [(1, 1), (2, 2), (3, 3), (3, 4)]],
@@ -352,7 +411,7 @@ def test_export_bfile_rules():
     for message, cases in faults.items():
         for pairs in cases:
             with pytest.raises(CLIError, match=message):
-                export_bfile(pairs)
+                export_bfile(*map(list, zip(*pairs)))
 
 
 def test_json_rows_are_valid_json_lines(capsys):
@@ -478,24 +537,40 @@ def test_d3_records_regrow_starts_the_default_window_leaves_unresolved(capsys):
     assert out.splitlines()[-1] == "arg=7148 record=30"
 
 
-def test_d3_records_to_10_7_stay_small_in_a_fresh_process():
-    # the scan keeps the least start per theta, not a theta per start (148 MB).
-    # VmHWM is the peak RSS of this process's own memory; ru_maxrss would also
-    # count the pages of the test process it was forked from.
+def run_cli_in_a_fresh_process(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a new interpreter; its stderr is its peak RSS in kB.
+    VmHWM is the peak RSS of this process's own memory; ru_maxrss would also
+    count the pages of the test process it was forked from."""
     probe = (
         "import sys; from ceildyn.cli import main; code = main(sys.argv[1:]); "
         "print(*(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')), "
         "file=sys.stderr); sys.exit(code)"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe, "records", "--kind", "theta_d3", "--bound", "10000000"],
+    return subprocess.run(
+        [sys.executable, "-c", probe, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
+
+
+def test_d3_records_to_10_7_stay_small_in_a_fresh_process():
+    # the scan keeps the least start per theta, not a theta per start (148 MB).
+    result = run_cli_in_a_fresh_process("records", "--kind", "theta_d3", "--bound", "10000000")
     assert result.returncode == 0
     assert result.stdout == "".join(f"arg={l} record={t}\n" for l, t in D3_RECORDS_TO_10_7)
     assert int(result.stderr) < 60 * 1024  # kB
+
+
+def test_census_of_10_6_starts_stays_small_in_a_fresh_process():
+    # the rows are columns and one %-template per row shape (120-130 MB on
+    # CPython 3.11); as row tuples and one rendered line per row they took 280 MB
+    result = run_cli_in_a_fresh_process("census", "--den", "3", "--scan", "1000000")
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
+    assert (len(lines), lines[0], lines[-1]) == (10**6, "l=1 unresolved=true", "l=1000000 theta=3")
+    assert hashlib.md5(result.stdout.encode()).hexdigest() == "6ee312fd5db3045a0ff7e88417dba958"
+    assert int(result.stderr) < 180 * 1024  # kB
 
 
 def test_d3_records_exit_3_on_a_wrong_entry_at_the_last_split(monkeypatch, capsys):
