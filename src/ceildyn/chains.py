@@ -11,7 +11,7 @@ starts by stopping time.
 
 Chains come from _numerators, which steps the orbit numerator over the
 fixed denominator d modulo a power of d that shrinks by d each step;
-chain_of, and so bad_at_size, reads it.
+chain_of reads it.
 verify_digit_laws walks the iterates as Fractions mod shrinking integers,
 and raises InternalCheckError unless that walk's chain is chain_of's.
 
@@ -125,18 +125,6 @@ def mixed_radix_expand(q, chain: Chain, k: int) -> tuple[int, ...]:
         if n == 0:
             break
     return tuple(digits)
-
-
-def mixed_radix_value(digits, chain: Chain, k: int) -> Fraction:
-    """Exact value of a digit tuple produced by mixed_radix_expand."""
-    last = len(chain.denominators) - 1
-    dk = chain.denominators[k]
-    total = Fraction(digits[0], dk)
-    place = 1
-    for j, a in enumerate(digits[1:]):
-        total += a * place
-        place *= chain.denominators[min(k + j, last)]
-    return total
 
 
 @dataclass(frozen=True)
@@ -358,34 +346,6 @@ def chain_stop_mass(d: int, j: int) -> Fraction:
     return total
 
 
-def prime_stop_mass(p: int, j: int) -> Fraction:
-    """Closed form (1/p)(1 - 1/p)^j valid for prime denominators."""
-    return Fraction(1, p) * Fraction(p - 1, p) ** j
-
-
-def theta_residues(d: int, j: int) -> frozenset[int]:
-    """Residues mod d^(j+1) of the starts l/d that stop in exactly j steps.
-
-    Stopping time through step j depends only on l mod d^(j+1), all that
-    _window_theta(l, d, j) reads, so this lists the event by residue; it is
-    the independent oracle for chain_stop_mass.  Theta 0 is the residue 0;
-    a residue of theta j >= 1 is named by its representative in d+1..d^(j+1).
-    """
-    modulus = d ** (j + 1)
-    if j == 0:  # theta 0 means d | l; _window_theta counts from step 1
-        return frozenset({0})
-    hit = set()
-    for l in range(d + 1, modulus + 1):
-        # a start in (0, 1) is fixed and never stops, and d | l stops at 0
-        if l % d and _window_theta(l, d, j) == j:
-            hit.add(l)
-    return frozenset(hit)
-
-
-def enumerate_stop_mass(d: int, j: int) -> Fraction:
-    return Fraction(len(theta_residues(d, j)), d ** (j + 1))
-
-
 @dataclass(frozen=True)
 class StopDistribution:
     probabilities: dict[int, Fraction]
@@ -499,20 +459,3 @@ def squaring_records(d: int, lo: int, hi: int, window: int = 25) -> list[tuple[i
             raise InternalCheckError(f"record {l}/{d} does not stop after {theta} steps")
     return records
 
-
-def bad_at_size(l: int, d: int, x: int) -> bool:
-    """Is the orbit of l/d still fractional when the chain-modulus products
-    first pass x?  True iff some m has prod(d_0..d_{m-1}) <= x <
-    prod(d_0..d_m) with d_m > 1."""
-    if d < 1 or x < 1:
-        raise ValueError("need d >= 1 and x >= 1")
-    # While the orbit stays fractional the product at least doubles per
-    # entry, so it passes x within the first x.bit_length() entries.
-    prod = 1
-    for dm in chain_of(l, d, x.bit_length() - 1).denominators:
-        if dm == 1:
-            return False
-        prod *= dm
-        if prod > x:
-            break
-    return True

@@ -457,20 +457,6 @@ def _cycle_before_divisible(m: PeriodicallyLinearMap, n: int, max_steps: int) ->
     return None
 
 
-def lower_bound_check(d: int, x: int) -> bool:
-    """Does the certified exceptional count of n -> ceil(n/d) at |n| <= x
-    meet the (1/d) * x**beta_d lower bound?"""
-    if d < 3:
-        raise ValueError("lower bound check needs d >= 3")
-    if x < d:
-        raise ValueError("x must be at least d")
-    g = conjugate_g(Fraction(1, d))
-    census = exceptional_census(g, x, min_depth_for_census(d, x) + 3)
-    count = sum(1 for n in census.survivors if certified_exceptional(g, n))
-    beta = math.log(d - 1) / math.log(d)
-    return count >= x**beta / d
-
-
 _THREE_HALVES = ceiling_map(Fraction(3, 2))
 
 

@@ -1,21 +1,20 @@
-"""Approximate squaring on truncated p-adic numbers.
+"""Approximate squaring on p-adic numbers: the exceptional-set prefix trees.
 
-An element of p^{-k}Z_p is represented through its unit part u = p^k*alpha
-known modulo p^W (a window of W base-p digits), held as the integer residue
-u mod p^W.  One map step multiplies by the integral part plus one, which is
-only determined modulo p^{W-k}, so each step consumes k digits of precision.
-The exceptional set of elements whose orbit never gains p-divisibility is
-explored level by level through prefix trees: level l holds the surviving
-residues modulo p^{lk}, and every surviving node extends in exactly phi(p^k)
-ways.  The tree is built in one pass that checks this branching law on every
-node, and digit strings are made only for the JSON export.
+An element alpha of p^{-k}Z_p is represented through its unit part
+u = p^k*alpha.  One map step multiplies by the integral part plus one, so
+u known modulo p^W determines the next unit part only modulo p^{W-k}: each
+step consumes k digits of precision.  The exceptional set of elements whose
+orbit never gains p-divisibility is explored level by level through prefix
+trees: the nodes at level l are the residues u mod p^{lk} that survive, and
+every surviving node extends in exactly phi(p^k) ways.  The tree is built in
+one pass that checks this branching law on every node, and digit strings are
+made only for the JSON export.
 
-fp_step is the validated single step on a PadicWindow.  The tree is the
-one descent of chains' chain-prefix sieve, chains._chain_classes, at
-d = p^k along the constant chain (d, d, ..., d): on a p-unit u the step
-u*(u//p^k + 1) is u*ceil(u/d), and a prefix survives while every chain
-entry stays d, that is while no iterate is divisible by p.  chains._split
-checks the branching law, which is digit law 1 for the entry d.
+The tree is the one descent of chains' chain-prefix sieve,
+chains._chain_classes, at d = p^k along the constant chain (d, d, ..., d):
+on a p-unit u the step u*(u//p^k + 1) is u*ceil(u/d), and a prefix survives
+while every chain entry stays d, that is while no iterate is divisible by p.
+chains._split checks the branching law, which is digit law 1 for the entry d.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ceildyn.chains import _chain_classes
 from ceildyn.rational import InternalCheckError, euler_phi, is_prime
@@ -38,52 +36,6 @@ def _to_digits(u: int, p: int, width: int) -> tuple[int, ...]:
         u, r = divmod(u, p)
         digits.append(r)
     return tuple(digits)
-
-
-@dataclass(frozen=True)
-class PadicWindow:
-    """p^k*alpha modulo p^valid_digits, as the residue in [0, p^valid_digits)."""
-
-    p: int
-    k: int
-    residue: int
-    valid_digits: int
-
-    def __post_init__(self) -> None:
-        if self.p < 2 or self.k < 0 or self.valid_digits < 0:
-            raise ValueError("need p >= 2, k >= 0, valid_digits >= 0")
-        if not 0 <= self.residue < self.p**self.valid_digits:
-            raise ValueError("residue must lie in [0, p**valid_digits)")
-
-    @property
-    def escaped(self) -> bool:
-        """Whether the unit part is divisible by p (the element left the
-        sphere of pole order k); needs at least one valid digit."""
-        if self.valid_digits < 1:
-            raise ValueError("no digits left to decide divisibility")
-        return self.residue % self.p == 0
-
-
-def padic_window_from_rational(q, p: int, k: int, width: int) -> PadicWindow:
-    """Embed q in p^{-k}Z_p: q must have a p-power denominator dividing p^k."""
-    q = Fraction(q)
-    scaled = q * p**k
-    if scaled.denominator != 1:
-        raise ValueError(f"{q} does not lie in {p}^-{k} Z_{p}")
-    return PadicWindow(p, k, scaled.numerator % p**width, width)
-
-
-def fp_step(w: PadicWindow) -> PadicWindow:
-    """One approximate squaring step alpha -> alpha*(F_p(alpha) + 1).
-
-    The integral part F_p is determined only modulo p^{W-k}, so the result
-    carries k fewer valid digits.
-    """
-    if w.valid_digits <= w.k:
-        raise ValueError("window too small: need valid_digits > k")
-    u = w.residue
-    new_width = w.valid_digits - w.k
-    return PadicWindow(w.p, w.k, u * (u // w.p**w.k + 1) % w.p**new_width, new_width)
 
 
 @dataclass(frozen=True)
@@ -133,15 +85,6 @@ def hausdorff_dimension(p: int, k: int) -> float:
     if not is_prime(p) or k < 1:
         raise ValueError("need prime p and k >= 1")
     return 1 - math.log(1 + 1 / (p - 1)) / (k * math.log(p))
-
-
-def hausdorff_measure_bounds(p: int, k: int) -> tuple[float, float]:
-    """Closed-form bounds ((1-1/p)^(1-1/k)*phi(p^k), phi(p^k))."""
-    if not is_prime(p) or k < 1:
-        raise ValueError("need prime p and k >= 1")
-    phi = float(p**k - p ** (k - 1))
-    lower = (1 - 1 / p) ** (1 - 1 / k) * phi
-    return (lower, phi)
 
 
 def box_dimension_estimate(tree: PrefixTree) -> float:

@@ -10,14 +10,14 @@ test itself.
 
 from __future__ import annotations
 
-import math
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
+
+from test_chains import enumerate_stop_mass
 
 from ceildyn.chains import (
     census_thetas,
     chain_stop_mass,
-    enumerate_stop_mass,
     squaring_records,
     verify_digit_laws,
 )
@@ -29,7 +29,6 @@ from ceildyn.multmaps import (
     exceptional_denominator2,
     exceptional_sieve,
     floor_shift_check,
-    lower_bound_check,
     sigma_literal,
     sigma_prime,
     stopping_time_mult,
@@ -265,6 +264,8 @@ def test_criterion_11_prime_masses_and_enumeration():
 
 
 def test_criterion_12_restricted_digit_sets():
+    from test_multmaps import lower_bound_check  # test_multmaps imports this module
+
     ok = True
     for d in (3, 4, 5):
         g = conjugate_g(Fraction(1, d))

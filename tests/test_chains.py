@@ -18,25 +18,20 @@ from ceildyn.chains import (
     alpha_d,
     alpha_d_divisor_form,
     ap_count_for_chain,
-    bad_at_size,
     beta_d,
     census_thetas,
     chain_of,
     chain_stop_mass,
-    enumerate_stop_mass,
     mixed_radix_expand,
-    mixed_radix_value,
-    prime_stop_mass,
     squaring_records,
     stop_counts,
     stop_distribution,
-    theta_residues,
     verify_digit_laws,
 )
 from ceildyn.padic import omega_prefix_tree
 from ceildyn.rational import InternalCheckError, euler_phi
-from ceildyn.squaring import StoppingReport
-from ceildyn.window import _regrown_theta
+from ceildyn.squaring import StoppingReport, stopping_time_exact
+from ceildyn.window import _regrown_theta, _window_theta
 
 small_d = st.integers(min_value=2, max_value=6)
 small_l = st.integers(min_value=0, max_value=400)
@@ -88,6 +83,18 @@ def test_mixed_radix_errors():
         mixed_radix_expand(Fraction(-5, 2), chain, 0)
     with pytest.raises(ValueError):
         mixed_radix_expand(Fraction(5, 2), chain, 9)
+
+
+def mixed_radix_value(digits, chain: Chain, k: int) -> Fraction:
+    """Exact value of a digit tuple produced by mixed_radix_expand."""
+    last = len(chain.denominators) - 1
+    dk = chain.denominators[k]
+    total = Fraction(digits[0], dk)
+    place = 1
+    for j, a in enumerate(digits[1:]):
+        total += a * place
+        place *= chain.denominators[min(k + j, last)]
+    return total
 
 
 @given(small_l, small_d, st.integers(min_value=0, max_value=5), st.data())
@@ -272,9 +279,9 @@ def test_beta_exponent():
 
 
 def test_stop_masses_for_prime_denominator():
-    for j in range(7):
-        assert chain_stop_mass(3, j) == Fraction(1, 3) * Fraction(2, 3) ** j
-        assert chain_stop_mass(3, j) == prime_stop_mass(3, j)
+    for p in (2, 3, 5, 7):
+        for j in range(7):
+            assert chain_stop_mass(p, j) == Fraction(1, p) * Fraction(p - 1, p) ** j
 
 
 def test_stop_masses_for_composite_denominator():
@@ -309,6 +316,30 @@ def test_stop_mass_recurrence_matches_the_chain_sum():
             assert chain_stop_mass(d, j) == chain_sum_stop_mass(d, j), (d, j)
 
 
+def theta_residues(d: int, j: int) -> frozenset[int]:
+    """Residues mod d^(j+1) of the starts l/d that stop in exactly j steps.
+
+    Stopping time through step j depends only on l mod d^(j+1), so this lists
+    the event by residue, walking each start l/d, 1 <= l <= d^(j+1), as a
+    Fraction through x -> x*ceil(x); it shares no code with ceildyn and is the
+    independent oracle for chain_stop_mass.  Theta 0 is the residue 0; a
+    residue of theta j >= 1 is named by its representative in d+1..d^(j+1).
+    """
+    modulus = d ** (j + 1)
+    hit = set()
+    for l in range(1, modulus + 1):
+        x, k = Fraction(l, d), 0
+        while x.denominator != 1 and x > 1 and k < j:  # x in (0, 1) is fixed
+            x, k = x * math.ceil(x), k + 1
+        if x.denominator == 1 and k == j:
+            hit.add(l % modulus)
+    return frozenset(hit)
+
+
+def enumerate_stop_mass(d: int, j: int) -> Fraction:
+    return Fraction(len(theta_residues(d, j)), d ** (j + 1))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_stop_masses_match_residue_enumeration(d):
     for j in range(4):
@@ -325,24 +356,16 @@ def test_theta_residues_depend_only_on_the_class():
     residues = theta_residues(3, 2)
     modulus = 27
     for b in sorted(residues)[:6]:
-        from ceildyn.squaring import stopping_time_exact
-
         assert stopping_time_exact(Fraction(b + 2 * modulus, 3), max_steps=3).theta == 2
 
 
 @pytest.mark.parametrize("d,j", [(3, 4), (4, 3), (6, 3), (12, 2)])
 def test_theta_residues_match_a_fraction_walk(d, j):
-    """theta_residues reads _window_theta; this reference walks each start
-    l/d, 1 <= l <= d^(j+1), as a Fraction through x -> x*ceil(x)."""
-    modulus = d ** (j + 1)
-    hit = set()
-    for l in range(1, modulus + 1):
-        x, k = Fraction(l, d), 0
-        while x.denominator != 1 and x > 1 and k < j:  # x in (0, 1) is fixed
-            x, k = x * math.ceil(x), k + 1
-        if x.denominator == 1 and k == j:
-            hit.add(l % modulus)
-    assert theta_residues(d, j) == hit
+    """_window_theta(l, d, j) reads only l mod d^(j+1); the starts of one
+    period it stops at step j are the Fraction walk's residues."""
+    # a start in (0, 1) is fixed and never stops, and d | l stops at 0
+    hit = {l for l in range(d + 1, d ** (j + 1) + 1) if l % d and _window_theta(l, d, j) == j}
+    assert hit == theta_residues(d, j)
 
 
 def test_stop_distribution_combines_exact_and_empirical():
@@ -557,6 +580,24 @@ def test_split_matches_the_walk_of_every_child(d, path):
 def test_stop_counts_past_2_to_the_63():
     # [1, 3^40] holds exactly 3^40/step starts of every class the sieve yields
     assert stop_counts(3, 1, 3**40, 5) == {j: chain_stop_mass(3, j) * 3**40 for j in range(6)}
+
+
+def bad_at_size(l: int, d: int, x: int) -> bool:
+    """Is the orbit of l/d still fractional when the chain-modulus products
+    first pass x?  True iff some m has prod(d_0..d_{m-1}) <= x <
+    prod(d_0..d_m) with d_m > 1."""
+    if d < 1 or x < 1:
+        raise ValueError("need d >= 1 and x >= 1")
+    # While the orbit stays fractional the product at least doubles per
+    # entry, so it passes x within the first x.bit_length() entries.
+    prod = 1
+    for dm in chain_of(l, d, x.bit_length() - 1).denominators:
+        if dm == 1:
+            return False
+        prod *= dm
+        if prod > x:
+            break
+    return True
 
 
 def test_bad_at_size_examples():

@@ -23,7 +23,6 @@ from ceildyn.multmaps import (
     exceptional_denominator2,
     exceptional_sieve,
     floor_shift_check,
-    lower_bound_check,
     mahler_witness,
     min_depth_for_census,
     mult_records,
@@ -437,6 +436,20 @@ def test_literal_set_overshoots_the_corrected_one():
     # it also admits 3, which is genuinely exceptional but missed by the
     # corrected digit construction (that one is a subset, not the whole set)
     assert certified_exceptional(m, 3)
+
+
+def lower_bound_check(d: int, x: int) -> bool:
+    """Does the certified exceptional count of n -> ceil(n/d) at |n| <= x
+    meet the (1/d) * x**beta_d lower bound?"""
+    if d < 3:
+        raise ValueError("lower bound check needs d >= 3")
+    if x < d:
+        raise ValueError("x must be at least d")
+    g = conjugate_g(Fraction(1, d))
+    census = exceptional_census(g, x, min_depth_for_census(d, x) + 3)
+    count = sum(1 for n in census.survivors if certified_exceptional(g, n))
+    beta = math.log(d - 1) / math.log(d)
+    return count >= x**beta / d
 
 
 def test_lower_bound_check_examples():

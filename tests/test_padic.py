@@ -1,10 +1,9 @@
-"""Truncated p-adic squaring and the exceptional-set prefix trees."""
+"""The exceptional-set prefix trees of p-adic approximate squaring."""
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,86 +12,14 @@ from hypothesis import strategies as st
 from ceildyn import chains, padic
 from ceildyn.chains import _numerators, chain_of
 from ceildyn.padic import (
-    PadicWindow,
-    _to_digits,
     box_dimension_estimate,
-    fp_step,
     hausdorff_dimension,
-    hausdorff_measure_bounds,
     omega_prefix_tree,
-    padic_window_from_rational,
     tree_to_json,
 )
 from ceildyn.rational import InternalCheckError
 
 PK_CASES = [(2, 2), (3, 1), (3, 2), (5, 1)]
-
-
-def test_window_digit_round_trip():
-    w = padic_window_from_rational(Fraction(3, 2), 2, 1, 6)
-    assert w.residue == 3
-    assert _to_digits(w.residue, 2, w.valid_digits) == (1, 1, 0, 0, 0, 0)  # least significant first
-    assert not w.escaped
-
-
-def test_window_validation():
-    with pytest.raises(ValueError):
-        PadicWindow(2, 1, 4, 2)  # residue at p**valid_digits
-    with pytest.raises(ValueError):
-        PadicWindow(2, 1, -1, 3)  # negative residue
-    with pytest.raises(ValueError):
-        padic_window_from_rational(Fraction(1, 3), 2, 1, 6)  # not in 2^-1 Z_2
-
-
-def test_step_consumes_k_digits_and_matches_rational_map():
-    w = padic_window_from_rational(Fraction(3, 2), 2, 1, 8)
-    w1 = fp_step(w)
-    assert w1.valid_digits == 7
-    assert w1.residue == 6 % 2**7  # 3/2 maps to 3, whose unit part is 6
-    with pytest.raises(ValueError):
-        fp_step(PadicWindow(2, 1, 1, 1))
-
-
-def test_fixed_points_of_small_pole():
-    for p, k in PK_CASES:
-        for l in range(1, p**k):
-            if l % p == 0:
-                continue
-            w = padic_window_from_rational(Fraction(l, p**k), p, k, 8 * k)
-            stepped = fp_step(w)
-            assert stepped.residue == l
-
-
-def test_escape_detection():
-    w = padic_window_from_rational(Fraction(5, 4), 2, 2, 8)
-    assert not w.escaped
-    assert fp_step(w).escaped  # 5/4 maps to 5/2, gaining 2-divisibility upstairs
-
-
-@given(
-    st.sampled_from(PK_CASES),
-    st.integers(min_value=1, max_value=500),
-    st.integers(min_value=0, max_value=2),
-)
-@settings(max_examples=60)
-def test_embedding_agrees_with_exact_squaring(pk, a, pole_drop):
-    p, k = pk
-    j = max(0, k - pole_drop)
-    q = Fraction(a, p**j)
-    if q.denominator == 1:
-        q += Fraction(1, p**max(j, 1)) if j else 0
-    width = 12
-    w = padic_window_from_rational(q, p, k, width)
-    cur = q
-    for step in range(1, 3):
-        if cur.denominator == 1:
-            break
-        w = fp_step(w)
-        cur = cur * math.ceil(cur)
-        expected = cur * p**k
-        if expected.denominator != 1:
-            break
-        assert w.residue == expected.numerator % p ** (width - step * k)
 
 
 def stepwise_locally_survives(p, k, level, residue):
@@ -238,16 +165,6 @@ def test_dimension_formula():
 def test_dimension_equals_log_branching_ratio(p, k):
     phi = p**k - p ** (k - 1)
     assert hausdorff_dimension(p, k) == pytest.approx(math.log(phi) / math.log(p**k), abs=1e-12)
-
-
-def test_measure_bounds():
-    assert hausdorff_measure_bounds(3, 1) == (2.0, 2.0)
-    lower, upper = hausdorff_measure_bounds(3, 2)
-    assert lower == pytest.approx(6 * (2 / 3) ** 0.5)
-    assert upper == 6.0
-    lower, upper = hausdorff_measure_bounds(2, 2)
-    assert lower == pytest.approx(2**0.5)
-    assert upper == 2.0
 
 
 @pytest.mark.parametrize("p,k", PK_CASES)
