@@ -9,9 +9,10 @@ this process, on the library's residue sieves.
 
 COMMANDS declares each subcommand's columns once; handlers return one
 sequence of cells per column.  Table, JSON and CSV share one renderer,
-_render: one %-template per row shape, joined over the rows and filled by
-a single % with every shown cell, so a large census does no Python work
-per row, and no format builds a cell it does not show.
+_render: one %-template per row shape, joined over the rows of a chunk
+and filled by a single % with every shown cell, so a large census does no
+Python work per row, and no format builds a cell it does not show.  The
+output is written chunk by chunk of _CHUNK rows, so no run holds it whole.
 
 A process builds its parser once (build_parser) and parses every command
 with it, so main may be called repeatedly in one process, each call paying
@@ -33,6 +34,7 @@ import os
 import string
 import sys
 import tempfile
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
@@ -94,22 +96,6 @@ def cache_load(args: argparse.Namespace) -> str | None:
         return None
     output = payload.get("output") if isinstance(payload, dict) else None
     return output if isinstance(output, str) else None  # any other shape is a miss
-
-
-def cache_store(args: argparse.Namespace, output: str) -> None:
-    if args.cache_dir is None:
-        return
-    os.makedirs(args.cache_dir, exist_ok=True)
-    path, identity = _cache_entry(args)
-    fd, tmp = tempfile.mkstemp(dir=args.cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump({**identity, "output": output}, fh, default=str)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +162,8 @@ class _Templates(dict):
 
 def _render(cells, columns, args, piece, sep, ends, quote=None, wrap="") -> str:
     """One line per row, from one %-template per row shape, filled by one %
-    over the whole output: each optional cell in _SPECIAL stands for itself,
+    over the rows given, one chunk of the output: a row's line depends on its
+    own cells alone.  Each optional cell in _SPECIAL stands for itself,
     every other cell is _VALUE.  piece(i, column, kind, value) is column i's
     part of the template, holding the %-placeholder value where it shows the
     cell, or None to leave the column out; the parts are joined by sep
@@ -261,13 +248,23 @@ def render_json(cells, columns, args) -> str:
     return _render(cells, columns, args, piece, ", ", ("{", "}\n"), _json_string, '"')
 
 
-def render_csv(cells, columns, args) -> str:
-    """CSV headed by every column that some row carries, in column order;
-    None and absent cells are empty, bools lower-case."""
-    if not len(cells[0]):
-        return ""
+def _csv_head(cells, columns) -> tuple[list[bool], str]:
+    """Which columns some row carries, and the CSV header naming them."""
     shown = [not (c.optional and all(map(is_, col, repeat(_ABSENT))))
              for c, col in zip(columns, cells)]
+    return shown, ",".join(c.name for c, s in zip(columns, shown) if s) + "\n"
+
+
+def render_csv(cells, columns, args, shown=None) -> str:
+    """CSV headed by every column that some row carries, in column order;
+    None and absent cells are empty, bools lower-case.  A chunk of a longer
+    output gets shown, the columns _csv_head found over every row, and is
+    rendered without the header."""
+    if not len(cells[0]):
+        return ""
+    header = ""
+    if shown is None:
+        shown, header = _csv_head(cells, columns)
     empty = '""' if sum(shown) == 1 else ""  # csv.writer quotes a row's lone empty field
 
     def piece(i, c, kind, value):
@@ -275,23 +272,27 @@ def render_csv(cells, columns, args) -> str:
             return value if kind is _VALUE else {True: "true", False: "false"}.get(kind, empty)
 
     quote = (lambda text: _csv_field(text) or empty) if empty else _csv_field
-    header = ",".join(c.name for c, s in zip(columns, shown) if s) + "\n"
     return header + _render(cells, columns, args, piece, ",", ("", "\n"), quote)
 
 
 _BFILE_VALUE_LIMIT = 10**1000  # b-file values have at most 1000 decimal digits
 
 
-def export_bfile(indices, values) -> str:
-    """OEIS b-file text: one "index value" line per term, no header."""
+def _check_bfile(indices, values) -> None:
+    """Raise CLIError unless the terms can be written as a b-file."""
     if not len(indices):
-        return ""
+        return
     if not all(map(lt, indices, indices[1:])):
         raise CLIError("b-file indices must be strictly increasing")
     if set(map(type, values)) != {int}:
         raise CLIError("b-file values must be integers")
     if max(values) >= _BFILE_VALUE_LIMIT or -min(values) >= _BFILE_VALUE_LIMIT:
         raise CLIError("b-file values are limited to 1000 decimal digits")
+
+
+def export_bfile(indices, values) -> str:
+    """OEIS b-file text: one "index value" line per term, no header."""
+    _check_bfile(indices, values)
     return "%s %s\n" * len(indices) % tuple(chain.from_iterable(zip(indices, values)))
 
 
@@ -342,7 +343,7 @@ def cmd_census(args) -> list:
     if args.lo > args.scan + 1:  # --from = --scan + 1 is the empty census
         raise CLIError("census needs --from <= --scan + 1")
     thetas = chainlib.census_thetas(args.den, args.lo, args.scan, args.window)
-    ls = list(range(args.lo, args.lo + len(thetas)))  # one int per start for input and l
+    ls = range(args.lo, args.lo + len(thetas))
     return [ls, ls, thetas, list(map(is_, thetas, repeat(None)))]
 
 
@@ -487,9 +488,16 @@ COMMANDS = {
 }
 
 
-def run_command(args: argparse.Namespace) -> str:
+# Rows rendered and written at a time: a 10^6-row census renders no faster
+# with larger chunks, and from 32768 rows a chunk raises the peak memory.
+_CHUNK = 8192
+
+
+def run_command(args: argparse.Namespace) -> Iterable[str]:
+    """The command's output, in pieces of _CHUNK rows; before it returns, the
+    handler has run and every check that can refuse the output has passed."""
     if args.command == "padic-tree" and args.format == "json":
-        return padic.tree_to_json(padic.omega_prefix_tree(args.p, args.k, args.levels)) + "\n"
+        return [padic.tree_to_json(padic.omega_prefix_tree(args.p, args.k, args.levels)) + "\n"]
     handler, columns, bfile = COMMANDS[args.command]
     if args.format == "bfile" and bfile is None:
         raise CLIError(f"{args.command} output has no b-file representation")
@@ -497,12 +505,25 @@ def run_command(args: argparse.Namespace) -> str:
     if args.format == "bfile":
         index, value, what = bfile
         names = [c.name for c in columns]
-        values = cells[names.index(value)]
-        if None in values:
+        cells = [cells[names.index(index)], cells[names.index(value)]]
+        if None in cells[1]:
             raise CLIError(f"cannot export unresolved {what} rows as a b-file")
-        return export_bfile(cells[names.index(index)], values)
-    render = {"table": render_table, "json": render_json, "csv": render_csv}[args.format]
-    return render(cells, columns, args)
+        _check_bfile(*cells)
+    return _pieces(args.format, cells, columns, args)
+
+
+def _pieces(fmt: str, cells, columns, args) -> Iterable[str]:
+    """cells rendered in fmt, _CHUNK rows a piece, each piece rendered when
+    it is read.  The CSV header and its columns are decided over every row."""
+    parts = ([col[i:i + _CHUNK] for col in cells] for i in range(0, len(cells[0]), _CHUNK))
+    if fmt == "bfile":
+        return (export_bfile(*part) for part in parts)
+    if fmt == "csv":
+        shown, header = _csv_head(cells, columns)
+        rows = (render_csv(part, columns, args, shown) for part in parts)
+        return chain([header], rows) if len(cells[0]) else rows
+    render = render_table if fmt == "table" else render_json
+    return (render(part, columns, args) for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +636,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_output(args: argparse.Namespace, pieces: Iterable[str]) -> None:
+    """Write each piece to stdout and, with --cache, into the run's cache
+    entry, the JSON document {"engine", "args", "output"}, which replaces
+    the entry only once it is whole."""
+    if args.cache_dir is None:
+        sys.stdout.writelines(pieces)
+        return
+    os.makedirs(args.cache_dir, exist_ok=True)
+    path, identity = _cache_entry(args)
+    fd, tmp = tempfile.mkstemp(dir=args.cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({**identity, "output": ""}, default=str)[:-2])  # up to the output
+            for piece in pieces:
+                sys.stdout.write(piece)
+                fh.write(_json_string(piece)[1:-1])
+            fh.write('"}')
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     try:
         sys.set_int_max_str_digits(_MAX_STR_DIGITS)
@@ -629,15 +674,13 @@ def main(argv=None) -> int:
         if cached is not None:
             sys.stdout.write(cached)
             return 0
-        output = run_command(args)
+        _write_output(args, run_command(args))
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(output)
-    cache_store(args, output)
     return 0
 
 

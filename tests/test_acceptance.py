@@ -26,9 +26,11 @@ from ceildyn.multmaps import (
     ceiling_map,
     certified_exceptional,
     conjugate_g,
+    exceptional_census,
     exceptional_denominator2,
     exceptional_sieve,
     floor_shift_check,
+    min_depth_for_census,
     sigma_literal,
     sigma_prime,
     stopping_time_mult,
@@ -264,7 +266,7 @@ def test_criterion_11_prime_masses_and_enumeration():
 
 
 def test_criterion_12_restricted_digit_sets():
-    from test_multmaps import lower_bound_check  # test_multmaps imports this module
+    from test_multmaps import brute_census, lower_bound_check  # test_multmaps imports this module
 
     ok = True
     for d in (3, 4, 5):
@@ -283,6 +285,10 @@ def test_criterion_12_restricted_digit_sets():
                         break
                 ok = ok and clean and x == 1
             ok = ok and lower_bound_check(d, d**k)
+            if d**k <= 10**4:  # the bound is loose: a census that loses survivors can meet it
+                depth = min_depth_for_census(d, d**k) + 3
+                census = exceptional_census(g, d**k, depth).survivors
+                ok = ok and census == brute_census(g, d**k, depth)
     g3 = conjugate_g(Fraction(1, 3))
     regression = 9 in sigma_literal(3, 3) and not certified_exceptional(g3, 9)
     ok = ok and regression
