@@ -8,11 +8,12 @@ OEIS-style b-file; runs can be cached on disk.  Every scan runs once, in
 this process, on the library's residue sieves.
 
 COMMANDS declares each subcommand's columns once; handlers return one
-sequence of cells per column.  Table, JSON and CSV share one renderer,
-_render: one %-template per row shape, joined over the rows of a chunk
-and filled by a single % with every shown cell, so a large census does no
-Python work per row, and no format builds a cell it does not show.  The
-output is written chunk by chunk of _CHUNK rows, so no run holds it whole.
+sequence of cells per column, which run_command checks once over every
+row.  The renderers then take the output _CHUNK rows at a time, so no run
+holds it whole.  Table, JSON and CSV share _render: one %-template per
+row shape, joined over a chunk's rows and filled by a single % with every
+shown cell, so a large census does no Python work per row, and no format
+builds a cell it does not show.
 
 A process builds its parser once (build_parser) and parses every command
 with it, so main may be called repeatedly in one process, each call paying
@@ -162,7 +163,7 @@ class _Templates(dict):
 
 def _render(cells, columns, args, piece, sep, ends, quote=None, wrap="") -> str:
     """One line per row, from one %-template per row shape, filled by one %
-    over the rows given, one chunk of the output: a row's line depends on its
+    over the rows given, a non-empty chunk: a row's line depends on its
     own cells alone.  Each optional cell in _SPECIAL stands for itself,
     every other cell is _VALUE.  piece(i, column, kind, value) is column i's
     part of the template, holding the %-placeholder value where it shows the
@@ -175,8 +176,6 @@ def _render(cells, columns, args, piece, sep, ends, quote=None, wrap="") -> str:
     spec formats the column, its cells are _FOLDABLE and its prefix and
     suffix are _PLAIN: then quote only wraps it, and the template holds it."""
     n = len(cells[0])
-    if not n:
-        return ""
     types = [set(map(type, col)) if c.optional or c.text and quote else None
              for c, col in zip(columns, cells)]
     optional = [i for i, c in enumerate(columns) if c.optional]
@@ -255,16 +254,10 @@ def _csv_head(cells, columns) -> tuple[list[bool], str]:
     return shown, ",".join(c.name for c, s in zip(columns, shown) if s) + "\n"
 
 
-def render_csv(cells, columns, args, shown=None) -> str:
-    """CSV headed by every column that some row carries, in column order;
-    None and absent cells are empty, bools lower-case.  A chunk of a longer
-    output gets shown, the columns _csv_head found over every row, and is
-    rendered without the header."""
-    if not len(cells[0]):
-        return ""
-    header = ""
-    if shown is None:
-        shown, header = _csv_head(cells, columns)
+def render_csv(cells, columns, args, shown) -> str:
+    """CSV lines of one chunk, without the header: shown marks the columns
+    that _csv_head found some row of the whole output to carry.  None and
+    absent cells are empty, bools lower-case."""
     empty = '""' if sum(shown) == 1 else ""  # csv.writer quotes a row's lone empty field
 
     def piece(i, c, kind, value):
@@ -272,7 +265,7 @@ def render_csv(cells, columns, args, shown=None) -> str:
             return value if kind is _VALUE else {True: "true", False: "false"}.get(kind, empty)
 
     quote = (lambda text: _csv_field(text) or empty) if empty else _csv_field
-    return header + _render(cells, columns, args, piece, ",", ("", "\n"), quote)
+    return _render(cells, columns, args, piece, ",", ("", "\n"), quote)
 
 
 _BFILE_VALUE_LIMIT = 10**1000  # b-file values have at most 1000 decimal digits
@@ -291,8 +284,7 @@ def _check_bfile(indices, values) -> None:
 
 
 def export_bfile(indices, values) -> str:
-    """OEIS b-file text: one "index value" line per term, no header."""
-    _check_bfile(indices, values)
+    """OEIS b-file text of terms run_command checked: "index value" lines."""
     return "%s %s\n" * len(indices) % tuple(chain.from_iterable(zip(indices, values)))
 
 
@@ -495,7 +487,8 @@ _CHUNK = 8192
 
 def run_command(args: argparse.Namespace) -> Iterable[str]:
     """The command's output, in pieces of _CHUNK rows; before it returns, the
-    handler has run and every check that can refuse the output has passed."""
+    handler has run and every check that can refuse the output has passed,
+    once over the whole columns, the b-file checks included."""
     if args.command == "padic-tree" and args.format == "json":
         return [padic.tree_to_json(padic.omega_prefix_tree(args.p, args.k, args.levels)) + "\n"]
     handler, columns, bfile = COMMANDS[args.command]
@@ -514,7 +507,8 @@ def run_command(args: argparse.Namespace) -> Iterable[str]:
 
 def _pieces(fmt: str, cells, columns, args) -> Iterable[str]:
     """cells rendered in fmt, _CHUNK rows a piece, each piece rendered when
-    it is read.  The CSV header and its columns are decided over every row."""
+    it is read; no piece is empty.  The CSV header and its columns are decided
+    over every row.  Each call looks the renderers up by name, so wrappers apply."""
     parts = ([col[i:i + _CHUNK] for col in cells] for i in range(0, len(cells[0]), _CHUNK))
     if fmt == "bfile":
         return (export_bfile(*part) for part in parts)
@@ -643,9 +637,12 @@ def _write_output(args: argparse.Namespace, pieces: Iterable[str]) -> None:
     if args.cache_dir is None:
         sys.stdout.writelines(pieces)
         return
-    os.makedirs(args.cache_dir, exist_ok=True)
     path, identity = _cache_entry(args)
-    fd, tmp = tempfile.mkstemp(dir=args.cache_dir, suffix=".tmp")
+    try:
+        os.makedirs(args.cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=args.cache_dir, suffix=".tmp")
+    except OSError as exc:
+        raise CLIError(f"cannot write to cache directory {args.cache_dir}: {exc.strerror}")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({**identity, "output": ""}, default=str)[:-2])  # up to the output

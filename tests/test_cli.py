@@ -24,7 +24,7 @@ from test_chains import D3_RECORDS_TO_10_7
 
 from ceildyn import chains, cli, multmaps, squaring, window
 from ceildyn.cli import _ABSENT, _SPECIAL, _VALUE
-from ceildyn.cli import CLIError, COMMANDS, Column, export_bfile, main
+from ceildyn.cli import CLIError, COMMANDS, FORMATS, Column, export_bfile, main
 from ceildyn.rational import InternalCheckError
 from ceildyn.squaring import StoppingReport, trajectory
 
@@ -175,11 +175,7 @@ def transposed(rows, columns) -> list[list]:
     return [[row[i] for row in rows] for i in range(len(columns))]
 
 
-RENDERERS = {
-    "table": (cli.render_table, reference_table),
-    "json": (cli.render_json, reference_json),
-    "csv": (cli.render_csv, reference_csv),
-}
+RENDERERS = {"table": reference_table, "json": reference_json, "csv": reference_csv}
 # No command emits a carriage return, and csv.writer quotes a bare one on
 # some Python versions only, so the alphabet leaves it out.
 TEXT = st.text(alphabet=',"\n\\{}:a7 \u00e9\u20ac\U0001f600', max_size=6)
@@ -229,9 +225,9 @@ def test_renderers_match_the_reference(command, data):
     args = argparse.Namespace(den=data.draw(st.integers(min_value=1, max_value=99)))
     size = data.draw(st.integers(min_value=1, max_value=len(rows) + 1))
     cells = transposed(rows, columns)
-    for fmt, (render, reference) in RENDERERS.items():
+    for fmt, reference in RENDERERS.items():
         want = reference(rows, columns, args)
-        assert render(cells, columns, args) == want
+        assert streamed(fmt, cells, columns, args, len(rows) + 1) == want
         assert streamed(fmt, cells, columns, args, size) == want
 
 
@@ -242,9 +238,8 @@ def test_renderers_match_the_reference_on_a_census():
     rows = [(l, l, theta, theta is None) for l, theta in enumerate(thetas, start=1)]
     cells = [range(1, 5001), range(1, 5001), thetas, [theta is None for theta in thetas]]
     args = argparse.Namespace(den=3)
-    for fmt, (render, reference) in RENDERERS.items():
+    for fmt, reference in RENDERERS.items():
         want = reference(rows, columns, args)
-        assert render(cells, columns, args) == want
         for size in (1, 2, 999, 4999, 5000, 5001):
             assert streamed(fmt, cells, columns, args, size) == want
 
@@ -264,9 +259,8 @@ def test_renderers_match_the_reference_on_a_census():
 ])
 def test_chunks_join_to_the_whole_output(fmt, command, rows, want):
     columns = COMMANDS[command][1]
-    render, reference = RENDERERS[fmt]
     cells = transposed(rows, columns)
-    assert render(cells, columns, None) == reference(rows, columns, None) == want
+    assert RENDERERS[fmt](rows, columns, None) == want
     for size in range(1, len(rows) + 1):
         assert streamed(fmt, cells, columns, None, size) == want
 
@@ -282,6 +276,21 @@ def test_bfile_fault_in_a_later_chunk_exits_2_before_any_output(monkeypatch, cap
     assert captured.err == "error: b-file indices must be strictly increasing\n"
 
 
+@pytest.mark.parametrize("values, err", [
+    ([5, 6, True, 8], "b-file values must be integers"),
+    ([5, 6, 10**1000, 8], "b-file values are limited to 1000 decimal digits"),
+], ids=["bool", "1001-digits"])
+def test_bfile_value_fault_in_a_later_chunk_exits_2_before_any_output(
+        values, err, monkeypatch, capsys):
+    _, columns, bfile = COMMANDS["sigma"]
+    # export_bfile does not check its terms: run_command checks them over the whole columns
+    monkeypatch.setitem(COMMANDS, "sigma", (lambda args: [[1, 2, 3, 4], values], columns, bfile))
+    monkeypatch.setattr(cli, "_CHUNK", 2)
+    code = main(["sigma", "--den", "3", "--k", "1", "--format", "bfile"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+
 # A shape key of raw cells would give 1 and True one template, so the first
 # row's shape would decide the second's: "j=True", or JSON "j": False.
 @pytest.mark.parametrize("fmt, rows, want", [
@@ -292,9 +301,8 @@ def test_bfile_fault_in_a_later_chunk_exits_2_before_any_output(monkeypatch, cap
 ])
 def test_a_bool_cell_never_shares_a_template_with_an_equal_int(fmt, rows, want):
     columns = COMMANDS["mahler"][1]
-    render, reference = RENDERERS[fmt]
-    assert render(transposed(rows, columns), columns, None) == want
-    assert reference(rows, columns, None) == want
+    assert streamed(fmt, transposed(rows, columns), columns, None, len(rows)) == want
+    assert RENDERERS[fmt](rows, columns, None) == want
 
 
 def test_csv_quotes_a_row_of_one_empty_field():
@@ -303,7 +311,8 @@ def test_csv_quotes_a_row_of_one_empty_field():
     rows = [("", *[_ABSENT] * 4), ("a,b", *[_ABSENT] * 4)]
     want = 'input\n""\n"a,b"\n'
     cells = transposed(rows, columns)
-    assert cli.render_csv(cells, columns, None) == reference_csv(rows, columns, None) == want
+    assert streamed("csv", cells, columns, None, len(rows)) == want
+    assert reference_csv(rows, columns, None) == want
 
 
 def test_theta_exact_output_is_stable(capsys):
@@ -446,10 +455,11 @@ def test_census_bfile(capsys):
 
 
 def test_export_bfile_rules():
-    assert export_bfile([], []) == ""
-    assert export_bfile([1, 3], [5, -2]) == "1 5\n3 -2\n"
     top = 10**1000 - 1  # the largest magnitude with 1000 digits
-    assert export_bfile(range(1, 3), [top, -top]) == f"1 {top}\n2 {-top}\n"
+    for indices, values, want in [([], [], ""), ([1, 3], [5, -2], "1 5\n3 -2\n"),
+                                  (range(1, 3), [top, -top], f"1 {top}\n2 {-top}\n")]:
+        assert cli._check_bfile(indices, values) is None
+        assert export_bfile(indices, values) == want
     faults = {  # each fault in the first pair it can reach, then in later pairs
         "strictly increasing": [[(1, 1), (1, 2)], [(1, 1), (3, 2), (2, 3)],
                                 [(1, 1), (2, 2), (3, 3), (3, 4)]],
@@ -460,7 +470,7 @@ def test_export_bfile_rules():
     for message, cases in faults.items():
         for pairs in cases:
             with pytest.raises(CLIError, match=message):
-                export_bfile(*map(list, zip(*pairs)))
+                cli._check_bfile(*map(list, zip(*pairs)))
 
 
 def test_json_rows_are_valid_json_lines(capsys):
@@ -821,7 +831,15 @@ def test_cache_entry_of_several_chunks_holds_the_whole_output(tmp_path, capsys):
     assert (code, hit) == (0, whole)
 
 
-def test_a_stream_that_fails_leaves_no_cache_entry(tmp_path, monkeypatch, capsys):
+# Each format reaches its renderer by the module name, which bench/spans.py wraps.
+@pytest.mark.parametrize("fmt, renderer, argv", [
+    ("table", "render_table", ["census", "--den", "3", "--scan", "20000"]),
+    ("json", "render_json", ["census", "--den", "3", "--scan", "20000"]),
+    ("csv", "render_csv", ["census", "--den", "3", "--scan", "20000"]),
+    ("bfile", "export_bfile", ["theta2", "--scan", "20000"]),
+], ids=FORMATS)
+def test_a_stream_that_fails_leaves_no_cache_entry(
+        fmt, renderer, argv, tmp_path, monkeypatch, capsys):
     rendered = []
 
     def failing(*args):
@@ -830,12 +848,24 @@ def test_a_stream_that_fails_leaves_no_cache_entry(tmp_path, monkeypatch, capsys
             raise RuntimeError("the second piece fails")
         return render(*args)
 
-    render = cli.render_table
-    monkeypatch.setattr(cli, "render_table", failing)
+    render = getattr(cli, renderer)
+    monkeypatch.setattr(cli, renderer, failing)
     with pytest.raises(RuntimeError):
-        main(["census", "--den", "3", "--scan", "20000", "--cache", str(tmp_path)])
+        main([*argv, "--format", fmt, "--cache", str(tmp_path)])
     assert len(rendered) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_cache_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    for path in (taken, taken / "sub"):
+        code = main(["alpha", "--den", "6", "--cache", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: cannot write to cache directory {path}: ")
+        assert captured.err.count("\n") == 1
+    assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_cache_corruption_recovers(tmp_path, capsys):
