@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 from fractions import Fraction
 
-from ceildyn.chains import census_thetas, chain_stop_mass
+from ceildyn.chains import census_thetas, chain_stop_masses
 from ceildyn.multmaps import mult_records, stopping_time_mult
 from ceildyn.squaring import theta_denominator2
 from ceildyn.window import successor_records
@@ -52,8 +52,8 @@ def table_mult(bound: int) -> None:
 def table_dist(depth: int) -> None:
     print(f"# exact stopping-time masses for d=3, j = 0..{depth}")
     print("j mass")
-    for j in range(depth + 1):
-        print(j, chain_stop_mass(3, j))
+    for j, mass in enumerate(chain_stop_masses(3, depth)):
+        print(j, mass)
 
 
 def main() -> None:

@@ -30,8 +30,9 @@ squaring_records ranks only the least start per theta, and certifies each
 record with _window_theta, since law 1 never sees the last split's children.
 _chain_classes descends along one fixed chain: ap_count_for_chain follows
 a chain, padic.omega_prefix_tree the constant chain (p^k, ..., p^k).
-chain_stop_mass sums the progression densities over all complete chains
-through a recurrence on the divisors of d instead of listing them.
+chain_stop_masses sums the progression densities over all complete chains
+in one pass of a recurrence on the divisors of d instead of listing them,
+and checks both the denominator of each mass and their sum.
 """
 
 from __future__ import annotations
@@ -325,45 +326,31 @@ def beta_d(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def chain_stop_mass(d: int, j: int) -> Fraction:
-    """Exact limiting mass of stopping time j: the sum over the complete
-    chains (d_0, ..., d_j = 1) over d of their progression count over
-    their modulus, which is (1/d) * prod_{i<j} phi(d_i)/d_i.
+def chain_stop_masses(d: int, depth: int) -> list[Fraction]:
+    """Exact limiting masses of stopping times j = 0..depth.  Mass j is the
+    sum over the complete chains (d_0, ..., d_j = 1) over d of their
+    progression count over their modulus, (1/d) * prod_{i<j} phi(d_i)/d_i.
 
-    The sum runs on the divisors t > 1 of d: G_1(t) = phi(t)/t and
-    G_{k+1}(t) = phi(t)/t * sum of G_k(s) over s | t, s > 1, the mass of
-    the chains that start at t and first reach 1 after k entries.  Then
-    mass(0) = 1/d and mass(j) = (1/d) * sum of G_j(t) over t | d, t > 1.
+    One pass of a recurrence on the divisors t > 1 of d sums them:
+    G_1(t) = phi(t)/t and G_{k+1}(t) = phi(t)/t * sum of G_k(s) over s | t,
+    s > 1, the mass of the chains that start at t and first reach 1 after k
+    entries.  Then mass 0 is 1/d and mass j is (1/d) * sum of G_j(t) over
+    t | d, t > 1.  Raises InternalCheckError unless each mass j has a
+    denominator dividing d^(j+1) and the masses sum to at most 1.
     """
+    if d < 1 or depth < 0:
+        raise ValueError("need d >= 1 and depth >= 0")
     divisors = [t for t in range(2, d + 1) if d % t == 0]
     density = {t: Fraction(euler_phi(t), t) for t in divisors}
-    g = density
-    for _ in range(j - 1):
+    masses, g = [Fraction(1, d)], density
+    for _ in range(depth):
+        masses.append(sum(g.values(), Fraction(0)) / d)
         g = {t: density[t] * sum(g[s] for s in divisors if t % s == 0) for t in divisors}
-    total = Fraction(sum(g.values()) if j else 1, d)
-    if d ** (j + 1) % total.denominator != 0:
+    if any(d ** (j + 1) % mass.denominator for j, mass in enumerate(masses)):
         raise InternalCheckError("stop mass denominator does not divide d^(j+1)")
-    return total
-
-
-@dataclass(frozen=True)
-class StopDistribution:
-    probabilities: dict[int, Fraction]
-    unresolved_mass: Fraction
-    empirical_counts: dict[int, int]
-
-
-def stop_distribution(d: int, x_scan: int, depth: int) -> StopDistribution:
-    """Exact limiting masses for stopping times 0..depth plus an empirical
-    histogram over starts l/d, l <= x_scan, counted by the residue sieve."""
-    if d < 2 or depth < 0 or x_scan < 0:
-        raise ValueError("need d >= 2, depth >= 0, x_scan >= 0")
-    probabilities = {j: chain_stop_mass(d, j) for j in range(depth + 1)}
-    unresolved = 1 - sum(probabilities.values(), Fraction(0))
-    if unresolved < 0:
+    if sum(masses) > 1:
         raise InternalCheckError("stop masses exceed total probability 1")
-    counts = stop_counts(d, 1, x_scan, depth)
-    return StopDistribution(probabilities, unresolved, counts)
+    return masses
 
 
 # ---------------------------------------------------------------------------

@@ -343,12 +343,11 @@ def cmd_dist(args) -> list:
     d = args.den
     if d < 2:
         raise CLIError("dist needs --den >= 2")
-    dist = chainlib.stop_distribution(d, args.scan, args.depth)
-    exact = [*dist.probabilities.values(), dist.unresolved_mass]
-    counts = list(dist.empirical_counts.values())
+    masses = chainlib.chain_stop_masses(d, args.depth)  # checked before the sieve runs
+    counts = list(chainlib.stop_counts(d, 1, args.scan, args.depth).values())
     counts.append(args.scan - sum(counts))
     seen = [Fraction(n, args.scan) if args.scan else _ABSENT for n in counts]
-    return [[*range(args.depth + 1), "tail"], exact, seen]
+    return [[*range(args.depth + 1), "tail"], [*masses, 1 - sum(masses)], seen]
 
 
 def cmd_chains(args) -> list:
@@ -630,12 +629,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(args: argparse.Namespace, pieces: Iterable[str]) -> None:
-    """Write each piece to stdout and, with --cache, into the run's cache
-    entry, the JSON document {"engine", "args", "output"}, which replaces
-    the entry only once it is whole."""
+def _write_output(args: argparse.Namespace) -> None:
+    """Run the command and write each piece of its output to stdout and, with
+    --cache, into the run's cache entry, the JSON document {"engine", "args",
+    "output"}, which replaces the entry only once it is whole.  An unusable
+    cache directory is refused before the command runs."""
     if args.cache_dir is None:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(run_command(args))
         return
     path, identity = _cache_entry(args)
     try:
@@ -646,7 +646,7 @@ def _write_output(args: argparse.Namespace, pieces: Iterable[str]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({**identity, "output": ""}, default=str)[:-2])  # up to the output
-            for piece in pieces:
+            for piece in run_command(args):
                 sys.stdout.write(piece)
                 fh.write(_json_string(piece)[1:-1])
             fh.write('"}')
@@ -671,7 +671,7 @@ def main(argv=None) -> int:
         if cached is not None:
             sys.stdout.write(cached)
             return 0
-        _write_output(args, run_command(args))
+        _write_output(args)
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

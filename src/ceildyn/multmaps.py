@@ -364,22 +364,22 @@ def exceptional_denominator2(
             "no candidate can be found or ruled out"
         )
     classes = [(0, 0), (1, 1)]
-    top = 2 ** (depth_K + 1) - 1
-    reps: tuple[list[int], list[int]] = ([], [])  # signed reps by level: even, odd class
+    modulus = 2 ** (depth_K + 1)
     for level in range(depth_K):
-        classes = _refine(m, classes, level, 0, top)
+        classes = _refine(m, classes, level, 0, modulus - 1)
         if len(classes) != 2 or {c % 2 for c, _ in classes} != {0, 1}:
             raise InternalCheckError("d=2 sieve must keep one even and one odd class")
-        modulus = 2 ** (level + 2)
-        for (residue, _), chain in zip(classes, reps):  # _refine keeps parent order
-            chain.append(residue if residue <= modulus // 2 else residue - modulus)
+    # The signed representative n of a class mod 2^(depth_K+1) was that of its
+    # parents at the last _STABILIZATION depths iff n lies in (-half, half],
+    # with half the least of their moduli over 2.
+    half = 2 ** (depth_K + 1 - _STABILIZATION)
     candidates: list[ExceptionalCandidate] = []
-    for chain in reps:
-        if len(set(chain[-_STABILIZATION:])) != 1:
-            continue
-        verdict = _cycle_before_divisible(m, chain[-1], _CANDIDATE_CERT_STEPS)
-        if verdict is not False:
-            candidates.append(ExceptionalCandidate(chain[-1], verdict is True))
+    for residue, _ in classes:
+        n = residue if residue <= modulus // 2 else residue - modulus
+        if -half < n <= half:
+            verdict = _cycle_before_divisible(m, n, _CANDIDATE_CERT_STEPS)
+            if verdict is not False:
+                candidates.append(ExceptionalCandidate(n, verdict is True))
     candidates.sort(key=lambda c: c.value)
     return candidates
 

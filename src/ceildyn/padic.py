@@ -24,7 +24,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from ceildyn.chains import _chain_classes
+from ceildyn.chains import _chain_classes, alpha_d
 from ceildyn.rational import InternalCheckError, euler_phi, is_prime
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -80,11 +80,11 @@ def omega_prefix_tree(p: int, k: int, depth: int) -> PrefixTree:
 
 
 def hausdorff_dimension(p: int, k: int) -> float:
-    """Closed form 1 - log(1 + 1/(p-1))/(k log p); equals
+    """1 - alpha_d(p^k), that is 1 - log(1 + 1/(p-1))/(k log p); equals
     log(phi(p^k))/log(p^k)."""
     if not is_prime(p) or k < 1:
         raise ValueError("need prime p and k >= 1")
-    return 1 - math.log(1 + 1 / (p - 1)) / (k * math.log(p))
+    return 1 - alpha_d(p**k).value
 
 
 def box_dimension_estimate(tree: PrefixTree) -> float:

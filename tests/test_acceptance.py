@@ -17,7 +17,7 @@ from test_chains import enumerate_stop_mass
 
 from ceildyn.chains import (
     census_thetas,
-    chain_stop_mass,
+    chain_stop_masses,
     squaring_records,
     verify_digit_laws,
 )
@@ -258,10 +258,10 @@ def test_criterion_10_sieve_matches_brute_force():
 
 
 def test_criterion_11_prime_masses_and_enumeration():
-    ok = True
+    ok, masses = True, chain_stop_masses(3, 6)
     for j in range(7):
         expected = Fraction(1, 3) * Fraction(2, 3) ** j
-        ok = ok and chain_stop_mass(3, j) == expected and enumerate_stop_mass(3, j) == expected
+        ok = ok and masses[j] == expected and enumerate_stop_mass(3, j) == expected
     assert _line(11, ok, "d=3 stopping masses (1/3)(2/3)^j for j=0..6, chains and full enumeration")
 
 

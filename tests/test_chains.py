@@ -21,11 +21,10 @@ from ceildyn.chains import (
     beta_d,
     census_thetas,
     chain_of,
-    chain_stop_mass,
+    chain_stop_masses,
     mixed_radix_expand,
     squaring_records,
     stop_counts,
-    stop_distribution,
     verify_digit_laws,
 )
 from ceildyn.padic import omega_prefix_tree
@@ -280,14 +279,17 @@ def test_beta_exponent():
 
 def test_stop_masses_for_prime_denominator():
     for p in (2, 3, 5, 7):
-        for j in range(7):
-            assert chain_stop_mass(p, j) == Fraction(1, p) * Fraction(p - 1, p) ** j
+        assert chain_stop_masses(p, 6) == [Fraction(1, p) * Fraction(p - 1, p) ** j for j in range(7)]
 
 
 def test_stop_masses_for_composite_denominator():
-    assert chain_stop_mass(4, 0) == Fraction(1, 4)
-    assert chain_stop_mass(4, 1) == Fraction(1, 4)
-    assert chain_stop_mass(4, 2) == Fraction(3, 16)
+    assert chain_stop_masses(4, 2) == [Fraction(1, 4), Fraction(1, 4), Fraction(3, 16)]
+
+
+@pytest.mark.parametrize("d, depth", [(0, 3), (3, -1)])
+def test_stop_masses_reject_bad_input(d, depth):
+    with pytest.raises(ValueError, match="need d >= 1 and depth >= 0"):
+        chain_stop_masses(d, depth)
 
 
 def chain_sum_stop_mass(d: int, j: int) -> Fraction:
@@ -312,8 +314,14 @@ def chain_sum_stop_mass(d: int, j: int) -> Fraction:
 
 def test_stop_mass_recurrence_matches_the_chain_sum():
     for d in [*range(1, 61), 720]:
-        for j in range(6):
-            assert chain_stop_mass(d, j) == chain_sum_stop_mass(d, j), (d, j)
+        assert chain_stop_masses(d, 5) == [chain_sum_stop_mass(d, j) for j in range(6)], d
+
+
+def test_deep_stop_masses():
+    # one pass of the recurrence reaches depths that a rerun per j made slow
+    for p in (2, 3, 5, 7):
+        assert chain_stop_masses(p, 60) == [Fraction(1, p) * Fraction(p - 1, p) ** j for j in range(61)]
+    assert chain_stop_masses(12, 14) == [chain_sum_stop_mass(12, j) for j in range(15)]
 
 
 def theta_residues(d: int, j: int) -> frozenset[int]:
@@ -322,7 +330,7 @@ def theta_residues(d: int, j: int) -> frozenset[int]:
     Stopping time through step j depends only on l mod d^(j+1), so this lists
     the event by residue, walking each start l/d, 1 <= l <= d^(j+1), as a
     Fraction through x -> x*ceil(x); it shares no code with ceildyn and is the
-    independent oracle for chain_stop_mass.  Theta 0 is the residue 0; a
+    independent oracle for chain_stop_masses.  Theta 0 is the residue 0; a
     residue of theta j >= 1 is named by its representative in d+1..d^(j+1).
     """
     modulus = d ** (j + 1)
@@ -342,13 +350,12 @@ def enumerate_stop_mass(d: int, j: int) -> Fraction:
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_stop_masses_match_residue_enumeration(d):
-    for j in range(4):
-        assert chain_stop_mass(d, j) == enumerate_stop_mass(d, j)
+    assert chain_stop_masses(d, 3) == [enumerate_stop_mass(d, j) for j in range(4)]
 
 
 @pytest.mark.parametrize("d,j", [(3, 2), (4, 2), (6, 1)])
 def test_stop_mass_denominator_divides_power(d, j):
-    mass = chain_stop_mass(d, j)
+    mass = chain_stop_masses(d, j)[j]
     assert d ** (j + 1) % mass.denominator == 0
 
 
@@ -369,14 +376,11 @@ def test_theta_residues_match_a_fraction_walk(d, j):
 
 
 def test_stop_distribution_combines_exact_and_empirical():
-    dist = stop_distribution(3, 3000, 3)
-    assert dist.probabilities[0] == Fraction(1, 3)
-    assert dist.unresolved_mass == Fraction(2, 3) ** 4
-    total = sum(dist.probabilities.values()) + dist.unresolved_mass
-    assert total == 1
+    masses, counts = chain_stop_masses(3, 3), stop_counts(3, 1, 3000, 3)
+    assert masses[0] == Fraction(1, 3)
+    assert 1 - sum(masses) == Fraction(2, 3) ** 4  # the tail row dist prints
     for j in range(4):
-        empirical = dist.empirical_counts[j] / 3000
-        assert abs(empirical - float(dist.probabilities[j])) < 0.03
+        assert abs(counts[j] / 3000 - float(masses[j])) < 0.03
 
 
 def test_census_small_range():
@@ -579,7 +583,7 @@ def test_split_matches_the_walk_of_every_child(d, path):
 
 def test_stop_counts_past_2_to_the_63():
     # [1, 3^40] holds exactly 3^40/step starts of every class the sieve yields
-    assert stop_counts(3, 1, 3**40, 5) == {j: chain_stop_mass(3, j) * 3**40 for j in range(6)}
+    assert stop_counts(3, 1, 3**40, 5) == {j: m * 3**40 for j, m in enumerate(chain_stop_masses(3, 5))}
 
 
 def bad_at_size(l: int, d: int, x: int) -> bool:

@@ -868,6 +868,36 @@ def test_a_cache_path_that_is_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
+def test_an_unusable_cache_directory_is_refused_before_the_command_runs(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+    handler, *rest = COMMANDS["census"]
+    monkeypatch.setitem(COMMANDS, "census", (lambda args: calls.append(args) or handler(args), *rest))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    code = main(["census", "--den", "3", "--scan", "2000", "--cache", str(taken)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (2, "", [])
+    assert captured.err.startswith(f"error: cannot write to cache directory {taken}: ")
+    assert captured.err.count("\n") == 1
+
+
+# dist checks the exact masses before it runs the sieve, so a broken phi never
+# reaches the _phi_law that chains._split caches.
+@pytest.mark.parametrize("phi, message", [
+    (lambda t: t, "stop masses exceed total probability 1"),
+    (lambda t: Fraction(1, 7), "stop mass denominator does not divide d^(j+1)"),
+], ids=["sum-past-1", "denominator-7"])
+def test_a_broken_stop_mass_exits_3(phi, message, monkeypatch, capsys):
+    monkeypatch.setattr(chains, "euler_phi", phi)
+    with pytest.raises(InternalCheckError) as raised:
+        chains.chain_stop_masses(3, 3)
+    assert str(raised.value) == message
+    code = main(["dist", "--den", "3", "--depth", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"internal check failed: {message}\n")
+
+
 def test_cache_corruption_recovers(tmp_path, capsys):
     args = ("theta", "--num", "5", "--den", "2", "--cache", str(tmp_path))
     _, first = run_cli(capsys, *args)

@@ -391,6 +391,42 @@ def test_denominator2_rejects_a_depth_below_stabilization(monkeypatch):
     assert [c.value for c in exceptional_denominator2(m, depth_K=12)] == [1, 4]
 
 
+def brute_chase(l: int, offsets: tuple[int, int], depth: int) -> list[tuple[int, bool]]:
+    """The d = 2 chase by brute force: the n in (-2^(depth+1-S), 2^(depth+1-S)],
+    S = _STABILIZATION, whose iterates 1..depth are odd, each walked
+    _CANDIDATE_CERT_STEPS steps; an even iterate drops it, a repeat certifies it."""
+    def step(n: int) -> int:
+        return (l * n + offsets[n % 2]) // 2
+
+    half = 2 ** (depth + 1 - multmaps._STABILIZATION)
+    out = []
+    for n in range(-half + 1, half + 1):
+        x = n
+        for _ in range(depth):
+            if (x := step(x)) % 2 == 0:
+                break
+        else:
+            x, seen, verdict = n, set(), None
+            for _ in range(multmaps._CANDIDATE_CERT_STEPS):
+                if (x := step(x)) % 2 == 0 or x in seen:
+                    verdict = x % 2 == 1
+                    break
+                seen.add(x)
+            if verdict is not False:
+                out.append((n, verdict is True))
+    return out
+
+
+@pytest.mark.parametrize("l", [1, 3, 5, -1, -3, 7])
+def test_denominator2_chase_finds_every_candidate(l):
+    for even in range(-6, 7, 2):
+        for odd in range(-7, 8, 2):
+            m = PeriodicallyLinearMap(l, 2, (even, odd))
+            for depth in range(8, 13):
+                got = [(c.value, c.certified) for c in exceptional_denominator2(m, depth_K=depth)]
+                assert got == brute_chase(l, (even, odd), depth), (l, even, odd, depth)
+
+
 def test_denominator2_rejects_wide_maps():
     with pytest.raises(ValueError):
         exceptional_denominator2(conjugate_g(Fraction(4, 3)))
