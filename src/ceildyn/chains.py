@@ -11,9 +11,11 @@ starts by stopping time.
 
 Chains come from _numerators, which steps the orbit numerator over the
 fixed denominator d modulo a power of d that shrinks by d each step;
-chain_of reads it.
-verify_digit_laws walks the iterates as Fractions mod shrinking integers,
-and raises InternalCheckError unless that walk's chain is chain_of's.
+chain_of reads it, and raises InternalCheckError if the entries it computes
+break divisibility.  verify_digit_laws walks the iterates as Fractions mod
+shrinking integers and returns chain_of's chain; it raises
+InternalCheckError unless that walk's chain is chain_of's and both digit
+laws hold at every step.  No theorem check reports a failure as data.
 
 Censuses, distributions, record scans, progression counts and the p-adic
 trees share one chain-prefix sieve.  By the chain theorem, entries 0..m of
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from ceildyn.rational import InternalCheckError, big_omega, euler_phi, factorize, prefix_records
+from ceildyn.rational import InternalCheckError, euler_phi, factorize, prefix_records
 from ceildyn.window import _regrown_theta, _window_theta
 
 _ENUMERATE_CAP = 10_000_000  # largest progression modulus ap_count_for_chain sieves
@@ -65,10 +67,6 @@ class Chain:
             if d < 1 or prev % d != 0:
                 raise ValueError("denominators must divide their predecessors")
             prev = d
-        if len(self.break_points) > big_omega(self.d_start):
-            raise InternalCheckError(
-                "more break points than prime factors of the starting denominator"
-            )
 
     @property
     def break_points(self) -> tuple[tuple[int, int], ...]:
@@ -87,10 +85,16 @@ class Chain:
 
 
 def chain_of(l: int, d: int, m: int) -> Chain:
-    """Chain of the first m+1 reduced denominators of the orbit of l/d."""
+    """Chain of the first m+1 reduced denominators of the orbit of l/d.
+    Entries that break divisibility raise InternalCheckError: the chain
+    theorem rules them out, so they mean _numerators is wrong."""
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
-    return Chain(d, tuple(d // math.gcd(u, d) for u in _numerators(l, d, m)))
+    entries = tuple(d // math.gcd(u, d) for u in _numerators(l, d, m))
+    try:
+        return Chain(d, entries)
+    except ValueError as exc:
+        raise InternalCheckError(f"chain of {l}/{d}: {exc}") from None
 
 
 def mixed_radix_expand(q, chain: Chain, k: int) -> tuple[int, ...]:
@@ -128,18 +132,9 @@ def mixed_radix_expand(q, chain: Chain, k: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-@dataclass(frozen=True)
-class DigitLawReport:
-    """The verdict on both digit laws, and the chain they were checked on."""
-
-    ok: bool
-    checked_steps: int
-    first_violation: tuple[int, str, str] | None
-    chain: Chain
-
-
-def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
-    """Check both digit transition laws along the orbit of l/d for m steps.
+def verify_digit_laws(l: int, d: int, m: int) -> Chain:
+    """The chain of l/d for m steps, after both digit transition laws are
+    checked along it; the first law that fails raises InternalCheckError.
 
     Law 1: the denominator drop d_k/d_{k+1} equals gcd(a_0(k)+1, d_k).
     Law 2: the next fractional digit a_-1(k+1) is coprime to d_{k+1}.
@@ -147,9 +142,9 @@ def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
     Both laws read x_k only mod d_k, so the walk holds x_k mod M_k, with
     M_0 = d^(m+1) and M_(k+1) = M_k/d_k: as ceil(x + M*t) = ceil(x) + M*t,
     x*ceil(x) is right mod M/d_k when x is right mod M, and d_k | M_k for
-    k <= m.  It shares no code with _numerators, so its chain checks
-    chain_of.  The expansion needs nonnegative values, so a negative start
-    with m >= 1 raises ValueError.
+    k <= m.  It shares no code with _numerators, so its denominators check
+    chain_of's, and the chain returned is chain_of's.  The expansion needs
+    nonnegative values, so a negative start with m >= 1 raises ValueError.
     """
     if l < 0 and m > 0:
         raise ValueError("expansion is defined for nonnegative values")
@@ -157,8 +152,8 @@ def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
     for _ in range(m):
         modulus //= x.denominator
         values.append(x := x * math.ceil(x) % modulus)
-    chain = Chain(d, tuple(v.denominator for v in values))
-    if chain != chain_of(l, d, m):
+    chain = chain_of(l, d, m)
+    if tuple(v.denominator for v in values) != chain.denominators:
         raise InternalCheckError(f"the chain of {l}/{d} from digit windows is not its exact chain")
     for k in range(m):
         dk = chain.denominators[k]
@@ -167,13 +162,13 @@ def verify_digit_laws(l: int, d: int, m: int) -> DigitLawReport:
         drop = dk // dk1
         law1 = math.gcd(a0 + 1, dk)
         if law1 != drop:
-            violation = (k, "drop", f"gcd(a0+1, d_k) = {law1} but d_k/d_k+1 = {drop}")
-            return DigitLawReport(False, k, violation, chain)
+            raise InternalCheckError(f"digit law 1 fails for {l}/{d} at step {k}: "
+                                     f"gcd(a0+1, d_k) = {law1} but d_k/d_k+1 = {drop}")
         a_frac = values[k + 1].numerator % dk1
         if math.gcd(a_frac, dk1) != 1:
-            violation = (k, "coprime", f"a_-1 = {a_frac} shares a factor with {dk1}")
-            return DigitLawReport(False, k, violation, chain)
-    return DigitLawReport(True, m, None, chain)
+            raise InternalCheckError(f"digit law 2 fails for {l}/{d} at step {k}: "
+                                     f"a_-1 = {a_frac} shares a factor with {dk1}")
+    return chain
 
 
 @dataclass(frozen=True)

@@ -351,14 +351,12 @@ def cmd_dist(args) -> list:
 
 
 def cmd_chains(args) -> list:
-    laws = chainlib.verify_digit_laws(args.num, args.den, args.m)
-    chain = laws.chain
+    chain = chainlib.verify_digit_laws(args.num, args.den, args.m)
     ap = chainlib.ap_count_for_chain(chain)
     denominators = ",".join(str(t) for t in chain.denominators)
     breaks = ";".join(f"{j}:{r}" for j, r in chain.break_points) or "none"
-    verdict = "ok" if laws.ok else f"violated at step {laws.checked_steps}"
     counts = (ap.predicted, ap.modulus, ap.enumerated)
-    return [[cell] for cell in (args.num, denominators, breaks, chain.complete, *counts, verdict)]
+    return [[cell] for cell in (args.num, denominators, breaks, chain.complete, *counts, "ok")]
 
 
 def cmd_alpha(args) -> list:
@@ -414,7 +412,7 @@ def cmd_mahler(args) -> list:
 
 def cmd_floorcheck(args) -> list:
     ms = range(1, args.scan + 1)
-    verdicts = {True: "yes", False: "no", None: "unresolved"}
+    verdicts = {True: "yes", None: "unresolved"}
     ok = [verdicts[multmaps.floor_shift_check(args.den, m, args.max_steps)] for m in ms]
     return [[args.den] * len(ms), ms, ok]
 
@@ -489,6 +487,7 @@ def run_command(args: argparse.Namespace) -> Iterable[str]:
     handler has run and every check that can refuse the output has passed,
     once over the whole columns, the b-file checks included."""
     if args.command == "padic-tree" and args.format == "json":
+        padic.check_digit_base(args.p)  # the tree has phi(p^k)^levels nodes
         return [padic.tree_to_json(padic.omega_prefix_tree(args.p, args.k, args.levels)) + "\n"]
     handler, columns, bfile = COMMANDS[args.command]
     if args.format == "bfile" and bfile is None:

@@ -25,7 +25,7 @@ stopping_time_mult, the survivors of a record scan and the members of a
 census.  A record scan never skips a start its step budget leaves
 unresolved: it raises ValueError naming the smallest such start.
 floor_shift_check walks its two orbits of (d+1)/d as integer numerators
-over d.
+over d and raises InternalCheckError where the shift identity fails.
 
 Conventions: the multiplicative stopping time counts from k = 1 (an
 integer ratio gives theta = 1, not 0), unlike the squaring stopping time
@@ -389,6 +389,19 @@ def exceptional_denominator2(
 # ---------------------------------------------------------------------------
 
 
+def _restricted_digits(d: int, k: int, units: range) -> set[int]:
+    """The n < d^k whose base-d units digit is in units and whose k-1
+    higher digits all lie in [0, d-2], built one digit place at a time."""
+    if d < 3:
+        raise ValueError("digit construction needs d >= 3")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    members = set(units)
+    for i in range(1, k):
+        members = {n + a * d**i for n in members for a in range(d - 1)}
+    return members
+
+
 def sigma_prime(d: int, k: int) -> frozenset[int]:
     """The corrected digit set: base-d expansions with leading digit in
     [1, d-1] and every higher digit in [0, d-2]; size (d-1)**k.
@@ -397,19 +410,11 @@ def sigma_prime(d: int, k: int) -> frozenset[int]:
     1 with no iterate divisible by d (checked by certified_exceptional), so
     the whole set lies in the exceptional set of that map.
     """
-    if d < 3:
-        raise ValueError("digit construction needs d >= 3")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    members = set(range(1, d))  # the leading digit, then one digit place at a time
-    for i in range(1, k):
-        members = {n + a * d**i for n in members for a in range(d - 1)}
+    members = _restricted_digits(d, k, range(1, d))
     g = conjugate_g(Fraction(1, d))
     for n in members:
         if not certified_exceptional(g, n):
             raise InternalCheckError(f"digit-set member {n} reaches an iterate divisible by {d}")
-    if len(members) != (d - 1) ** k:
-        raise InternalCheckError("digit set has the wrong cardinality")
     return frozenset(members)
 
 
@@ -417,22 +422,7 @@ def sigma_literal(d: int, k: int) -> frozenset[int]:
     """The uncorrected digit condition: 1 <= n <= d^k with every base-d
     digit above the units place different from d-1.  Contains members
     (n = d*d for k >= 2) that are not exceptional; kept for comparison."""
-    if d < 3:
-        raise ValueError("digit construction needs d >= 3")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out: set[int] = set()
-    for n in range(1, d**k + 1):
-        rest = n // d
-        ok = True
-        while rest:
-            if rest % d == d - 1:
-                ok = False
-                break
-            rest //= d
-        if ok:
-            out.add(n)
-    return frozenset(out)
+    return frozenset(_restricted_digits(d, k, range(d)) - {0} | {d**k})
 
 
 def certified_exceptional(m: PeriodicallyLinearMap, n: int) -> bool:
@@ -483,18 +473,21 @@ def floor_shift_check(d: int, m: int, horizon: int) -> bool | None:
     m at constant offset d+1 until the common stopping step.
 
     Returns True when the offset identity holds at every step up to the
-    first integral ceiling iterate and both orbits become integral
-    together, False at the first step where either fails, and None when
-    the horizon ends the walk first.
+    first integral ceiling iterate, and None when the horizon ends the walk
+    first; a step that breaks it raises InternalCheckError.  As numerators
+    over d the offset is d(d+1), a multiple of d, so while it holds the
+    floor orbit turns integral exactly when the ceiling orbit does.
     """
     if d < 1 or m < 1 or horizon < 1:
         raise ValueError("need d >= 1, m >= 1, horizon >= 1")
     x, X = d * m, d * (m + d)  # the orbits as numerators over d
-    for _ in range(horizon):
+    for step in range(1, horizon + 1):
         x = (d + 1) * -(-x // d)
         X = (d + 1) * (X // d)
         if X - x != d * (d + 1):
-            return False
+            raise InternalCheckError(f"the floor orbit of {m + d} and the ceiling orbit of {m} "
+                                     f"under {d + 1}/{d} are {Fraction(X - x, d)} apart at "
+                                     f"step {step}, not {d + 1}")
         if x % d == 0:
-            return X % d == 0
+            return True
     return None

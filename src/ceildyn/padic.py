@@ -97,6 +97,12 @@ def box_dimension_estimate(tree: PrefixTree) -> float:
     return statistics.linear_regression(xs, ys).slope
 
 
+def check_digit_base(p: int) -> None:
+    """Refuse a p whose digits tree_to_json cannot write, before a tree is built."""
+    if p > len(_DIGIT_CHARS):
+        raise ValueError("digit strings support p up to 36")
+
+
 def tree_to_json(tree: PrefixTree) -> str:
     """JSON export: per level, digit-string prefixes (least significant digit
     first) and the aligned child counts.
@@ -106,8 +112,7 @@ def tree_to_json(tree: PrefixTree) -> str:
     k digits: each node costs one string join, not a full-width conversion.
     """
     p, k = tree.p, tree.k
-    if p > len(_DIGIT_CHARS):
-        raise ValueError("digit strings support p up to 36")
+    check_digit_base(p)
     pk = p**k
     tails = ["".join(_DIGIT_CHARS[d] for d in _to_digits(s, p, k)) for s in range(pk)]
     strings = {0: ""}  # the level-0 root: the empty prefix

@@ -116,11 +116,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def big_omega(n: int) -> int:
-    """Number of prime factors counted with multiplicity."""
-    return sum(factorize(n).values())
-
-
 @dataclass
 class StoppingReport:
     """Either theta is set (with the integer reached, when materialized) or

@@ -36,7 +36,7 @@ from ceildyn.multmaps import (
     stopping_time_mult,
 )
 from ceildyn.padic import box_dimension_estimate, hausdorff_dimension, omega_prefix_tree
-from ceildyn.rational import padic_valuation
+from ceildyn.rational import InternalCheckError, padic_valuation
 from ceildyn.squaring import stopping_time_exact, theta_denominator2
 from ceildyn.window import stopping_time_windowed, track_magnitude
 
@@ -224,14 +224,12 @@ def test_criterion_08_integer_chase_sets():
 
 def test_criterion_09_digit_laws_sweep():
     bad = None
-    for d in (4, 6, 12):
-        for l in range(1, 2001):
-            report = verify_digit_laws(l, d, 10)
-            if not report.ok:
-                bad = (l, d, report.first_violation)
-                break
-        if bad:
-            break
+    try:
+        for d in (4, 6, 12):
+            for l in range(1, 2001):
+                verify_digit_laws(l, d, 10)
+    except InternalCheckError as exc:
+        bad = str(exc)
     assert _line(9, bad is None, f"digit laws, d in {{4,6,12}}, l <= 2000, 10 steps (violation: {bad})")
 
 

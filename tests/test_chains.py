@@ -115,19 +115,17 @@ def test_mixed_radix_round_trip(l, d, m, data):
 
 
 def test_digit_laws_hold_on_known_runs():
-    assert verify_digit_laws(5, 4, 10).ok
-    assert verify_digit_laws(7, 6, 10).ok
-    assert verify_digit_laws(5, 2, 6).ok
+    for l, d, m in ((5, 4, 10), (7, 6, 10), (5, 2, 6)):
+        assert verify_digit_laws(l, d, m) == chain_of(l, d, m)
 
 
 @given(st.integers(min_value=1, max_value=500), st.sampled_from([4, 6, 12]))
 @settings(max_examples=60)
 def test_digit_laws_property(l, d):
-    report = verify_digit_laws(l, d, 8)
-    assert report.ok, report.first_violation
+    assert verify_digit_laws(l, d, 8) == chain_of(l, d, 8)
 
 
-def full_walk_digit_laws(l: int, d: int, m: int) -> tuple:
+def full_walk_digit_laws(l: int, d: int, m: int) -> Chain:
     """verify_digit_laws on all m exact iterates, integral ones included:
     the reference for the walk that reads their residues only."""
     values = [Fraction(l, d)]
@@ -138,10 +136,10 @@ def full_walk_digit_laws(l: int, d: int, m: int) -> tuple:
         dk, dk1 = chain.denominators[k], chain.denominators[k + 1]
         a0 = mixed_radix_expand(values[k], chain, k)[1]
         if math.gcd(a0 + 1, dk) != dk // dk1:
-            return False, k, "drop"
+            raise InternalCheckError(f"digit law 1 fails for {l}/{d} at step {k}: ")
         if math.gcd(values[k + 1].numerator % dk1, dk1) != 1:
-            return False, k, "coprime"
-    return True, m, None
+            raise InternalCheckError(f"digit law 2 fails for {l}/{d} at step {k}: ")
+    return chain
 
 
 @given(
@@ -155,22 +153,20 @@ def full_walk_digit_laws(l: int, d: int, m: int) -> tuple:
 def test_digit_laws_match_the_full_walk(l, d, m):
     try:
         want = full_walk_digit_laws(l, d, m)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=str(exc)):
+    except (ValueError, InternalCheckError) as exc:
+        with pytest.raises(type(exc), match=f"^{exc}"):
             verify_digit_laws(l, d, m)
         return
-    report = verify_digit_laws(l, d, m)
-    kind = report.first_violation and report.first_violation[1]
-    assert (report.ok, report.checked_steps, kind) == want
+    assert verify_digit_laws(l, d, m) == want
 
 
 def test_digit_laws_stop_at_the_first_integral_iterate():
     # 14/9 is integral after 4 steps; a walk of the exact iterates to step 40
     # would square integers of ever more digits (step 24 alone took seconds).
     start = time.perf_counter()
-    report = verify_digit_laws(14, 9, 40)
+    chain = verify_digit_laws(14, 9, 40)
     assert time.perf_counter() - start < 1.0
-    assert (report.ok, report.checked_steps, report.first_violation) == (True, 40, None)
+    assert chain.denominators == (9, 9, 9, 9) + (1,) * 37
 
 
 def test_digit_laws_read_a0_without_expanding_every_digit():
@@ -178,9 +174,22 @@ def test_digit_laws_read_a0_without_expanding_every_digit():
     # digits; expanding every digit of each iterate took about 45 s
     # (CPython 3.11, shared 2-vCPU Xeon).
     start = time.perf_counter()
-    report = verify_digit_laws(28, 3, 18)
+    chain = verify_digit_laws(28, 3, 18)
     assert time.perf_counter() - start < 5.0
-    assert (report.ok, report.checked_steps, report.first_violation) == (True, 18, None)
+    assert chain.denominators == (3,) * 19
+
+
+def numerators_that_break_divisibility(monkeypatch) -> None:
+    """Patch _numerators so that the chain of 7/6 reads 6, 2, 3, 1."""
+    monkeypatch.setattr(chains, "_numerators", lambda u, d, m: [1, 3, 2, 0])
+
+
+def test_chain_of_raises_on_entries_that_break_divisibility(monkeypatch):
+    # Chain built directly keeps its ValueError (test_chain_validation)
+    numerators_that_break_divisibility(monkeypatch)
+    err = "^chain of 7/6: denominators must divide their predecessors$"
+    with pytest.raises(InternalCheckError, match=err):
+        chain_of(7, 6, 3)
 
 
 def test_digit_laws_walk_checks_the_window_chain(monkeypatch):
@@ -192,19 +201,25 @@ def test_digit_laws_walk_checks_the_window_chain(monkeypatch):
         verify_digit_laws(14, 9, 6)
 
 
-@pytest.mark.parametrize("m", [4, 40])
-def test_digit_laws_check_every_fractional_step(m, monkeypatch):
-    # 14/9 is fractional at steps 0..3 and integral from step 4 on; a wrong
-    # digit at step 3 must be reported whether or not m runs past step 4.
+def wrong_digit_at_step_3(monkeypatch) -> None:
+    """Patch mixed_radix_expand to add 1 to the digit a_0 at step 3 only."""
     real = chains.mixed_radix_expand
 
-    def wrong_at_step_3(q, chain, k):
+    def expand(q, chain, k):
         digits = real(q, chain, k)
         return (digits[0], digits[1] + 1, *digits[2:]) if k == 3 else digits
 
-    monkeypatch.setattr(chains, "mixed_radix_expand", wrong_at_step_3)
-    report = verify_digit_laws(14, 9, m)
-    assert (report.ok, report.checked_steps, report.first_violation[:2]) == (False, 3, (3, "drop"))
+    monkeypatch.setattr(chains, "mixed_radix_expand", expand)
+
+
+@pytest.mark.parametrize("m", [4, 40])
+def test_digit_laws_check_every_fractional_step(m, monkeypatch):
+    # 14/9 is fractional at steps 0..3 and integral from step 4 on; a wrong
+    # digit at step 3 must raise whether or not m runs past step 4.
+    wrong_digit_at_step_3(monkeypatch)
+    err = r"^digit law 1 fails for 14/9 at step 3: gcd\(a0\+1, d_k\) = 1 but d_k/d_k\+1 = 9$"
+    with pytest.raises(InternalCheckError, match=err):
+        verify_digit_laws(14, 9, m)
 
 
 def test_ap_count_known_chains():

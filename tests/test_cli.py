@@ -20,9 +20,13 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import MULT_RECORDS
-from test_chains import D3_RECORDS_TO_10_7
+from test_chains import (
+    D3_RECORDS_TO_10_7,
+    numerators_that_break_divisibility,
+    wrong_digit_at_step_3,
+)
 
-from ceildyn import chains, cli, multmaps, squaring, window
+from ceildyn import chains, cli, multmaps, padic, squaring, window
 from ceildyn.cli import _ABSENT, _SPECIAL, _VALUE
 from ceildyn.cli import CLIError, COMMANDS, FORMATS, Column, export_bfile, main
 from ceildyn.rational import InternalCheckError
@@ -700,6 +704,21 @@ def test_broken_window_kernel_exits_3(argv, kernel, monkeypatch, capsys):
     assert "internal check failed" in capsys.readouterr().err
 
 
+# A fault in a kernel of the chain theorem is neither bad input (exit 2)
+# nor a verdict to print (exit 0).
+@pytest.mark.parametrize("fault, argv, message", [
+    (numerators_that_break_divisibility, ["--num", "7", "--den", "6", "--m", "3"],
+     "chain of 7/6: denominators must divide their predecessors"),
+    (wrong_digit_at_step_3, ["--num", "14", "--den", "9", "--m", "4"],
+     "digit law 1 fails for 14/9 at step 3: gcd(a0+1, d_k) = 1 but d_k/d_k+1 = 9"),
+], ids=["divisibility", "digit-law-1"])
+def test_a_broken_chain_theorem_exits_3(fault, argv, message, monkeypatch, capsys):
+    fault(monkeypatch)
+    code = main(["chains", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"internal check failed: {message}\n")
+
+
 def test_theta2_exits_3_when_the_closed_form_names_a_wrong_step(monkeypatch, capsys):
     # the patched count for l = 2 is 3 steps, but 5/2 is integral at step 2
     valuation = squaring.padic_valuation
@@ -805,6 +824,16 @@ def test_padic_tree_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [len(level["prefixes"]) for level in doc["levels"]] == [2, 4, 8, 16]
+
+
+def test_padic_tree_json_refuses_p_above_36_before_building_the_tree(monkeypatch, capsys):
+    # the tree at --levels 4 has 36^4 (1.7M) nodes at its last level
+    calls = []
+    monkeypatch.setattr(padic, "omega_prefix_tree", lambda *args: calls.append(args))
+    code = main(["padic-tree", "--p", "37", "--k", "1", "--levels", "4", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: digit strings support p up to 36\n")
+    assert calls == []
 
 
 def test_cache_round_trip(tmp_path, capsys):

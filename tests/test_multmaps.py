@@ -474,6 +474,29 @@ def test_literal_set_overshoots_the_corrected_one():
     assert certified_exceptional(m, 3)
 
 
+def filtered_sigma_literal(d: int, k: int) -> set[int]:
+    """The literal digit set by filtering 1..d^k: n is kept when no base-d
+    digit above its units place is d-1."""
+    out = set()
+    for n in range(1, d**k + 1):
+        rest = n // d
+        while rest and rest % d != d - 1:
+            rest //= d
+        if not rest:
+            out.add(n)
+    return out
+
+
+@given(st.integers(min_value=3, max_value=9).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, max(k for k in range(1, 11) if d**k <= 60_000)))))
+@settings(max_examples=40, deadline=None)
+def test_digit_sets_match_a_filter_of_every_start(dk):
+    d, k = dk
+    want = filtered_sigma_literal(d, k)
+    assert sigma_literal(d, k) == want
+    assert sigma_prime(d, k) == {n for n in want if n % d and n < d**k}
+
+
 def lower_bound_check(d: int, x: int) -> bool:
     """Does the certified exceptional count of n -> ceil(n/d) at |n| <= x
     meet the (1/d) * x**beta_d lower bound?"""

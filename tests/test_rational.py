@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ceildyn.rational import (
-    big_omega,
     digits10,
     euler_phi,
     factorize,
@@ -98,10 +97,3 @@ def test_euler_phi_known_values():
 def test_euler_phi_multiplicative_on_coprimes(a, b):
     if math.gcd(a, b) == 1:
         assert euler_phi(a * b) == euler_phi(a) * euler_phi(b)
-
-
-def test_big_omega_counts_with_multiplicity():
-    assert big_omega(1) == 0
-    assert big_omega(12) == 3
-    assert big_omega(2**10) == 10
-    assert big_omega(30) == 3
