@@ -411,10 +411,14 @@ def cmd_mahler(args) -> list:
 
 
 def cmd_floorcheck(args) -> list:
-    ms = range(1, args.scan + 1)
-    verdicts = {True: "yes", None: "unresolved"}
-    ok = [verdicts[multmaps.floor_shift_check(args.den, m, args.max_steps)] for m in ms]
-    return [[args.den] * len(ms), ms, ok]
+    d, ms = args.den, range(1, args.scan + 1)
+    if d == 1:  # 2/1 is integral, so every start stops at step 1
+        ok = ["yes"] * len(ms)
+    else:  # the ceiling orbits of m under (d+1)/d, as numerators over d
+        walks = multmaps._finish(multmaps.conjugate_g(Fraction(d + 1, d)), ((m, d * m) for m in ms),
+                                 0, args.max_steps)
+        ok = ["unresolved" if j is None else "yes" for _, j, _ in walks]
+    return [[d] * len(ms), ms, ok]
 
 
 def cmd_records(args) -> list:

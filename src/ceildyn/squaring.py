@@ -1,9 +1,9 @@
 """Exact iteration of x*ceil(x): trajectories, stopping times, half-integer closed form.
 
 trajectory is the one exact walk: it steps the iterate u/d, in lowest terms,
-as u -> u*ceil(u/d) on plain ints and checks that each denominator divides
-the one before.  stopping_time_exact and the CLI's traj read it.  It
-decides where a walk passes the print limit: near it, bit-length bounds and
+as u -> u*ceil(u/d) on plain ints, so each denominator divides the one
+before.  stopping_time_exact and the CLI's traj read it.  It decides where
+a walk passes the print limit: near it, bit-length bounds and
 window._window_theta name that step before the products are built.
 theta_denominator2 reads it too, and certifies the closed form's step count.
 
@@ -38,13 +38,13 @@ class Trajectory:
 def trajectory(q, max_steps: int = 32) -> Trajectory:
     """Iterate x*ceil(x) until an iterate is an integer or max_steps elapse.
 
-    An integral start stops at once, with an empty step list.  Each step's
-    denominator must divide the one before; anything else raises
-    InternalCheckError.  A numerator past _MAX_STR_DIGITS digits raises
-    ValueError.  Digits double per step, so once a numerator is within 8
-    doublings of that limit, _limit_step looks ahead: when it names the step
-    that passes the limit, the walk raises there without building the
-    products before it.
+    An integral start stops at once, with an empty step list.  Each step is
+    u*c/d with c = ceil(u/d) an integer, so its denominator divides the one
+    before.  A numerator past _MAX_STR_DIGITS digits raises ValueError.
+    Digits double per step, so once a numerator is within 8 doublings of
+    that limit, _limit_step looks ahead: when it names the step that passes
+    the limit, the walk raises there without building the products before
+    it.
     """
     q = Fraction(q)
     if max_steps < 1:
@@ -58,8 +58,6 @@ def trajectory(q, max_steps: int = 32) -> Trajectory:
         k = u.bit_length() << 8 > limit and _limit_step(u, c, d, limit, max_steps - len(steps))
         if not k:
             nxt = Fraction(u * c, d)
-            if d % nxt.denominator != 0:
-                raise InternalCheckError("denominator chain is not divisibility-monotone")
             u, d = nxt.numerator, nxt.denominator
             k = 1 if u.bit_length() > limit else 0
         if k:

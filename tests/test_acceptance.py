@@ -29,7 +29,6 @@ from ceildyn.multmaps import (
     exceptional_census,
     exceptional_denominator2,
     exceptional_sieve,
-    floor_shift_check,
     min_depth_for_census,
     sigma_literal,
     sigma_prime,
@@ -307,10 +306,13 @@ def test_criterion_13_padic_branching():
 
 
 def test_criterion_14_floor_shift():
+    # test_multmaps imports this module
+    from test_multmaps import floorcheck_column, fraction_floor_shift_check
+
     bad = None
     for d in range(1, 9):
-        for m in range(1, 101):
-            if floor_shift_check(d, m, 512) is not True:
+        for m, ok in enumerate(floorcheck_column(d, 100, 512), 1):
+            if ok != "yes" or fraction_floor_shift_check(d, m, 512) is not True:
                 bad = (d, m)
                 break
         if bad:

@@ -719,6 +719,27 @@ def test_a_broken_chain_theorem_exits_3(fault, argv, message, monkeypatch, capsy
     assert (code, captured.out, captured.err) == (3, "", f"internal check failed: {message}\n")
 
 
+def digit_set_with_a_non_member(monkeypatch) -> None:
+    """Patch _restricted_digits to add (d-1)*d + 1, whose first iterate under
+    n -> ceil(n/d) is d."""
+    real = multmaps._restricted_digits
+    monkeypatch.setattr(multmaps, "_restricted_digits",
+                        lambda d, k, units: real(d, k, units) | {(d - 1) * d + 1})
+
+
+# A digit set that holds a non-exceptional member is a fault of its
+# construction, not a result to print.
+@pytest.mark.parametrize("fault, argv, message", [
+    (digit_set_with_a_non_member, ["sigma", "--den", "3", "--k", "2"],
+     "digit-set member 7 reaches an iterate divisible by 3"),
+], ids=["sigma-prime"])
+def test_a_broken_digit_set_exits_3(fault, argv, message, monkeypatch, capsys):
+    fault(monkeypatch)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", f"internal check failed: {message}\n")
+
+
 def test_theta2_exits_3_when_the_closed_form_names_a_wrong_step(monkeypatch, capsys):
     # the patched count for l = 2 is 3 steps, but 5/2 is integral at step 2
     valuation = squaring.padic_valuation

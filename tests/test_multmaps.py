@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import random
 import re
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from test_acceptance import MULT_RECORDS
 
 from ceildyn import multmaps
+from ceildyn.cli import main
 from ceildyn.multmaps import (
     PeriodicallyLinearMap,
     _cycle_before_divisible,
@@ -22,7 +25,6 @@ from ceildyn.multmaps import (
     exceptional_census,
     exceptional_denominator2,
     exceptional_sieve,
-    floor_shift_check,
     mahler_witness,
     min_depth_for_census,
     mult_records,
@@ -535,9 +537,19 @@ def test_mahler_witness_is_the_first_hit(n):
         assert hit == (step == j)
 
 
+def floorcheck_column(d: int, scan: int, max_steps: int) -> list[str]:
+    """floorcheck's ok column for m = 1..scan, read through cli.main."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["floorcheck", "--den", str(d), "--scan", str(scan), "--max-steps", str(max_steps),
+                     "--format", "csv"])
+    assert code == 0
+    return [row.rsplit(",", 1)[1] for row in out.getvalue().splitlines()[1:]]
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_floor_shift_identity(d):
-    assert all(floor_shift_check(d, m, 512) is True for m in range(1, 31))
+    assert floorcheck_column(d, 30, 512) == ["yes"] * 30
 
 
 def test_floor_shift_identity_by_direct_iteration():
@@ -589,4 +601,5 @@ def fraction_floor_shift_check(d: int, m: int, horizon: int) -> bool | None:
 @example(12, 9009, 131)
 @settings(max_examples=150, deadline=None)
 def test_integer_floor_shift_check_matches_the_fraction_walk(d, m, horizon):
-    assert floor_shift_check(d, m, horizon) is fraction_floor_shift_check(d, m, horizon)
+    verdict = {True: "yes", None: "unresolved", False: "broken"}
+    assert floorcheck_column(d, m, horizon)[-1] == verdict[fraction_floor_shift_check(d, m, horizon)]
