@@ -48,6 +48,12 @@ NAMED = [
      "chain_stop_masses: recurrence skips s = t"),
     ("src/ceildyn/cli.py", "0, args.max_steps)\n", "1, args.max_steps)\n",
      "cmd_floorcheck: pass started at k = 1"),
+    ("src/ceildyn/chains.py", "if d < 1 or prev % d != 0:", "if d < 1:",
+     "Chain: denominators need not divide their predecessors"),
+    ("src/ceildyn/multmaps.py", "if (l * b + off) % d != 0:", "if False:",
+     "PeriodicallyLinearMap: offsets need not be congruent to -l*b"),
+    ("src/ceildyn/window.py", "if not 0 <= scaled_residue < base ** valid_digits:", "if False:",
+     "DigitWindow: residue need not lie below the window modulus"),
 ]
 
 CHECK = re.compile(r"^( *)if .+:\n\1    raise InternalCheckError\b", re.M)

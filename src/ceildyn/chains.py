@@ -43,9 +43,9 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from ceildyn.rational import InternalCheckError, euler_phi, factorize, prefix_records
 from ceildyn.window import _regrown_theta, _window_theta
@@ -53,21 +53,20 @@ from ceildyn.window import _regrown_theta, _window_theta
 _ENUMERATE_CAP = 10_000_000  # largest progression modulus ap_count_for_chain sieves
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple("Chain", [("d_start", int), ("denominators", tuple)])):
     """Reduced denominators (d_0, ..., d_m) of an orbit started over d_start."""
 
-    d_start: int
-    denominators: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d_start < 1 or not self.denominators:
+    def __new__(cls, d_start: int, denominators: tuple[int, ...]):
+        if d_start < 1 or not denominators:
             raise ValueError("chain needs d_start >= 1 and at least one denominator")
-        prev = self.d_start
-        for d in self.denominators:
+        prev = d_start
+        for d in denominators:
             if d < 1 or prev % d != 0:
                 raise ValueError("denominators must divide their predecessors")
             prev = d
+        return super().__new__(cls, d_start, denominators)
 
     @property
     def break_points(self) -> tuple[tuple[int, int], ...]:
@@ -167,8 +166,7 @@ def verify_digit_laws(l: int, d: int, m: int) -> Chain:
     return chain
 
 
-@dataclass(frozen=True)
-class APCount:
+class APCount(NamedTuple):
     """Predicted number of arithmetic progressions of starts realizing a
     chain, the modulus those progressions live in, and the number of starts
     c/d, 0 <= c < modulus, whose chain it is, counted on the sieve (None
@@ -274,8 +272,7 @@ def ap_count_for_chain(chain: Chain) -> APCount:
     return APCount(predicted, modulus, sum(counts))
 
 
-@dataclass(frozen=True)
-class AlphaExponent:
+class AlphaExponent(NamedTuple):
     value: float
     prime: int
     multiplicity: int

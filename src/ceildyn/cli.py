@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import string
@@ -66,6 +65,7 @@ class CLIError(Exception):
 def _source_digest() -> str:
     """sha256 over the ceildyn source files, so a cached result never
     outlives the code that produced it.  Computed once, on first use."""
+    import hashlib  # only --cache needs it, so start-up skips it
     package = os.path.dirname(os.path.abspath(__file__))
     digest = hashlib.sha256()
     for name in sorted(os.listdir(package)):
@@ -80,6 +80,7 @@ def _cache_entry(args: argparse.Namespace) -> tuple[str, dict]:
     """The cache file of a run and the identity its name hashes: the source
     digest and every set argument.  The cache directory says where results
     are stored, never what they are, so it stays out, as does --workers."""
+    import hashlib
     skip = ("workers", "cache_dir")
     params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     identity = {"engine": _source_digest(), "args": params}

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from ceildyn.rational import InternalCheckError, StoppingReport, digits10, prefix_records
 
@@ -47,33 +46,32 @@ _CERT_STEPS = 4096  # iterates certified_exceptional walks before it gives up
 _CANDIDATE_CERT_STEPS = 512  # iterates exceptional_denominator2 walks per candidate
 
 
-@dataclass(frozen=True)
 class PeriodicallyLinearMap:
     """n |-> (l*n + offsets[n mod d]) / d, exact on every residue class.
 
     Exactness forces offsets[b] = -l*b (mod d); construction rejects any
-    offset table violating that congruence.
+    offset table violating that congruence.  A slotted class, not a
+    NamedTuple: apply reads its fields faster from slots.
     """
 
-    l: int
-    d: int
-    offsets: tuple[int, ...]
+    __slots__ = ("l", "d", "offsets")
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
+    def __init__(self, l: int, d: int, offsets: tuple[int, ...]) -> None:
+        if d < 2:
             raise ValueError("modulus d must be >= 2")
-        if self.l == 0:
+        if l == 0:
             raise ValueError("slope numerator l must be nonzero")
-        if math.gcd(self.l, self.d) != 1:
+        if math.gcd(l, d) != 1:
             raise ValueError("slope l/d must be in lowest terms")
-        if len(self.offsets) != self.d:
-            raise ValueError(f"need exactly {self.d} offsets, got {len(self.offsets)}")
-        for b, off in enumerate(self.offsets):
-            if (self.l * b + off) % self.d != 0:
+        if len(offsets) != d:
+            raise ValueError(f"need exactly {d} offsets, got {len(offsets)}")
+        for b, off in enumerate(offsets):
+            if (l * b + off) % d != 0:
                 raise ValueError(
                     f"offset {off} for residue {b} is not congruent to "
-                    f"{-self.l * b % self.d} (mod {self.d})"
+                    f"{-l * b % d} (mod {d})"
                 )
+        self.l, self.d, self.offsets = l, d, offsets
 
     def apply(self, n: int) -> int:
         num = self.l * n + self.offsets[n % self.d]
@@ -276,8 +274,7 @@ def min_depth_for_census(d: int, x: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class ExceptionalCensus:
+class ExceptionalCensus(NamedTuple):
     depth_k: int
     survivors: tuple[int, ...]
     count: int
@@ -327,8 +324,7 @@ def exceptional_census(
     return ExceptionalCensus(depth_k=depth_k, survivors=tuple(members), count=len(members))
 
 
-@dataclass(frozen=True)
-class ExceptionalCandidate:
+class ExceptionalCandidate(NamedTuple):
     value: int
     certified: bool
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ceildyn.chains import _chain_classes, alpha_d
 from ceildyn.rational import InternalCheckError, euler_phi, is_prime
@@ -38,8 +37,7 @@ def _to_digits(u: int, p: int, width: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-@dataclass(frozen=True)
-class PrefixTree:
+class PrefixTree(NamedTuple):
     """Surviving digit prefixes of the p-adic exceptional set, by level.
 
     levels[i] holds the sorted residues modulo p^{(i+1)k} that survive at
@@ -90,6 +88,7 @@ def hausdorff_dimension(p: int, k: int) -> float:
 def box_dimension_estimate(tree: PrefixTree) -> float:
     """Slope of log|W_l| against l*k*log p; converges to the Hausdorff
     dimension as the tree deepens."""
+    import statistics  # only this estimate needs it, so start-up skips it
     if len(tree.levels) < 3:
         raise ValueError("need at least 3 levels for a slope estimate")
     xs = [l * tree.k * math.log(tree.p) for l in range(1, len(tree.levels) + 1)]

@@ -13,8 +13,8 @@ that turns a start-ordered stream of thetas into a record table.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 _LOG10_2_FLOAT = 0.30102999566398114
 
@@ -116,8 +116,7 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@dataclass
-class StoppingReport:
+class StoppingReport(NamedTuple):
     """Either theta is set (with the integer reached, when materialized) or
     unresolved_at records the step/window budget that ran out."""
 

@@ -16,8 +16,8 @@ documented where each is used.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ceildyn.rational import InternalCheckError, StoppingReport, digits10, padic_valuation
 from ceildyn.window import _window_theta
@@ -25,8 +25,7 @@ from ceildyn.window import _window_theta
 _MAX_STR_DIGITS = 2_000_000  # the longest integer printed, in decimal digits
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     start: Fraction
     steps: list[Fraction]
     truncated: bool

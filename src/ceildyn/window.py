@@ -45,9 +45,9 @@ error are both folded into the reported bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from operator import mul
+from typing import NamedTuple
 
 from ceildyn.rational import StoppingReport, digits10, prefix_records
 
@@ -67,20 +67,18 @@ class PrecisionExhausted(Exception):
     """A digit window has too few valid digits to do what was asked."""
 
 
-@dataclass(frozen=True)
-class DigitWindow:
-    base: int
-    scaled_residue: int
-    valid_digits: int
-    steps_taken: int = 0
+class DigitWindow(NamedTuple("DigitWindow", [("base", int), ("scaled_residue", int),
+                                             ("valid_digits", int), ("steps_taken", int)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
+    def __new__(cls, base: int, scaled_residue: int, valid_digits: int, steps_taken: int = 0):
+        if base < 2:
             raise ValueError("base must be >= 2")
-        if self.valid_digits < 1:
+        if valid_digits < 1:
             raise ValueError("a window must retain at least one valid digit")
-        if not 0 <= self.scaled_residue < self.base ** self.valid_digits:
+        if not 0 <= scaled_residue < base ** valid_digits:
             raise ValueError("scaled residue outside the window modulus")
+        return super().__new__(cls, base, scaled_residue, valid_digits, steps_taken)
 
     @property
     def modulus(self) -> int:
@@ -249,8 +247,7 @@ def log10_of_int(n: int) -> Decimal:
         return +(Decimal(repr(math.log10(top))) + (bits - 64) * _LOG10_2)
 
 
-@dataclass(frozen=True)
-class MagnitudeTracker:
+class MagnitudeTracker(NamedTuple):
     """log10 of an iterate together with an absolute error bound on that log.
 
     exact_digits is the decimal digit count of the iterate's integer part

@@ -1041,6 +1041,57 @@ def test_cli_import_loads_no_map_spec_module():
     assert result.stdout == "False\n"
 
 
+def test_cold_start_loads_neither_dataclasses_nor_hashlib(tmp_path):
+    # A fresh interpreter without site: importing the CLI and building its
+    # parser loads none of the four; a --cache run loads hashlib on use.
+    probe = (
+        "import sys, ceildyn.cli as cli\n"
+        "cli.build_parser()\n"
+        "cold = [m for m in ('dataclasses', 'inspect', 'hashlib', 'statistics') if m in sys.modules]\n"
+        "import contextlib, io, json\n"
+        "runs = []\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = cli.main(['census', '--den', '3', '--scan', '200', '--cache', sys.argv[1]])\n"
+        "    runs.append([code, out.getvalue()])\n"
+        "print(json.dumps([cold, runs, 'hashlib' in sys.modules]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    cold, (first, second), hashlib_loaded = json.loads(result.stdout)
+    assert cold == []
+    assert first[0] == 0 and "\nl=4 theta=2\n" in first[1]
+    assert second == first
+    assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+    assert hashlib_loaded
+
+
+RESULTS = {
+    "StoppingReport": lambda: squaring.stopping_time_exact(Fraction(5, 2)),
+    "Trajectory": lambda: trajectory(Fraction(5, 2)),
+    "MagnitudeTracker": lambda: window.track_magnitude(5, 2, 3),
+    "APCount": lambda: chains.ap_count_for_chain(chains.chain_of(5, 3, 2)),
+    "AlphaExponent": lambda: chains.alpha_d(6),
+    "ExceptionalCensus": lambda: multmaps.exceptional_census(multmaps.conjugate_g(Fraction(3, 2)), 10),
+    "ExceptionalCandidate": lambda: multmaps.exceptional_denominator2(multmaps.conjugate_g(Fraction(3, 2)))[0],
+    "PrefixTree": lambda: padic.omega_prefix_tree(3, 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", RESULTS)
+def test_result_records_are_immutable(name):
+    result = RESULTS[name]()
+    assert type(result).__name__ == name and isinstance(result, tuple)
+    for field in result._fields:
+        with pytest.raises(AttributeError):
+            setattr(result, field, None)
+
+
 def test_missing_required_argument_exits_2(capsys):
     assert main(["theta", "--num", "5"]) == 2
     capsys.readouterr()
