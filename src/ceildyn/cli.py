@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from ceildyn import chains as chainlib
 from ceildyn import multmaps, padic
-from ceildyn.rational import InternalCheckError, parse_rational
+from ceildyn.rational import InternalCheckError, digits10, parse_rational
 from ceildyn.squaring import (
     _MAX_STR_DIGITS, StoppingReport, stopping_time_exact, theta_denominator2, trajectory
 )
@@ -320,7 +320,7 @@ def cmd_theta(args) -> list:
                 raise CLIError(f"the integer reached has about {int(log10) + 1} digits, above the "
                                f"{_MAX_STR_DIGITS} the CLI prints; use --window for theta alone")
             rep = stopping_time_exact(q, max_steps=args.max_steps)
-    reached = (rep.reached, rep.digits) if rep.reached is not None else (_ABSENT, _ABSENT)
+    reached = (rep.reached, digits10(rep.reached)) if rep.reached is not None else (_ABSENT, _ABSENT)
     return [[cell] for cell in (q, rep.theta, *reached, not rep.resolved)]
 
 
@@ -413,12 +413,10 @@ def cmd_mahler(args) -> list:
 
 def cmd_floorcheck(args) -> list:
     d, ms = args.den, range(1, args.scan + 1)
-    if d == 1:  # 2/1 is integral, so every start stops at step 1
-        ok = ["yes"] * len(ms)
-    else:  # the ceiling orbits of m under (d+1)/d, as numerators over d
-        walks = multmaps._finish(multmaps.conjugate_g(Fraction(d + 1, d)), ((m, d * m) for m in ms),
-                                 0, args.max_steps)
-        ok = ["unresolved" if j is None else "yes" for _, j, _ in walks]
+    # the ceiling orbits of m under (d+1)/d, as numerators over d (at d = 1, 2/1 stops each at step 1)
+    walks = multmaps._finish(multmaps.conjugate_g(Fraction(d + 1, d)), ((m, d * m) for m in ms),
+                             0, args.max_steps)
+    ok = ["unresolved" if j is None else "yes" for _, j, _ in walks]
     return [[d] * len(ms), ms, ok]
 
 

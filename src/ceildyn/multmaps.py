@@ -22,7 +22,9 @@ on the block representatives dq alone, the class 0 (mod d), and each
 surviving dq stands for its whole block.  Past the sieve, every orbit is
 walked by one stopping-time loop, _finish: the single starts of
 stopping_time_mult, the survivors of a record scan, the members of a
-census and the (d+1)/d orbits of the CLI's floorcheck.  A record scan never
+census and the (d+1)/d orbits of the CLI's floorcheck, integral ratios
+included: for r = l/1 the conjugate is n -> l*n, every value is divisible
+by d = 1, and _finish stops every orbit at step 1.  A record scan never
 skips a start its step budget leaves unresolved: it raises ValueError
 naming the smallest such start.
 
@@ -39,7 +41,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple, NoReturn
 
-from ceildyn.rational import InternalCheckError, StoppingReport, digits10, prefix_records
+from ceildyn.rational import InternalCheckError, StoppingReport, prefix_records
 
 _STABILIZATION = 8  # depths a d = 2 candidate's representative must hold still
 _CERT_STEPS = 4096  # iterates certified_exceptional walks before it gives up
@@ -50,17 +52,17 @@ class PeriodicallyLinearMap:
     """n |-> (l*n + offsets[n mod d]) / d, exact on every residue class.
 
     Exactness forces offsets[b] = -l*b (mod d); construction rejects any
-    offset table violating that congruence.  A slotted class, not a
+    offset table violating that congruence.  l/d must be in lowest terms,
+    which refuses l = 0 for every d >= 2; d = 1 gives the linear map
+    n -> l*n + offsets[0], n -> 0 included.  A slotted class, not a
     NamedTuple: apply reads its fields faster from slots.
     """
 
     __slots__ = ("l", "d", "offsets")
 
     def __init__(self, l: int, d: int, offsets: tuple[int, ...]) -> None:
-        if d < 2:
-            raise ValueError("modulus d must be >= 2")
-        if l == 0:
-            raise ValueError("slope numerator l must be nonzero")
+        if d < 1:
+            raise ValueError("modulus d must be >= 1")
         if math.gcd(l, d) != 1:
             raise ValueError("slope l/d must be in lowest terms")
         if len(offsets) != d:
@@ -81,21 +83,18 @@ class PeriodicallyLinearMap:
 
 
 def conjugate_g(r) -> PeriodicallyLinearMap:
-    """The integer conjugate n |-> l*ceil(n/d) of x -> r*ceil(x), r = l/d."""
+    """The integer conjugate n |-> l*ceil(n/d) of x -> r*ceil(x), r = l/d;
+    n |-> l*n for an integral ratio r = l/1."""
     r = Fraction(r)
     l, d = r.numerator, r.denominator
-    if d == 1:
-        raise ValueError("an integral ratio has no conjugate map")
     offsets = tuple(0 if b == 0 else l * (d - b) for b in range(d))
     return PeriodicallyLinearMap(l, d, offsets)
 
 
 def ceiling_map(r) -> PeriodicallyLinearMap:
-    """The direct ceiling multiplication n |-> ceil(l*n/d)."""
+    """The direct ceiling multiplication n |-> ceil(l*n/d); n |-> l*n at d = 1."""
     r = Fraction(r)
     l, d = r.numerator, r.denominator
-    if d == 1:
-        raise ValueError("an integral ratio has no ceiling map")
     offsets = tuple((-l * b) % d for b in range(d))
     return PeriodicallyLinearMap(l, d, offsets)
 
@@ -105,20 +104,16 @@ def stopping_time_mult(r, n: int, max_steps: int = 512) -> StoppingReport:
 
     Computed on the conjugate map: k-th iterate of n is integral exactly
     when the conjugate orbit of d*n is divisible by d at step k, and the
-    integer reached is that orbit value over d.
+    integer reached is that orbit value over d.  An integral ratio r = l
+    stops at k = 1 on l*n.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    r = Fraction(r)
-    if r.denominator == 1:
-        reached = r.numerator * n
-        return StoppingReport(theta=1, reached=reached, digits=digits10(abs(reached)))
     g = conjugate_g(r)
-    _, theta, x = next(_finish(g, [(n, r.denominator * n)], 0, max_steps))
+    _, theta, x = next(_finish(g, [(n, g.d * n)], 0, max_steps))
     if theta is None:
         return StoppingReport(theta=None, unresolved_at=max_steps)
-    reached = x // g.d
-    return StoppingReport(theta=theta, reached=reached, digits=digits10(abs(reached)))
+    return StoppingReport(theta=theta, reached=x // g.d)
 
 
 def _finish(
@@ -219,15 +214,13 @@ def mult_records(r, lo: int, hi: int, max_steps: int = 512) -> list[tuple[int, i
     f(k), the least of them, is valued k+1 for the last k it is f(k).  Once
     d^k exceeds hi - lo every class holds one start, finished alone from
     h^k(x) = h^k(c) + l^k * (x - c)/d^k.  prefix_records ranks both; the
-    smallest start unresolved after max_steps steps raises ValueError.
+    smallest start unresolved after max_steps steps raises ValueError.  An
+    integral ratio (d = 1) stops every start at step 1, so lo is its one record.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    r = Fraction(r)
     if hi < lo:
         return []
-    if r.denominator == 1:
-        return [(lo, 1)]
     g = conjugate_g(r)
     d = g.d
     a, b = d * lo, d * hi
@@ -266,7 +259,12 @@ def exceptional_sieve(m: PeriodicallyLinearMap, depth_k: int) -> frozenset[int]:
 
 
 def min_depth_for_census(d: int, x: int) -> int:
-    """Smallest k with d**k >= x (the natural sieve depth for a census at x)."""
+    """Smallest k with d**k >= x (the natural sieve depth for a census at x).
+
+    d must be >= 2: below that d**k never grows, and no depth is natural.
+    """
+    if d < 2:
+        raise ValueError(f"a census needs d >= 2, got d = {d}")
     k, power = 0, 1
     while power < x:
         power *= d
@@ -275,7 +273,6 @@ def min_depth_for_census(d: int, x: int) -> int:
 
 
 class ExceptionalCensus(NamedTuple):
-    depth_k: int
     survivors: tuple[int, ...]
     count: int
 
@@ -295,7 +292,8 @@ def exceptional_census(
     conjugate_g, all d starts of a block share their iterates from step 1
     on, so the sieve runs on the representatives dq of the blocks meeting
     [-x, x] and each survivor is expanded to its block cut to [-x, x].
-    Other maps are sieved from all d residues.
+    Other maps are sieved from all d residues.  A map with d < 2 has no
+    census: min_depth_for_census raises ValueError.
     """
     if x < 1:
         raise ValueError("census bound x must be >= 1")
@@ -321,7 +319,7 @@ def exceptional_census(
     )
     if blocks:
         members = [n for q in members for n in range(max(q - d + 1, -x), min(q, x) + 1)]
-    return ExceptionalCensus(depth_k=depth_k, survivors=tuple(members), count=len(members))
+    return ExceptionalCensus(survivors=tuple(members), count=len(members))
 
 
 class ExceptionalCandidate(NamedTuple):
@@ -355,10 +353,8 @@ def exceptional_denominator2(
             f"depth {depth_K} is below the stabilization depth {_STABILIZATION}: "
             "no candidate can be found or ruled out"
         )
-    classes = [(0, 0), (1, 1)]
     modulus = 2 ** (depth_K + 1)
-    for level in range(depth_K):
-        classes = _refine(m, classes, level, 0, modulus - 1)
+    classes = _sieve_classes(m, [(0, 0), (1, 1)], depth_K, 0, modulus - 1)
     # The signed representative n of a class mod 2^(depth_K+1) was that of its
     # parents at the last _STABILIZATION depths iff n lies in (-half, half],
     # with half the least of their moduli over 2.

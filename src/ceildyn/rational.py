@@ -122,7 +122,6 @@ class StoppingReport(NamedTuple):
 
     theta: int | None
     reached: int | None = None
-    digits: int | None = None
     unresolved_at: int | None = None
 
     @property

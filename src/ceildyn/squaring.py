@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from ceildyn.rational import InternalCheckError, StoppingReport, digits10, padic_valuation
+from ceildyn.rational import InternalCheckError, StoppingReport, padic_valuation
 from ceildyn.window import _window_theta
 
 _MAX_STR_DIGITS = 2_000_000  # the longest integer printed, in decimal digits
@@ -100,7 +100,7 @@ def stopping_time_exact(q, max_steps: int = 256) -> StoppingReport:
     if (t := trajectory(q, max_steps)).truncated:
         return StoppingReport(theta=None, unresolved_at=max_steps)
     n = t.values()[-1].numerator
-    return StoppingReport(theta=len(t.steps), reached=n, digits=digits10(n))
+    return StoppingReport(theta=len(t.steps), reached=n)
 
 
 def theta_denominator2(l: int) -> tuple[int, int]:

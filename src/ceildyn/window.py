@@ -49,7 +49,7 @@ from decimal import Decimal, localcontext
 from operator import mul
 from typing import NamedTuple
 
-from ceildyn.rational import StoppingReport, digits10, prefix_records
+from ceildyn.rational import StoppingReport, prefix_records
 
 
 # Smallest rung of stopping_time_windowed's halving ladder, and the cap on
@@ -248,15 +248,10 @@ def log10_of_int(n: int) -> Decimal:
 
 
 class MagnitudeTracker(NamedTuple):
-    """log10 of an iterate together with an absolute error bound on that log.
-
-    exact_digits is the decimal digit count of the iterate's integer part
-    and is only available while the run stayed fully exact.
-    """
+    """log10 of an iterate together with an absolute error bound on that log."""
 
     log10_value: Decimal
     error_bound: Decimal
-    exact_digits: int | None = None
 
 
 def track_magnitude(l: int, d: int, steps: int, digit_cap: int = 100_000) -> MagnitudeTracker:
@@ -265,9 +260,7 @@ def track_magnitude(l: int, d: int, steps: int, digit_cap: int = 100_000) -> Mag
     log10_value is log10 of the iterate itself, not of its digit count.
     error_bound is an absolute bound on |log10_value - log10 x_steps|; it
     covers the log extraction and, past digit_cap, the dropped ceiling
-    corrections amplified by the doubling.  exact_digits, the digit count of
-    the iterate's integer part, is set only while the run stayed exact
-    (iterate below the digit cap for all `steps` steps), else None.
+    corrections amplified by the doubling.
     """
     if d < 1 or l <= d:
         raise ValueError("magnitude tracking needs a start l/d > 1")
@@ -285,7 +278,7 @@ def track_magnitude(l: int, d: int, steps: int, digit_cap: int = 100_000) -> Mag
         ctx.prec = 60
         log_now = +(log10_of_int(u) - log10_of_int(d))
         if done == steps:
-            return MagnitudeTracker(log_now, 2 * _LOG10_INT_ERR, digits10(u // d))
+            return MagnitudeTracker(log_now, 2 * _LOG10_INT_ERR)
         rest = steps - done
         amp = Decimal(2) ** rest
         value = +(log_now * amp)
@@ -294,4 +287,4 @@ def track_magnitude(l: int, d: int, steps: int, digit_cap: int = 100_000) -> Mag
         # amplified by at most 2^rest.
         ceil_slack = amp * Decimal(10) ** -(digit_cap - 12)
         err = +(amp * (2 * _LOG10_INT_ERR) + ceil_slack)
-        return MagnitudeTracker(value, err, None)
+        return MagnitudeTracker(value, err)

@@ -46,6 +46,10 @@ def test_map_validation():
         PeriodicallyLinearMap(3, 2, (0, 0))  # offset 0 at residue 1 leaves 3n+0 odd
     with pytest.raises(ValueError):
         PeriodicallyLinearMap(3, 2, (0,))  # wrong arity
+    with pytest.raises(ValueError):
+        PeriodicallyLinearMap(0, 3, (0, 0, 0))  # 0/3 is not in lowest terms
+    with pytest.raises(ValueError):
+        PeriodicallyLinearMap(1, 0, ())  # no modulus
 
 
 def test_conjugate_and_ceiling_maps_agree_with_rational_forms():
@@ -97,6 +101,49 @@ def test_mult_table_for_4_thirds():
 def test_integral_ratio_stops_immediately():
     rep = stopping_time_mult(Fraction(3), 7)
     assert (rep.theta, rep.reached) == (1, 21)
+
+
+@given(
+    st.integers(min_value=-50, max_value=50),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=1, max_value=4),
+)
+@example(0, 7, 0, 1)
+@example(0, -3, 5, 2)
+@example(1, 0, 3, 1)
+@settings(max_examples=80, deadline=None)
+def test_integral_ratio_runs_the_one_loop(l, n, length, k):
+    """r = l/1: the conjugate is n -> l*n, every start stops at step 1 on
+    l*n, the record table is its least start, and no class survives."""
+    g = conjugate_g(Fraction(l))
+    assert (g.l, g.d) == (l, 1)
+    assert g.apply(n) == l * n
+    rep = stopping_time_mult(l, n)
+    assert (rep.theta, rep.reached) == (1, l * n)
+    assert mult_records(l, n, n + length) == [(n, 1)]
+    assert exceptional_sieve(g, k) == frozenset()
+
+
+def test_integral_ratio_reaches_finish_from_every_caller(monkeypatch):
+    calls: list[tuple[int, int, list[tuple[int, int]]]] = []
+    finish = multmaps._finish
+
+    def recorded(m, pairs, k, last):
+        pairs = list(pairs)
+        calls.append((m.l, m.d, pairs))
+        return finish(m, pairs, k, last)
+
+    monkeypatch.setattr(multmaps, "_finish", recorded)
+    assert stopping_time_mult(3, 7).reached == 21
+    assert calls.pop() == (3, 1, [(7, 7)])
+    assert mult_records(3, 5, 5) == [(5, 1)]
+    assert calls.pop() == (3, 1, [(5, 5)])
+    assert mult_records(-2, 0, 9) == [(0, 1)]
+    assert calls.pop() == (-2, 1, [])  # the first refinement resolved every start
+    assert floorcheck_column(1, 4, 1) == ["yes"] * 4
+    assert calls.pop() == (2, 1, [(m, m) for m in range(1, 5)])
+    assert not calls
 
 
 def _records_outcome(r, lo, hi, max_steps):
@@ -273,7 +320,7 @@ def test_census_matches_brute_force_iteration(m, x, extra_depth):
 def test_census_clips_the_end_blocks(m, x_of_d):
     x = x_of_d(m.d)
     census = exceptional_census(m, x)
-    assert census.survivors == brute_census(m, x, census.depth_k)
+    assert census.survivors == brute_census(m, x, min_depth_for_census(m.d, x) + 3)
 
 
 def _record_walks(monkeypatch) -> list[int]:
@@ -327,6 +374,11 @@ def test_refinement_rejects_a_slope_sharing_a_factor_with_d(offsets):
 def test_census_depth_floor():
     assert min_depth_for_census(3, 27) == 3
     assert min_depth_for_census(3, 28) == 4
+    for d in (1, 0, -1):  # d**k never passes x = 10: refused, not looped on
+        with pytest.raises(ValueError, match=r"d >= 2"):
+            min_depth_for_census(d, 10)
+    with pytest.raises(ValueError, match=r"d >= 2"):
+        exceptional_census(conjugate_g(3), 10)
     with pytest.raises(ValueError):
         exceptional_census(conjugate_g(Fraction(1, 3)), 27, depth_k=2)
 
@@ -338,7 +390,6 @@ def test_census_depth_defaults_to_three_past_the_floor(r, x):
     m = conjugate_g(r)
     depth = min_depth_for_census(m.d, x) + 3
     census = exceptional_census(m, x)
-    assert census.depth_k == depth
     assert census.survivors == exceptional_census(m, x, depth).survivors
     for other in (depth - 1, depth + 1):
         assert census.count != exceptional_census(m, x, other).count
