@@ -27,8 +27,9 @@ checks digit law 1 at every node: each e | d_k is the entry of exactly
 phi(e) children, for every d.  The root is the class 0 mod 1 with entry d.
 _stop_classes (census, dist, theta_d3 records) keeps the children with
 entry > 1 and settles those with entry 1 (theta = k+1) as whole
-progressions; a live class whose children's modulus passes the range
-finishes its starts one at a time through window._window_theta.
+progressions; a live class whose children's modulus passes the range,
+the root included, finishes its starts one at a time through
+window._window_theta, which counts theta from 0 as the sieve does.
 squaring_records ranks only the least start per theta, and certifies each
 record with _window_theta, since law 1 never sees the last split's children.
 _chain_classes descends along one fixed chain: ap_count_for_chain follows
@@ -145,11 +146,9 @@ def verify_digit_laws(l: int, d: int, m: int) -> Chain:
     M_0 = d^(m+1) and M_(k+1) = M_k/d_k: as ceil(x + M*t) = ceil(x) + M*t,
     x*ceil(x) is right mod M/d_k when x is right mod M, and d_k | M_k for
     k <= m.  It shares no code with _numerators, so its denominators check
-    chain_of's, and the chain returned is chain_of's.  The expansion needs
-    nonnegative values, so a negative start with m >= 1 raises ValueError.
+    chain_of's, and the chain returned is chain_of's.  Every x_k mod M_k is
+    nonnegative, so a negative start expands like any other.
     """
-    if l < 0 and m > 0:
-        raise ValueError("expansion is defined for nonnegative values")
     values = [x := Fraction(l, d) % (modulus := d ** (m + 1))]
     for _ in range(m):
         modulus //= x.denominator
@@ -355,9 +354,8 @@ def _stop_classes(d: int, lo: int, hi: int, depth: int):
     level from the root, each live class splits with _split; a child with
     entry 1 stops, and the rest are live at the next level, or yielded with
     None after the last.  A live class whose children's modulus passes the
-    range finishes its few starts one at a time through
-    window._window_theta, which counts theta from 1, so the root
-    (theta >= 0) always splits.  Starts below d are fixed: theta None.
+    range, the root included, finishes its few starts one at a time through
+    window._window_theta.  Starts below d are fixed: theta None.
     """
     n = hi - lo + 1
     live = [(0, 1, d)]  # (residue, modulus, entry k) of classes with theta > k
@@ -365,7 +363,7 @@ def _stop_classes(d: int, lo: int, hi: int, depth: int):
         survivors = []
         for c, modulus, dk in live:
             child_mod = modulus * dk
-            if k >= 0 and child_mod > n:
+            if child_mod > n:
                 for l in range(lo + (c - lo) % modulus, hi + 1, modulus):
                     yield l, n, None if l < d else _window_theta(l, d, depth)
                 continue
@@ -430,7 +428,7 @@ def squaring_records(d: int, lo: int, hi: int, window: int = 25) -> list[tuple[i
                         *(unresolved(*item) for item in live.items()), key=itemgetter(0))
     records = prefix_records(pairs, lambda l, best: _regrown_theta(l, d, max(window, best)))
     for l, theta in records:
-        if (l % d == 0) != (theta == 0) or theta and _window_theta(l, d, theta) != theta:
+        if _window_theta(l, d, theta) != theta:
             raise InternalCheckError(f"record {l}/{d} does not stop after {theta} steps")
     return records
 

@@ -35,6 +35,7 @@ import string
 import sys
 import tempfile
 from collections.abc import Iterable
+from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_string
@@ -306,20 +307,19 @@ def cmd_traj(args) -> list:
 
 def cmd_theta(args) -> list:
     q = Fraction(args.num, args.den)
-    if args.num % args.den == 0:
-        rep = stopping_time_exact(q)
-    elif args.num < args.den:
+    if args.num < args.den:
         rep = StoppingReport(theta=None, unresolved_at=0)
-    elif args.window is not None:
-        rep = stopping_time_windowed(args.num, args.den, args.window, auto_grow=args.auto_grow)
     else:  # the window decides theta first: the exact walk's digits double per step
-        rep = stopping_time_windowed(args.num, args.den, args.max_steps)
-        if rep.resolved:
+        rep = stopping_time_windowed(args.num, args.den, args.window or args.max_steps, args.auto_grow)
+        if rep.resolved and (args.window is None or rep.theta == 0):
             size = track_magnitude(args.num, args.den, rep.theta, digit_cap=64)
             if (log10 := size.log10_value - size.error_bound) >= _MAX_STR_DIGITS:
-                raise CLIError(f"the integer reached has about {int(log10) + 1} digits, above the "
+                # an error bound of 10^e or more leaves known only the digits above 10^e
+                known = Decimal(1).scaleb(size.error_bound.adjusted() + 1)
+                about = int(log10) + 1 if known <= 1 else f"{log10.quantize(known, ROUND_FLOOR):e}"
+                raise CLIError(f"the integer reached has about {about} digits, above the "
                                f"{_MAX_STR_DIGITS} the CLI prints; use --window for theta alone")
-            rep = stopping_time_exact(q, max_steps=args.max_steps)
+            rep = stopping_time_exact(q, max_steps=rep.theta)
     reached = (rep.reached, digits10(rep.reached)) if rep.reached is not None else (_ABSENT, _ABSENT)
     return [[cell] for cell in (q, rep.theta, *reached, not rep.resolved)]
 

@@ -7,7 +7,8 @@ a walk passes the print limit: near it, bit-length bounds and
 window._window_theta name that step before the products are built.
 theta_denominator2 reads it too, and certifies the closed form's step count.
 
-Conventions: for these maps the stopping time counts from k = 0, so an
+Conventions: for x*ceil(x) the stopping time counts from k = 0 in every
+engine, exact, windowed (window._window_theta) and sieved (chains), so an
 integer start already has stopping time 0.  (The r*ceil(x) family in
 multmaps counts from k = 1 instead; the two conventions are deliberate and
 documented where each is used.)
@@ -46,8 +47,8 @@ def trajectory(q, max_steps: int = 32) -> Trajectory:
     it.
     """
     q = Fraction(q)
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     limit = math.floor(_MAX_STR_DIGITS * math.log2(10) + 1)  # the most bits a numerator may have
     u, d = q.numerator, q.denominator
     steps: list[Fraction] = []
@@ -82,7 +83,7 @@ def _limit_step(u: int, c: int, d: int, limit: int, steps_left: int) -> int:
     lo, hi = b - 1 - d.bit_length(), b
     for m in range(1, steps_left + 1):
         if lo > limit:
-            return 0 if _window_theta(u, d, m - 1) else m
+            return 0 if _window_theta(u, d, m - 1) is not None else m
         if hi > limit:
             return 0
         lo, hi = 2 * lo - 2 * d.bit_length() - 1, 2 * hi
@@ -91,7 +92,7 @@ def _limit_step(u: int, c: int, d: int, limit: int, steps_left: int) -> int:
 
 def stopping_time_exact(q, max_steps: int = 256) -> StoppingReport:
     """Smallest k >= 0 with the k-th iterate of x*ceil(x) an integer, read off
-    trajectory(q, max_steps), which raises for max_steps < 1 and past the
+    trajectory(q, max_steps), which raises for max_steps < 0 and past the
     print limit.  Requires q > 1 or q integral; other starts either never
     resolve (the map fixes (0,1]) or are better walked with trajectory()."""
     q = Fraction(q)

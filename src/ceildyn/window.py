@@ -10,17 +10,17 @@ than trusting any a-priori bound on the stopping time.
 
 DigitWindow and step_window are the validated single-step API.  Scans run
 the same steps on bare ints through _window_theta, the kernel for the
-first integral step of u -> u*ceil(u/d) mod d^W.  It returns theta from
-the residue u mod d^(W+1) alone: stopping_time_windowed calls it, so
-does the chain-prefix sieve in chains, to finish one at a time the starts
-of classes too sparse in the range to split, and so does the print-limit
-look-ahead of squaring.trajectory, which is why this module imports only
-rational.  At thousands of digits,
-dividing each step's double-length product by d^W would cost more than
-the product, so a wide window runs in limbs of d^s, about 1024 bits each:
-a step builds only the limb products below the valid precision, carries
-each limb by one divmod by d^s, and drops the top limb once it holds no
-valid digit.  That is exact: garbage digits above the precision never
+first integral iterate of u -> u*ceil(u/d) mod d^W, counted from k = 0 as
+in squaring, so an integral start and d = 1 give theta 0.  It returns
+theta from the residue u mod d^(W+1) alone: stopping_time_windowed calls
+it, so does the chain-prefix sieve in chains, to finish one at a time the
+starts of classes too sparse in the range to split, and so does the
+print-limit look-ahead of squaring.trajectory, which is why this module
+imports only rational.  At thousands of digits, dividing each step's
+double-length product by d^W would cost more than the product, so a wide
+window runs in limbs of d^s, about 1024 bits each: a step builds only the
+limb products below the valid precision, carries each limb by one divmod
+by d^s, and drops the top limb once it holds no valid digit.  That is exact: garbage digits above the precision never
 reach below it (see _window_theta), the bookkeeping step_window does with
 valid_digits.  Below a few limbs the run finishes on one int.
 
@@ -119,18 +119,18 @@ def step_window(w: DigitWindow) -> DigitWindow:
 def stopping_time_windowed(l: int, d: int, M: int, auto_grow: bool = False) -> StoppingReport:
     """Stopping time of l/d without materializing the iterates.
 
-    Needs a noninteger start greater than 1.  The reached integer is never
-    materialized, so a resolved report carries theta only.  M is a budget:
-    the windows M>>j >= 64 are tried first, smallest first, then M, and the
-    first that resolves answers.  Every window >= theta gives the same
-    theta, so the result is the one M alone would give, at the cost of a
-    window near theta.  With auto_grow the window then doubles and the run
-    restarts until resolution (or the _MAX_WINDOW safety cap, since
-    termination is conjectural in general); unresolved_at is the last
-    window tried.
+    Needs d >= 1 and a start l/d >= 1; an integral start has theta 0.  The
+    reached integer is never materialized, so a resolved report carries
+    theta only.  M is a budget: the windows M>>j >= 64 are tried first,
+    smallest first, then M, and the first that resolves answers.  Every
+    window >= theta gives the same theta, so the result is the one M alone
+    would give, at the cost of a window near theta.  With auto_grow the
+    window then doubles and the run restarts until resolution (or the
+    _MAX_WINDOW safety cap, since termination is conjectural in general);
+    unresolved_at is the last window tried.
     """
-    if d < 2 or l <= d or l % d == 0:
-        raise ValueError("windowed engine needs a noninteger start l/d > 1")
+    if d < 1 or l < d:
+        raise ValueError("windowed engine needs a start l/d >= 1")
     if M < 1:
         raise ValueError("window size M must be >= 1")
     rung = max((M // _LADDER_FLOOR).bit_length() - 1, 0)  # window = M >> rung
@@ -152,12 +152,10 @@ def successor_records(lo: int, hi: int, window: int) -> list[tuple[int, int]]:
     Each start runs with auto_grow from the budget max(window, best so far):
     a start is a record exactly when that budget leaves it unresolved, so a
     non-record never pays for a window above the record.  A start still
-    unresolved at the auto_grow cap raises ValueError naming it; 2/1 has theta 0.
+    unresolved at the auto_grow cap raises ValueError naming it.
     """
-    return prefix_records(
-        ((d, None) for d in range(lo, hi + 1)),
-        lambda d, best: 0 if d == 1 else _regrown_theta(d + 1, d, max(window, best)),
-    )
+    return prefix_records(((d, None) for d in range(lo, hi + 1)),
+                          lambda d, best: _regrown_theta(d + 1, d, max(window, best)))
 
 
 def _regrown_theta(l: int, d: int, window: int) -> int:
@@ -170,8 +168,8 @@ def _regrown_theta(l: int, d: int, window: int) -> int:
 
 
 def _window_theta(u: int, d: int, W: int) -> int | None:
-    """First k in 1..W at which the k-th iterate u_k/d of u/d is integral,
-    or None.
+    """First k in 0..W at which the k-th iterate u_k/d of u/d is integral,
+    or None; 0 when d divides u.
 
     Uses u mod d^(W+1) only: step k takes u mod d^(W+2-k) to
     u*ceil(u/d) = u*(u + pad)/d mod d^(W+1-k), pad = -u mod d, as
@@ -187,6 +185,8 @@ def _window_theta(u: int, d: int, W: int) -> int | None:
     is dropped.  Below _WIDE_LIMBS limbs, or from the start for a narrower
     window, the plain loop on one int finishes the run.
     """
+    if u % d == 0:
+        return 0
     mod = d**W
     u %= mod * d
     k = 0
@@ -262,8 +262,8 @@ def track_magnitude(l: int, d: int, steps: int, digit_cap: int = 100_000) -> Mag
     covers the log extraction and, past digit_cap, the dropped ceiling
     corrections amplified by the doubling.
     """
-    if d < 1 or l <= d:
-        raise ValueError("magnitude tracking needs a start l/d > 1")
+    if d < 1 or l < d:
+        raise ValueError("magnitude tracking needs a start l/d >= 1")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if digit_cap < 64:

@@ -127,14 +127,15 @@ def test_digit_laws_property(l, d):
 
 def full_walk_digit_laws(l: int, d: int, m: int) -> Chain:
     """verify_digit_laws on all m exact iterates, integral ones included:
-    the reference for the walk that reads their residues only."""
+    the reference for the walk that reads their residues only.  Law 1 reads
+    a_0 of x_k mod d_k, so negative iterates expand too."""
     values = [Fraction(l, d)]
     for _ in range(m):
         values.append(values[-1] * math.ceil(values[-1]))
     chain = Chain(d, tuple(v.denominator for v in values))
     for k in range(m):
         dk, dk1 = chain.denominators[k], chain.denominators[k + 1]
-        a0 = mixed_radix_expand(values[k], chain, k)[1]
+        a0 = mixed_radix_expand(values[k] % dk, chain, k)[1]
         if math.gcd(a0 + 1, dk) != dk // dk1:
             raise InternalCheckError(f"digit law 1 fails for {l}/{d} at step {k}: ")
         if math.gcd(values[k + 1].numerator % dk1, dk1) != 1:
@@ -149,6 +150,7 @@ def full_walk_digit_laws(l: int, d: int, m: int) -> Chain:
 )
 @example(14, 9, 12)  # integral from step 4 on
 @example(-6, 3, 2)  # a negative integral start
+@example(-7, 3, 3)  # a negative start that turns integral at step 3
 @settings(max_examples=80, deadline=None)
 def test_digit_laws_match_the_full_walk(l, d, m):
     try:
@@ -386,7 +388,7 @@ def test_theta_residues_match_a_fraction_walk(d, j):
     """_window_theta(l, d, j) reads only l mod d^(j+1); the starts of one
     period it stops at step j are the Fraction walk's residues."""
     # a start in (0, 1) is fixed and never stops, and d | l stops at 0
-    hit = {l for l in range(d + 1, d ** (j + 1) + 1) if l % d and _window_theta(l, d, j) == j}
+    hit = {l for l in range(d + 1, d ** (j + 1) + 1) if _window_theta(l, d, j) == j}
     assert hit == theta_residues(d, j)
 
 

@@ -56,6 +56,17 @@ def test_golden_output(case, capsys):
     assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
 
 
+def test_golden_chain_of_a_negative_start_is_the_fraction_walk():
+    # chains expands x_k mod M_k, which is never negative, so -7/3 has a chain
+    (case,) = (c for c in GOLDEN if c["argv"] == "chains --num -7 --den 3 --m 3")
+    x, denominators = Fraction(-7, 3), []
+    for _ in range(4):
+        denominators.append(x.denominator)
+        x *= -(-x.numerator // x.denominator)
+    assert f" denominators={','.join(map(str, denominators))} " in case["stdout"]
+    assert case["code"] == 0 and " digit_laws=ok" in case["stdout"]
+
+
 def test_csv_header_names_every_column_some_row_carries(capsys):
     argv = ("padic-tree", "--p", "3", "--k", "2", "--levels", "3", "--format", "csv")
     code, out = run_cli(capsys, *argv)
@@ -339,11 +350,14 @@ def test_theta_windowed_output_is_stable(capsys):
         # theta is 22: the exact walk would build 4,134,726 digits it cannot print
         (28, 3, 2, "", "error: the integer reached has about 4134726 digits, above the 2000000 "
          "the CLI prints; use --window for theta alone\n"),
+        # log10 of the integer is 9.9146826390004e433 to within 1.9e420: 13 digits are known
+        (200, "199 --max-steps 2000", 2, "", "error: the integer reached has about 9.914682639000e+433 "
+         "digits, above the 2000000 the CLI prints; use --window for theta alone\n"),
     ],
 )
 def test_exact_theta_decides_before_the_exact_walk(num, den, code, out, err):
-    result = subprocess.run(
-        [sys.executable, "-m", "ceildyn.cli", "theta", "--num", str(num), "--den", str(den)],
+    result = subprocess.run(  # den may carry further options
+        [sys.executable, "-m", "ceildyn.cli", "theta", "--num", str(num), "--den", *str(den).split()],
         capture_output=True,
         text=True,
         timeout=30,
@@ -373,6 +387,16 @@ def test_exact_walks_stop_at_the_print_limit(argv, err):
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: {err} passes the 2000000-digit limit\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ("theta --num 5 --den 2 --max-steps 1 --auto-grow", 0, "theta=2 reached=60\n", ""),
+    ("theta --num 200 --den 199 --auto-grow", 2, "", "error: the integer reached has about "
+     "9.914682639000e+433 digits, above the 2000000 the CLI prints; use --window for theta alone\n"),
+])
+def test_auto_grow_without_window_grows_from_max_steps(argv, code, out, err):
+    # the window grows from --max-steps, and the exact walk runs to the theta it finds
+    assert _main_output(argv.split()) == (code, out, err)
 
 
 def _main_output(argv: list[str]) -> tuple[int, str, str]:

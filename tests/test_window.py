@@ -85,7 +85,7 @@ def test_windowed_residues_match_exact_numerators(d, l):
 )
 @settings(max_examples=80)
 def test_windowed_theta_agrees_with_exact(d, l):
-    if l <= d or l % d == 0:
+    if l < d:
         return
     exact = stopping_time_exact(Fraction(l, d), max_steps=12)
     windowed = stopping_time_windowed(l, d, 13)
@@ -96,13 +96,13 @@ def test_windowed_theta_agrees_with_exact(d, l):
 
 
 def step_window_theta(u: int, d: int, W: int) -> int | None:
-    """theta of u/d in 1..W through validated DigitWindow steps, or None."""
+    """theta of u/d in 0..W through validated DigitWindow steps, or None."""
     w = DigitWindow(d, u % d ** (W + 1), W + 1)
-    while w.valid_digits >= 2:
+    while not w.integral:
+        if w.valid_digits < 2:
+            return None
         w = step_window(w)
-        if w.integral:
-            return w.steps_taken
-    return None
+    return w.steps_taken
 
 
 @given(
@@ -144,7 +144,7 @@ def test_wide_window_kernel_decides_the_successor_record_at_199():
 )
 @settings(max_examples=100)
 def test_window_kernel_matches_exact_iteration(d, l, W):
-    if l <= d or l % d == 0:
+    if l < d:
         return
     assert _window_theta(l, d, W) == stopping_time_exact(Fraction(l, d), max_steps=W).theta
 
@@ -176,13 +176,23 @@ def test_auto_grow_resolves_deep_orbits():
 
 def test_windowed_preconditions():
     with pytest.raises(ValueError):
-        stopping_time_windowed(6, 3, 10)  # integral start
-    with pytest.raises(ValueError):
         stopping_time_windowed(2, 5, 10)  # subunit start, never stops
     with pytest.raises(ValueError):
-        stopping_time_windowed(3, 1, 10)
-    with pytest.raises(ValueError):
         stopping_time_windowed(5, 3, 0)  # a window needs at least one step
+    assert stopping_time_windowed(6, 3, 10) == StoppingReport(theta=0)  # integral start
+    assert stopping_time_windowed(3, 1, 10) == StoppingReport(theta=0)  # d = 1
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=10**40),
+    st.integers(min_value=1, max_value=2000),
+)
+@example(d=1, k=1, M=1)
+@example(d=199, k=1, M=1500)  # a window wide enough for the limb phase
+@settings(max_examples=100)
+def test_integral_starts_have_theta_0(d, k, M):
+    assert stopping_time_windowed(k * d, d, M) == StoppingReport(theta=0)
 
 
 def one_shot_report(l: int, d: int, M: int, auto_grow: bool, max_window: int) -> StoppingReport:
