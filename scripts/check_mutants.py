@@ -54,6 +54,8 @@ NAMED = [
      "PeriodicallyLinearMap: offsets need not be congruent to -l*b"),
     ("src/ceildyn/window.py", "if not 0 <= scaled_residue < base ** valid_digits:", "if False:",
      "DigitWindow: residue need not lie below the window modulus"),
+    ("src/ceildyn/window.py", "if 0 < u < d:", "if u < d:",
+     "_window_theta: negative starts taken for fixed points"),
 ]
 
 CHECK = re.compile(r"^( *)if .+:\n\1    raise InternalCheckError\b", re.M)

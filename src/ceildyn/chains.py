@@ -27,8 +27,9 @@ checks digit law 1 at every node: each e | d_k is the entry of exactly
 phi(e) children, for every d.  The root is the class 0 mod 1 with entry d.
 _stop_classes (census, dist, theta_d3 records) keeps the children with
 entry > 1 and settles those with entry 1 (theta = k+1) as whole
-progressions; a live class whose children's modulus passes the range,
-the root included, finishes its starts one at a time through
+progressions, for every integer numerator, since the chain theorem moves a
+start by an integer; a live class whose children's modulus passes the
+range, the root included, finishes its starts one at a time through
 window._window_theta, which counts theta from 0 as the sieve does.
 squaring_records ranks only the least start per theta, and certifies each
 record with _window_theta, since law 1 never sees the last split's children.
@@ -355,7 +356,7 @@ def _stop_classes(d: int, lo: int, hi: int, depth: int):
     entry 1 stops, and the rest are live at the next level, or yielded with
     None after the last.  A live class whose children's modulus passes the
     range, the root included, finishes its few starts one at a time through
-    window._window_theta.  Starts below d are fixed: theta None.
+    window._window_theta.  Any integer l will do; 0 < l < d is fixed: None.
     """
     n = hi - lo + 1
     live = [(0, 1, d)]  # (residue, modulus, entry k) of classes with theta > k
@@ -365,7 +366,7 @@ def _stop_classes(d: int, lo: int, hi: int, depth: int):
             child_mod = modulus * dk
             if child_mod > n:
                 for l in range(lo + (c - lo) % modulus, hi + 1, modulus):
-                    yield l, n, None if l < d else _window_theta(l, d, depth)
+                    yield l, n, _window_theta(l, d, depth)
                 continue
             for s, e in enumerate(_split(d, k, c, modulus, dk)):
                 child = c + modulus * s
@@ -389,9 +390,9 @@ def stop_counts(d: int, lo: int, hi: int, depth: int) -> dict[int, int]:
 
 def census_thetas(d: int, lo: int, hi: int, window: int) -> list[int | None]:
     """Stopping times of l/d for lo <= l <= hi, None where above window or
-    where l < d (a fixed start in (0, 1)); lo = hi + 1 is the empty census."""
-    if d < 2 or lo < 1 or hi < lo - 1 or window < 1:
-        raise ValueError("need d >= 2, 1 <= lo <= hi + 1 and window >= 1")
+    where 0 < l < d (a fixed start in (0, 1)); lo = hi + 1 is the empty census."""
+    if d < 1 or hi < lo - 1 or window < 1:
+        raise ValueError("need d >= 1, lo <= hi + 1 and window >= 1")
     n = hi - lo + 1
     out: list[int | None] = [None] * n
     for first, step, theta in _stop_classes(d, lo, hi, window):
@@ -405,24 +406,26 @@ def squaring_records(d: int, lo: int, hi: int, window: int = 25) -> list[tuple[i
 
     A record is the least start with its theta, so prefix_records ranks the
     least first per theta of _stop_classes merged in start order with the
-    unresolved starts >= d, held as progressions, one stream per step.
+    unresolved starts not in (0, d), held as progressions, a stream per step.
     As in successor_records, an unresolved start is regrown from
     max(window, best so far), so a non-record never pays for a window above
     the record.  A _window_theta run at window theta certifies each record.
     """
     least: dict[int, int] = {}  # theta -> least start; a root first can pass hi
-    live: dict[int, list[int]] = {}  # step -> least start >= d of each unresolved class
+    live: dict[int, list[int]] = {}  # step -> least start in range of each unresolved class
     for first, step, theta in _stop_classes(d, lo, hi, window):
         if theta is None:
-            live.setdefault(step, []).append(max(first, d + (first - d) % step))
+            live.setdefault(step, []).append(first)
         elif first < least.get(theta, hi + 1):
             least[theta] = first
 
     def unresolved(step: int, firsts: list[int]):
-        # the firsts lie in [max(lo, d), max(lo, d) + step): each shift passes them in order
+        # the firsts lie in [lo, lo + step): each shift passes them in order
         firsts.sort()
         for shift in range(0, hi - firsts[0] + 1, step):
-            yield from ((l + shift, None) for l in firsts if l + shift <= hi)
+            for first in firsts:
+                if (l := first + shift) <= hi and not 0 < l < d:
+                    yield l, None
 
     pairs = heapq.merge(sorted((l, theta) for theta, l in least.items()),
                         *(unresolved(*item) for item in live.items()), key=itemgetter(0))

@@ -45,9 +45,7 @@ from typing import NamedTuple
 from ceildyn import chains as chainlib
 from ceildyn import multmaps, padic
 from ceildyn.rational import InternalCheckError, digits10, parse_rational
-from ceildyn.squaring import (
-    _MAX_STR_DIGITS, StoppingReport, stopping_time_exact, theta_denominator2, trajectory
-)
+from ceildyn.squaring import _MAX_STR_DIGITS, stopping_time_exact, theta_denominator2, trajectory
 from ceildyn.window import stopping_time_windowed, successor_records, track_magnitude
 
 FORMATS = ("table", "json", "csv", "bfile")
@@ -307,19 +305,17 @@ def cmd_traj(args) -> list:
 
 def cmd_theta(args) -> list:
     q = Fraction(args.num, args.den)
-    if args.num < args.den:
-        rep = StoppingReport(theta=None, unresolved_at=0)
-    else:  # the window decides theta first: the exact walk's digits double per step
-        rep = stopping_time_windowed(args.num, args.den, args.window or args.max_steps, args.auto_grow)
-        if rep.resolved and (args.window is None or rep.theta == 0):
-            size = track_magnitude(args.num, args.den, rep.theta, digit_cap=64)
-            if (log10 := size.log10_value - size.error_bound) >= _MAX_STR_DIGITS:
-                # an error bound of 10^e or more leaves known only the digits above 10^e
-                known = Decimal(1).scaleb(size.error_bound.adjusted() + 1)
-                about = int(log10) + 1 if known <= 1 else f"{log10.quantize(known, ROUND_FLOOR):e}"
-                raise CLIError(f"the integer reached has about {about} digits, above the "
-                               f"{_MAX_STR_DIGITS} the CLI prints; use --window for theta alone")
-            rep = stopping_time_exact(q, max_steps=rep.theta)
+    # the window decides theta first: the exact walk's digits double per step
+    rep = stopping_time_windowed(args.num, args.den, args.window or args.max_steps, args.auto_grow)
+    if rep.resolved and (args.window is None or rep.theta == 0):
+        size = track_magnitude(args.num, args.den, rep.theta, digit_cap=64)
+        if (log10 := size.log10_value - size.error_bound) >= _MAX_STR_DIGITS:
+            # an error bound of 10^e or more leaves known only the digits above 10^e
+            known = Decimal(1).scaleb(size.error_bound.adjusted() + 1)
+            about = int(log10) + 1 if known <= 1 else f"{log10.quantize(known, ROUND_FLOOR):e}"
+            raise CLIError(f"the integer reached has about {about} digits, above the "
+                           f"{_MAX_STR_DIGITS} the CLI prints; use --window for theta alone")
+        rep = stopping_time_exact(q, max_steps=rep.theta)
     reached = (rep.reached, digits10(rep.reached)) if rep.reached is not None else (_ABSENT, _ABSENT)
     return [[cell] for cell in (q, rep.theta, *reached, not rep.resolved)]
 
@@ -331,8 +327,6 @@ def cmd_theta2(args) -> list:
 
 
 def cmd_census(args) -> list:
-    if args.den < 2:
-        raise CLIError("census needs --den >= 2")
     if args.lo > args.scan + 1:  # --from = --scan + 1 is the empty census
         raise CLIError("census needs --from <= --scan + 1")
     thetas = chainlib.census_thetas(args.den, args.lo, args.scan, args.window)
@@ -341,11 +335,8 @@ def cmd_census(args) -> list:
 
 
 def cmd_dist(args) -> list:
-    d = args.den
-    if d < 2:
-        raise CLIError("dist needs --den >= 2")
-    masses = chainlib.chain_stop_masses(d, args.depth)  # checked before the sieve runs
-    counts = list(chainlib.stop_counts(d, 1, args.scan, args.depth).values())
+    masses = chainlib.chain_stop_masses(args.den, args.depth)  # checked before the sieve runs
+    counts = list(chainlib.stop_counts(args.den, 1, args.scan, args.depth).values())
     counts.append(args.scan - sum(counts))
     seen = [Fraction(n, args.scan) if args.scan else _ABSENT for n in counts]
     return [[*range(args.depth + 1), "tail"], [*masses, 1 - sum(masses)], seen]
@@ -577,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", parents=[common], help="stopping times of l/den for a range of l")
     p.add_argument("--den", type=_positive, required=True)
     p.add_argument("--scan", type=_positive, required=True, help="largest l")
-    p.add_argument("--from", dest="lo", type=_positive, default=1, help="smallest l")
+    p.add_argument("--from", dest="lo", type=int, default=1, help="smallest l")
     p.add_argument("--window", type=_positive, default=25)
 
     p = sub.add_parser("dist", parents=[common], help="stopping-time distribution over den")

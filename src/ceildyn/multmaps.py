@@ -332,9 +332,9 @@ def exceptional_denominator2(
 ) -> list[ExceptionalCandidate]:
     """Chase the two nested surviving classes of a d=2 map to depth_K.
 
-    At every depth exactly two classes survive, one even and one odd: over
-    the whole period _refine keeps the one live child of each, and a child
-    c + 2^(j+1)*s has c's parity.  If a
+    exceptional_sieve gives the classes.  At every depth exactly two
+    survive, one even and one odd: over the whole period _refine keeps the
+    one live child of each, and a child c + 2^(j+1)*s has c's parity.  If a
     chain's signed representatives (the member of smallest absolute value)
     sit on the same integer for the last _STABILIZATION depths, that
     integer is a candidate exceptional point: its iterates 1..depth_K are
@@ -354,13 +354,12 @@ def exceptional_denominator2(
             "no candidate can be found or ruled out"
         )
     modulus = 2 ** (depth_K + 1)
-    classes = _sieve_classes(m, [(0, 0), (1, 1)], depth_K, 0, modulus - 1)
     # The signed representative n of a class mod 2^(depth_K+1) was that of its
     # parents at the last _STABILIZATION depths iff n lies in (-half, half],
     # with half the least of their moduli over 2.
     half = 2 ** (depth_K + 1 - _STABILIZATION)
     candidates: list[ExceptionalCandidate] = []
-    for residue, _ in classes:
+    for residue in exceptional_sieve(m, depth_K):
         n = residue if residue <= modulus // 2 else residue - modulus
         if -half < n <= half:
             verdict = _cycle_before_divisible(m, n, _CANDIDATE_CERT_STEPS)

@@ -11,18 +11,20 @@ than trusting any a-priori bound on the stopping time.
 DigitWindow and step_window are the validated single-step API.  Scans run
 the same steps on bare ints through _window_theta, the kernel for the
 first integral iterate of u -> u*ceil(u/d) mod d^W, counted from k = 0 as
-in squaring, so an integral start and d = 1 give theta 0.  It returns
-theta from the residue u mod d^(W+1) alone: stopping_time_windowed calls
-it, so does the chain-prefix sieve in chains, to finish one at a time the
-starts of classes too sparse in the range to split, and so does the
-print-limit look-ahead of squaring.trajectory, which is why this module
-imports only rational.  At thousands of digits, dividing each step's
-double-length product by d^W would cost more than the product, so a wide
-window runs in limbs of d^s, about 1024 bits each: a step builds only the
-limb products below the valid precision, carries each limb by one divmod
-by d^s, and drops the top limb once it holds no valid digit.  That is exact: garbage digits above the precision never
-reach below it (see _window_theta), the bookkeeping step_window does with
-valid_digits.  Below a few limbs the run finishes on one int.
+in squaring, so an integral start and d = 1 give theta 0, and a fixed
+start in (0, 1) gives None before any step.  It returns theta from the
+residue u mod d^(W+1) alone: stopping_time_windowed calls it, so does the
+chain-prefix sieve in chains, to finish one at a time the starts of classes
+too sparse in the range to split, and so does the print-limit look-ahead of
+squaring.trajectory, which is why this module imports only rational.  At
+thousands of digits, dividing each step's double-length product by d^W
+would cost more than the product, so a wide window runs in limbs of d^s,
+about 1024 bits each: a step builds only the limb products below the valid
+precision, carries each limb by one divmod by d^s, and drops the top limb
+once it holds no valid digit.  That is exact: garbage digits above the
+precision never reach below it (see _window_theta), the bookkeeping
+step_window does with valid_digits.  Below a few limbs the run finishes on
+one int.
 
 Since theta depends only on u mod d^(theta+1), every window W >= theta
 gives the same answer, so stopping_time_windowed treats its window as a
@@ -119,20 +121,19 @@ def step_window(w: DigitWindow) -> DigitWindow:
 def stopping_time_windowed(l: int, d: int, M: int, auto_grow: bool = False) -> StoppingReport:
     """Stopping time of l/d without materializing the iterates.
 
-    Needs d >= 1 and a start l/d >= 1; an integral start has theta 0.  The
-    reached integer is never materialized, so a resolved report carries
-    theta only.  M is a budget: the windows M>>j >= 64 are tried first,
-    smallest first, then M, and the first that resolves answers.  Every
-    window >= theta gives the same theta, so the result is the one M alone
-    would give, at the cost of a window near theta.  With auto_grow the
-    window then doubles and the run restarts until resolution (or the
-    _MAX_WINDOW safety cap, since termination is conjectural in general);
-    unresolved_at is the last window tried.
+    Needs d >= 1; an integral start has theta 0, and a fixed start in
+    (0, 1) is unresolved at every window.  The reached integer is never
+    materialized, so a resolved report carries theta only.  M is a budget:
+    the windows M>>j >= 64 are tried first, smallest first, then M, and the
+    first that resolves answers.  Every window >= theta gives the same
+    theta, so the result is the one M alone would give, at the cost of a
+    window near theta.  With auto_grow the window then doubles and the run
+    restarts until resolution (or the _MAX_WINDOW safety cap, since
+    termination is conjectural in general); unresolved_at is the last
+    window tried.
     """
-    if d < 1 or l < d:
-        raise ValueError("windowed engine needs a start l/d >= 1")
-    if M < 1:
-        raise ValueError("window size M must be >= 1")
+    if d < 1 or M < 1:
+        raise ValueError("windowed engine needs d >= 1 and a window M >= 1")
     rung = max((M // _LADDER_FLOOR).bit_length() - 1, 0)  # window = M >> rung
     window = M >> rung
     while (theta := _window_theta(l, d, window)) is None:
@@ -169,7 +170,8 @@ def _regrown_theta(l: int, d: int, window: int) -> int:
 
 def _window_theta(u: int, d: int, W: int) -> int | None:
     """First k in 0..W at which the k-th iterate u_k/d of u/d is integral,
-    or None; 0 when d divides u.
+    or None; 0 when d divides u, and None at once when u/d is a fixed point
+    in (0, 1), as no start congruent to it mod d^(W+1) stops by step W.
 
     Uses u mod d^(W+1) only: step k takes u mod d^(W+2-k) to
     u*ceil(u/d) = u*(u + pad)/d mod d^(W+1-k), pad = -u mod d, as
@@ -187,6 +189,8 @@ def _window_theta(u: int, d: int, W: int) -> int | None:
     """
     if u % d == 0:
         return 0
+    if 0 < u < d:
+        return None
     mod = d**W
     u %= mod * d
     k = 0

@@ -30,7 +30,7 @@ from ceildyn.chains import (
 from ceildyn.padic import omega_prefix_tree
 from ceildyn.rational import InternalCheckError, euler_phi
 from ceildyn.squaring import StoppingReport, stopping_time_exact
-from ceildyn.window import _regrown_theta, _window_theta
+from ceildyn.window import _regrown_theta, _window_theta, stopping_time_windowed
 
 small_d = st.integers(min_value=2, max_value=6)
 small_l = st.integers(min_value=0, max_value=400)
@@ -413,10 +413,20 @@ def test_census_respects_lower_bound():
     assert census_thetas(3, 3, 11, 25) == [0, 2, 6, 0, 1, 1, 0, 5, 2]
 
 
-@pytest.mark.parametrize("d, lo, hi, window", [(1, 1, 5, 25), (3, 0, 5, 25), (3, 7, 5, 25), (3, 1, 5, 0)])
+@pytest.mark.parametrize("d, lo, hi, window", [(3, 7, 5, 25), (3, 1, 5, 0)])
 def test_census_rejects_a_bad_range(d, lo, hi, window):
-    with pytest.raises(ValueError, match="need d >= 2"):
+    with pytest.raises(ValueError, match="need d >= 1, lo <= hi"):
         census_thetas(d, lo, hi, window)
+
+
+@pytest.mark.parametrize(
+    "d, lo, hi, window, want",
+    [(1, 1, 5, 25, [0] * 5), (3, 0, 5, 25, [0, None, None, 0, 2, 6])],
+    ids=["1-1-5-25", "3-0-5-25"],
+)
+def test_census_takes_d_1_and_starts_below_1(d, lo, hi, window, want):
+    # every l/1 is an integer; 0/3 is too, and 1/3 and 2/3 are fixed points
+    assert census_thetas(d, lo, hi, window) == want
 
 
 def test_census_of_the_empty_range_is_empty():
@@ -517,6 +527,68 @@ def list_records(d: int, lo: int, hi: int, window: int) -> list[tuple[int, int]]
 def test_records_match_the_per_start_pass(d, lo, length, window):
     hi = lo + length - 1
     assert squaring_records(d, lo, hi, window) == list_records(d, lo, hi, window)
+
+
+def fraction_theta(l: int, d: int, window: int) -> int | None:
+    """theta of l/d in 0..window by a Fraction walk, or None.  As
+    ceil(x + M*t) = ceil(x) + M*t, x*ceil(x) is right mod M/d when x is
+    right mod M and d | M, so the walk holds x_k mod d^(window+1-k), which
+    decides whether x_k is an integer.  Any integer l will do."""
+    modulus = d ** (window + 1)
+    x = Fraction(l, d) % modulus
+    for k in range(window + 1):
+        if x.denominator == 1:
+            return k
+        modulus //= d
+        x = x * math.ceil(x) % modulus
+    return None
+
+
+def fraction_records(d: int, lo: int, hi: int, window: int) -> list[tuple[int, int]]:
+    """Prefix maxima of fraction_theta over lo..hi, each start that window
+    leaves unresolved walked again at doubling windows until it stops; a
+    start in (0, d) is a fixed point, which never stops."""
+    out = []
+    for l in range(lo, hi + 1):
+        theta, w = fraction_theta(l, d, window), window
+        while theta is None and not 0 < l < d:
+            w *= 2
+            theta = fraction_theta(l, d, w)
+        if theta is not None and (not out or theta > out[-1][1]):
+            out.append((l, theta))
+    return out
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=-400, max_value=0),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=1, max_value=30),
+)
+@example(3, -30, 30, 25)
+@example(12, -1000, 1000, 4)
+@example(12, -5, 5, 25)  # shorter than d: the root finishes every start alone
+@example(1, -6, 6, 3)
+@settings(max_examples=40, deadline=None)
+def test_sieve_across_0_matches_a_fraction_walk(d, lo, hi, window):
+    want = [fraction_theta(l, d, window) for l in range(lo, hi + 1)]
+    assert census_thetas(d, lo, hi, window) == want
+    assert stop_counts(d, lo, hi, window) == {j: want.count(j) for j in range(window + 1)}
+    assert squaring_records(d, lo, hi, window) == fraction_records(d, lo, hi, window)
+
+
+def test_starts_below_1_are_counted_and_ranked():
+    # a sieve that takes every start below d for a fixed point gives 50,
+    # 1429 and [(-30, 0), (-29, 1), (-23, 2), (5, 6), (28, 22)]
+    assert sum(stop_counts(3, -30, 30, 8).values()) == 58
+    assert sum(stop_counts(12, -1000, 1000, 4).values()) == 1538
+    assert squaring_records(3, -30, 30) == [(-30, 0), (-29, 1), (-26, 3), (-14, 4), (-5, 7), (28, 22)]
+
+
+@pytest.mark.parametrize("d, n", [(2, 12), (3, 8), (4, 6), (6, 5), (7, 4), (12, 4), (30, 3)])
+def test_stop_counts_agree_on_either_side_of_0(d, n):
+    # theta <= n depends only on l mod d^(n+1), and each range is one period
+    assert stop_counts(d, -(d ** (n + 1)), -1, n) == stop_counts(d, 1, d ** (n + 1), n)
 
 
 D3_RECORDS_TO_10_7 = [
@@ -670,13 +742,14 @@ def test_integral_starts_are_never_bad(n, x):
 @pytest.mark.parametrize(
     "d, lo, hi, splits, walks, finishes",
     [
-        (3, 1, 100000, 1023, 2046, 1744),
+        (3, 1, 100000, 1023, 2046, 1746),
         (12, 20001, 50000, 1848, 3696, 4262),
-        (60, 1, 20000, 1313, 2626, 13902),
+        (60, 1, 20000, 1313, 2626, 13961),
     ],
 )
 def test_census_sieve_kernel_calls_are_pinned(d, lo, hi, splits, walks, finishes, monkeypatch):
-    # the work the sieve does at W = 25: how it keeps its live classes must not change it
+    # the work the sieve does at W = 25: how it keeps its live classes must not change it;
+    # the finishes include the d - 1 fixed starts, which the kernel answers before any step
     counts = {"splits": 0, "walks": 0, "finishes": 0}
 
     def counted(name, kernel):
@@ -694,19 +767,15 @@ def test_census_sieve_kernel_calls_are_pinned(d, lo, hi, splits, walks, finishes
 
 
 @pytest.mark.parametrize("d, lo, hi", [(3, 1, 100000), (60, 1, 20000), (7, 1, 3000), (12, 5, 400)])
-def test_fixed_starts_are_not_walked(d, lo, hi, monkeypatch):
-    # l < d is a fixed point in (0, 1): its theta is None without a finish
-    finished = []
-    finish = chains._window_theta
-
-    def wrapper(l, d, W):
-        finished.append(l)
-        return finish(l, d, W)
-
-    monkeypatch.setattr(chains, "_window_theta", wrapper)
-    thetas = census_thetas(d, lo, hi, 25)
-    assert finished and min(finished) >= d
-    assert thetas[: max(d - lo, 0)] == [None] * max(d - lo, 0)
+def test_fixed_starts_are_not_walked(d, lo, hi):
+    # l/d in (0, 1) is a fixed point, which the kernel reports unresolved
+    # before any step: neither call would finish if it stepped 2^20 digits
+    fixed = range(lo, d)
+    for l in fixed:
+        assert _window_theta(l, d, 1 << 20) is None
+        report = stopping_time_windowed(l, d, 1 << 20, True)
+        assert report == StoppingReport(theta=None, unresolved_at=1 << 20)
+    assert census_thetas(d, lo, hi, 25)[: len(fixed)] == [None] * len(fixed)
 
 
 def counted_splits(monkeypatch) -> dict[str, int]:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from test_acceptance import MULT_RECORDS
 from test_chains import (
     D3_RECORDS_TO_10_7,
+    fraction_theta,
     numerators_that_break_divisibility,
     wrong_digit_at_step_3,
 )
@@ -46,14 +47,25 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[case["argv"] for case in GOLDEN])
-def test_golden_output(case, capsys):
+def test_golden_output(case, capsys, monkeypatch):
     # One small command per subcommand in every format: None/False left out
     # of tables, true/false/null in JSON, a quoted CSV cell (chains), an
     # empty census, dist --scan 0, unresolved rows, and exit 2 with its error
-    # line where a format cannot hold the result.
+    # line where a format cannot hold the result or the input is refused.
+    # argparse wraps its usage lines to the terminal, so the width is fixed.
+    monkeypatch.setenv("COLUMNS", "80")
     code = main(case["argv"].split())
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_golden_census_across_0_is_the_fraction_walk():
+    (case,) = (c for c in GOLDEN if c["argv"] == "census --den 3 --from -11 --scan 11 --format csv")
+    rows = [line.split(",") for line in case["stdout"].splitlines()[1:]]
+    assert [int(l) for _, l, _, _ in rows] == list(range(-11, 12))
+    for _, l, theta, unresolved in rows:
+        want = fraction_theta(int(l), 3, 25)
+        assert (theta, unresolved) == (("", "true") if want is None else (str(want), "false"))
 
 
 def test_golden_chain_of_a_negative_start_is_the_fraction_walk():
@@ -1164,8 +1176,9 @@ def test_help_exits_0(capsys):
     assert "traj" in capsys.readouterr().out
 
 
-def test_one_parser_serves_every_call_without_leaking_state(tmp_path, capsys):
+def test_one_parser_serves_every_call_without_leaking_state(tmp_path, capsys, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # the width the golden usage lines were wrapped to
     golden = {case["argv"]: case for case in GOLDEN}
 
     def check(argv: str) -> None:

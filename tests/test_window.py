@@ -175,10 +175,11 @@ def test_auto_grow_resolves_deep_orbits():
 
 
 def test_windowed_preconditions():
-    with pytest.raises(ValueError):
-        stopping_time_windowed(2, 5, 10)  # subunit start, never stops
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a window M >= 1"):
         stopping_time_windowed(5, 3, 0)  # a window needs at least one step
+    # 2/5 is a fixed point, and -7/3 -> 14/3 -> 70/3 -> 560
+    assert stopping_time_windowed(2, 5, 10) == StoppingReport(theta=None, unresolved_at=10)
+    assert stopping_time_windowed(-7, 3, 10) == StoppingReport(theta=3)
     assert stopping_time_windowed(6, 3, 10) == StoppingReport(theta=0)  # integral start
     assert stopping_time_windowed(3, 1, 10) == StoppingReport(theta=0)  # d = 1
 
