@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (file, text, replacement, what the mutant breaks)
 NAMED = [
-    ("src/ceildyn/chains.py", "    return entries\n", "    return entries[1:] + entries[:1]\n",
+    ("src/ceildyn/chains.py", "            yield entries\n", "            yield entries[1:] + entries[:1]\n",
      "_split: sibling entries rotated after the law-1 check"),
     ("src/ceildyn/chains.py", "    mod = d ** (m + 1)\n", "    mod = d ** m\n",
      "_numerators: numerators held one digit short"),

@@ -9,22 +9,22 @@ of arithmetic progressions realizing a chain, the density exponents
 alpha_d and beta_d, limiting stopping-time distributions, and censuses of
 starts by stopping time.
 
-Chains come from _numerators, which steps the orbit numerator over the
-fixed denominator d modulo a power of d that shrinks by d each step;
-chain_of reads it, and raises InternalCheckError if the entries it computes
-break divisibility.  verify_digit_laws walks the iterates as Fractions mod
-shrinking integers and returns chain_of's chain; it raises
-InternalCheckError unless that walk's chain is chain_of's and digit law 1
-holds at every step (law 2 holds for any walk in lowest terms).  No theorem
-check reports a failure as data.
+Chains come from _numerators, which steps the numerators of a list of
+starts over the fixed denominator d in lockstep, modulo a power of d that
+shrinks by d each step; chain_of reads one start's column and raises
+InternalCheckError if the entries it computes break divisibility.
+verify_digit_laws walks the iterates as Fractions mod shrinking integers
+and returns chain_of's chain; it raises InternalCheckError unless that
+walk's chain is chain_of's and digit law 1 holds at every step (law 2 holds
+for any walk in lowest terms).  No theorem check reports a failure as data.
 
 Censuses, distributions, record scans, progression counts and the p-adic
 trees share one chain-prefix sieve.  By the chain theorem, entries 0..m of
 the chain of c/d depend only on c mod d*d_0*...*d_(m-1), so a class c mod
 M_k = d*d_0*...*d_(k-1) has one entry k, d_k, and splits into d_k children
-mod M_k*d_k.  _split reads their entries k+1 off two _numerators walks and
-checks digit law 1 at every node: each e | d_k is the entry of exactly
-phi(e) children, for every d.  The root is the class 0 mod 1 with entry d.
+mod M_k*d_k.  _split reads a whole level's entries k+1 off two lockstep
+_numerators walks and checks digit law 1 at every node: each e | d_k is the
+entry of exactly phi(e) children, for every d.  The root is 0 mod 1, entry d.
 _stop_classes (census, dist, theta_d3 records) keeps the children with
 entry > 1 and settles those with entry 1 (theta = k+1) as whole
 progressions, for every integer numerator, since the chain theorem moves a
@@ -46,13 +46,15 @@ import functools
 import heapq
 import math
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from ceildyn.rational import InternalCheckError, euler_phi, factorize, prefix_records
 from ceildyn.window import _regrown_theta, _window_theta
 
 _ENUMERATE_CAP = 10_000_000  # largest progression modulus ap_count_for_chain sieves
+_CHUNK = 2048  # most classes one _split call walks, so a level's walk lists stay small
 
 
 class Chain(NamedTuple("Chain", [("d_start", int), ("denominators", tuple)])):
@@ -92,7 +94,7 @@ def chain_of(l: int, d: int, m: int) -> Chain:
     theorem rules them out, so they mean _numerators is wrong."""
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
-    entries = tuple(d // math.gcd(u, d) for u in _numerators(l, d, m))
+    entries = tuple(d // math.gcd(u, d) for u, in _numerators([l], d, m))
     try:
         return Chain(d, entries)
     except ValueError as exc:
@@ -177,17 +179,17 @@ class APCount(NamedTuple):
     enumerated: int | None
 
 
-def _numerators(u: int, d: int, m: int) -> list[int]:
-    """Numerators u_0..u_m over d of iterates 0..m of u/d, u_j held mod
-    d^(m+1-j).  As ceil((u + d^i*t)/d) = ceil(u/d) + d^(i-1)*t, a step maps
-    a numerator right mod d^i to one right mod d^(i-1), so u_m is right mod
-    d and entry j of the chain is d/gcd(u_j, d)."""
+def _numerators(starts: list[int], d: int, m: int) -> list[list[int]]:
+    """Row j holds the numerator u_j over d of iterate j of u/d, mod
+    d^(m+1-j), for every u in starts.  As ceil((u + d^i*t)/d) = ceil(u/d) +
+    d^(i-1)*t, a step maps a numerator right mod d^i to one right mod
+    d^(i-1), so u_m is right mod d and chain entry j is d/gcd(u_j, d)."""
     mod = d ** (m + 1)
-    out = [u := u % mod]
+    rows = [row := [u % mod for u in starts]]
     for _ in range(m):
         mod //= d
-        out.append(u := u * ((u + d - 1) // d) % mod)
-    return out
+        rows.append(row := [u * ((u + d - 1) // d) % mod for u in row])
+    return rows
 
 
 @functools.cache
@@ -196,34 +198,39 @@ def _phi_law(dk: int) -> list[int]:
     return [e for e in range(1, dk + 1) if dk % e == 0 for _ in range(euler_phi(e))]
 
 
-def _split(d: int, k: int, c: int, modulus: int, dk: int) -> list[int]:
-    """Entries k+1 of the dk children c + modulus*s, s = 0..dk-1, of the live
-    class c mod modulus = d*d_0*...*d_(k-1) whose entry k is dk; the root is
-    the class 0 mod 1 at k = -1 with entry d.  By the chain theorem the
-    children partition the class.  By digit law 1 entry k+1 is
+def _split(d: int, k: int, classes: Iterable[tuple[int, int, int]]) -> Iterator[list[int]]:
+    """Yield the entries k+1 of the dk children c + modulus*s, s < dk, of
+    each live class (c, modulus, dk) of level k in turn; the root is the
+    class 0 mod 1 at k = -1 with entry d.  By digit law 1 entry k+1 is
     dk/gcd(a_0(k) + 1, dk), and a_0(k) runs over every residue mod dk as s
-    does, so each e | dk is the entry of exactly phi(e) children (exactly
-    one stops); anything else raises InternalCheckError.
+    does, so each e | dk is the entry of exactly phi(e) children (one stops).
 
-    Two walks give every entry: the numerator u_(k+1) over d of child s is
-    a + s*(b - a) mod d, with a and b those of children 0 and 1 (0 and 1 at
-    the root).  Sketch, derived here and not quoted from the paper: with
-    x_j = u_j/d, d_j = d/gcd(u_j, d) and c_j = x_j*d_j + d_j*ceil(x_j),
-    moving the start by modulus*s/d moves x_j by an integer
-    delta_j = s*(d_j*...*d_(k-1))*Q_j, Q_0 = 1.  As ceil(x_j + delta_j) =
-    ceil(x_j) + delta_j, delta_(j+1) = delta_j*(x_j + ceil(x_j) + delta_j),
-    so Q_(j+1) = Q_j*c_j + s*d_j*(d_j*...*d_(k-1))*Q_j^2.  Each entry divides
-    the one before, so d_k divides the second term for j < k, and
-    Q_k = prod c_j (mod d_k).  Then u_(k+1) moves by d*delta_(k+1) =
-    u_k*delta_k (mod d), which depends only on delta_k = s*Q_k mod d_k.
+    Two lockstep walks, _CHUNK classes at a time, give every entry: u_(k+1)
+    of child s is a + s*(b - a) mod d, a and b those of children 0 and 1, so
+    law 1 is checked once per key (a, b - a, dk); a failure raises
+    InternalCheckError naming the first class with that key.  Sketch,
+    derived here and not quoted from the paper: with x_j = u_j/d,
+    d_j = d/gcd(u_j, d) and c_j = x_j*d_j + d_j*ceil(x_j), moving the start
+    by modulus*s/d moves x_j by an integer delta_j = s*(d_j*...*d_(k-1))*Q_j,
+    Q_0 = 1.  As ceil(x_j + delta_j) = ceil(x_j) + delta_j, delta_(j+1) =
+    delta_j*(x_j + ceil(x_j) + delta_j), so Q_(j+1) = Q_j*c_j +
+    s*d_j*(d_j*...*d_(k-1))*Q_j^2.  Each entry divides the one before, so d_k
+    divides the second term for j < k, and Q_k = prod c_j (mod d_k).  Then
+    u_(k+1) moves by d*delta_(k+1) = u_k*delta_k (mod d), which depends only
+    on delta_k = s*Q_k mod d_k.
     """
-    a = _numerators(c, d, k + 1)[-1] % d
-    slope = (_numerators(c + modulus, d, k + 1)[-1] - a) % d
-    entries = [d // math.gcd(a + s * slope, d) for s in range(dk)]
-    if (got := sorted(entries)) != _phi_law(dk):
-        raise InternalCheckError(f"children of class {c} mod {modulus} (entry {dk}) have entries "
-                                 f"{got}, not phi(e) of each e | {dk}")
-    return entries
+    checked: dict[tuple[int, int, int], list[int]] = {}  # key -> its entries, law 1 checked
+    classes = iter(classes)
+    while chunk := list(islice(classes, _CHUNK)):
+        firsts = _numerators([c for c, _, _ in chunk], d, k + 1)[-1]
+        seconds = _numerators([c + modulus for c, modulus, _ in chunk], d, k + 1)[-1]
+        for (c, modulus, dk), a, b in zip(chunk, firsts, seconds):
+            if (entries := checked.get(key := (a, (b - a) % d, dk))) is None:
+                checked[key] = entries = [d // math.gcd(a + s * key[1], d) for s in range(dk)]
+                if (got := sorted(entries)) != _phi_law(dk):
+                    raise InternalCheckError(f"children of class {c} mod {modulus} (entry {dk}) have "
+                                             f"entries {got}, not phi(e) of each e | {dk}")
+            yield entries
 
 
 def _chain_classes(d: int, wants: tuple[int, ...]):
@@ -234,12 +241,13 @@ def _chain_classes(d: int, wants: tuple[int, ...]):
     level's children are counted, not listed."""
     classes, step, dk = [0], 1, d
     for k, want in enumerate(wants, start=-1):
+        split = _split(d, k, ((c, step, dk) for c in classes))
         if k == len(wants) - 2:
-            yield classes, [_split(d, k, c, step, dk).count(want) for c in classes]
+            yield classes, [entries.count(want) for entries in split]
             return
         kids, counts = [], []
-        for c in classes:
-            mine = [c + step * s for s, e in enumerate(_split(d, k, c, step, dk)) if e == want]
+        for c, entries in zip(classes, split):
+            mine = [c + step * s for s, e in enumerate(entries) if e == want]
             kids += mine
             counts.append(len(mine))
         yield classes, counts
@@ -352,29 +360,28 @@ def _stop_classes(d: int, lo: int, hi: int, depth: int):
     above depth, and each start is covered exactly once.
 
     Theta is the first k with entry k of the chain equal to 1.  Level by
-    level from the root, each live class splits with _split; a child with
-    entry 1 stops, and the rest are live at the next level, or yielded with
-    None after the last.  A live class whose children's modulus passes the
+    level from the root, the live classes split in one _split call; a child
+    with entry 1 stops, and the rest are live at the next level, or yielded
+    with None after the last.  A live class whose children's modulus passes the
     range, the root included, finishes its few starts one at a time through
     window._window_theta.  Any integer l will do; 0 < l < d is fixed: None.
     """
     n = hi - lo + 1
     live = [(0, 1, d)]  # (residue, modulus, entry k) of classes with theta > k
     for k in range(-1, depth):
-        survivors = []
         for c, modulus, dk in live:
-            child_mod = modulus * dk
-            if child_mod > n:
+            if modulus * dk > n:
                 for l in range(lo + (c - lo) % modulus, hi + 1, modulus):
                     yield l, n, _window_theta(l, d, depth)
-                continue
-            for s, e in enumerate(_split(d, k, c, modulus, dk)):
+        dense, live = [(c, modulus, dk) for c, modulus, dk in live if modulus * dk <= n], []
+        for (c, modulus, dk), entries in zip(dense, _split(d, k, dense)):
+            child_mod = modulus * dk
+            for s, e in enumerate(entries):
                 child = c + modulus * s
                 if e == 1:
                     yield lo + (child - lo) % child_mod, child_mod, k + 1
                 else:
-                    survivors.append((child, child_mod, e))
-        live = survivors
+                    live.append((child, child_mod, e))
     for c, modulus, _ in live:
         yield lo + (c - lo) % modulus, modulus, None
 

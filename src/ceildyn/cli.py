@@ -567,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", parents=[common], help="stopping times of l/den for a range of l")
     p.add_argument("--den", type=_positive, required=True)
-    p.add_argument("--scan", type=_positive, required=True, help="largest l")
+    p.add_argument("--scan", type=int, required=True, help="largest l")
     p.add_argument("--from", dest="lo", type=int, default=1, help="smallest l")
     p.add_argument("--window", type=_positive, default=25)
 

@@ -10,11 +10,11 @@ every surviving node extends in exactly phi(p^k) ways.  The tree is built in
 one pass that checks this branching law on every node, and digit strings are
 made only for the JSON export.
 
-The tree is the one descent of chains' chain-prefix sieve,
-chains._chain_classes, at d = p^k along the constant chain (d, d, ..., d):
-on a p-unit u the step u*(u//p^k + 1) is u*ceil(u/d), and a prefix survives
-while every chain entry stays d, that is while no iterate is divisible by p.
-chains._split checks the branching law, which is digit law 1 for the entry d.
+The tree is the one descent of chains' chain-prefix sieve, _chain_classes,
+at d = p^k along the constant chain (d, d, ..., d): on a p-unit u the step
+u*(u//p^k + 1) is u*ceil(u/d), and a prefix survives while every chain entry
+stays d, that is while no iterate is divisible by p.  chains._split walks each
+level's nodes in lockstep and checks the branching law, digit law 1, on each.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -183,7 +184,7 @@ def test_digit_laws_read_a0_without_expanding_every_digit():
 
 def numerators_that_break_divisibility(monkeypatch) -> None:
     """Patch _numerators so that the chain of 7/6 reads 6, 2, 3, 1."""
-    monkeypatch.setattr(chains, "_numerators", lambda u, d, m: [1, 3, 2, 0])
+    monkeypatch.setattr(chains, "_numerators", lambda starts, d, m: [[1], [3], [2], [0]])
 
 
 def test_chain_of_raises_on_entries_that_break_divisibility(monkeypatch):
@@ -197,7 +198,7 @@ def test_chain_of_raises_on_entries_that_break_divisibility(monkeypatch):
 def test_digit_laws_walk_checks_the_window_chain(monkeypatch):
     # a kernel that never drops gives chain_of the chain 9, 9, ..., 9 for 14/9,
     # whose orbit is integral from step 4 on; the digit-law walk must not read it
-    monkeypatch.setattr(chains, "_numerators", lambda u, d, m: [1] * (m + 1))
+    monkeypatch.setattr(chains, "_numerators", lambda starts, d, m: [[1] * len(starts)] * (m + 1))
     err = "^the chain of 14/9 from digit windows is not its exact chain$"
     with pytest.raises(InternalCheckError, match=err):
         verify_digit_laws(14, 9, 6)
@@ -616,8 +617,8 @@ _true_numerators = chains._numerators
 @pytest.mark.parametrize(
     "kernel",
     [
-        lambda u, d, m: [1] * (m + 1),
-        lambda u, d, m: _true_numerators(u, d, m) if m == 0 else [1] * (m + 1),
+        lambda starts, d, m: [[1] * len(starts)] * (m + 1),
+        lambda starts, d, m: _true_numerators(starts, d, m) if m == 0 else [[1] * len(starts)] * (m + 1),
     ],
 )
 def test_sieve_requires_exactly_one_dead_child_for_prime_d(kernel, monkeypatch):
@@ -632,7 +633,7 @@ def test_sieve_rejects_a_child_stopping_before_its_parent(monkeypatch):
     monkeypatch.setattr(
         chains,
         "_numerators",
-        lambda u, d, m: [0] * (m + 1) if m == 1 else _true_numerators(u, d, m),
+        lambda starts, d, m: [[0] * len(starts)] * (m + 1) if m == 1 else _true_numerators(starts, d, m),
     )
     with pytest.raises(InternalCheckError, match=r"class 1 mod 6 \(entry 6\) have entries \[1, 1, 1, 1, 1, 1\]"):
         stop_counts(6, 1, 300, 5)
@@ -662,12 +663,32 @@ def test_split_matches_the_walk_of_every_child(d, path):
     # child indices from the root, until the picked child stops
     c, modulus, dk = 0, 1, d
     for k, pick in enumerate(path[: 9 if d <= 12 else 5], start=-1):
-        entries = chains._split(d, k, c, modulus, dk)
+        [entries] = chains._split(d, k, [(c, modulus, dk)])
         assert entries == walked_split(d, k, c, modulus, dk)
         s = pick % dk
         if entries[s] == 1:
             break
         c, modulus, dk = c + modulus * s, modulus * dk, entries[s]
+
+
+@given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=7),
+       st.integers(min_value=1, max_value=60), st.integers(min_value=0))
+@example(3, 12, 5000, 0)  # level 11: 4096 classes, two chunks' worth
+@example(12, 2, 5000, 0)  # level 1: 65 classes over the moduli 24, 36, 48, 72 and 144
+@example(30, 3, 5000, 0)  # level 2: 4659 classes over 19 moduli
+@settings(max_examples=60, deadline=None)
+def test_level_split_matches_the_walk_of_every_class(d, depth, cap, seed):
+    # descend whole levels from the root, each thinned at random to at most
+    # cap classes, and split the level reached in one call
+    rng = random.Random(seed)
+    level = [(0, 1, d)]
+    for k in range(-1, depth - 1):
+        kids = [(c + modulus * s, modulus * dk, e)
+                for (c, modulus, dk), entries in zip(level, chains._split(d, k, level))
+                for s, e in enumerate(entries) if e > 1]
+        level = sorted(rng.sample(kids, min(cap, len(kids))))
+    entries = list(chains._split(d, depth - 1, level))
+    assert entries == [walked_split(d, depth - 1, *cls) for cls in level]
 
 
 def test_stop_counts_past_2_to_the_63():
@@ -748,22 +769,23 @@ def test_integral_starts_are_never_bad(n, x):
     ],
 )
 def test_census_sieve_kernel_calls_are_pinned(d, lo, hi, splits, walks, finishes, monkeypatch):
-    # the work the sieve does at W = 25: how it keeps its live classes must not change it;
+    # the work the sieve does at W = 25, as classes split, starts walked and one-start
+    # finishes: how it keeps its live classes or batches its walks must not change it;
     # the finishes include the d - 1 fixed starts, which the kernel answers before any step
-    counts = {"splits": 0, "walks": 0, "finishes": 0}
+    counts = {"walks": 0, "finishes": 0}
 
-    def counted(name, kernel):
+    def counted(name, kernel, size):
         def wrapper(*args):
-            counts[name] += 1
+            counts[name] += size(args)
             return kernel(*args)
 
         return wrapper
 
-    monkeypatch.setattr(chains, "_split", counted("splits", chains._split))
-    monkeypatch.setattr(chains, "_numerators", counted("walks", _true_numerators))
-    monkeypatch.setattr(chains, "_window_theta", counted("finishes", chains._window_theta))
+    monkeypatch.setattr(chains, "_numerators", counted("walks", _true_numerators, lambda args: len(args[0])))
+    monkeypatch.setattr(chains, "_window_theta", counted("finishes", chains._window_theta, lambda args: 1))
+    split_counts = counted_splits(monkeypatch)
     census_thetas(d, lo, hi, 25)
-    assert counts == {"splits": splits, "walks": walks, "finishes": finishes}
+    assert {**split_counts, **counts} == {"splits": splits, "walks": walks, "finishes": finishes}
 
 
 @pytest.mark.parametrize("d, lo, hi", [(3, 1, 100000), (60, 1, 20000), (7, 1, 3000), (12, 5, 400)])
@@ -779,12 +801,14 @@ def test_fixed_starts_are_not_walked(d, lo, hi):
 
 
 def counted_splits(monkeypatch) -> dict[str, int]:
+    """Count the classes _split splits, over all its calls."""
     counts = {"splits": 0}
     split = chains._split
 
-    def wrapper(*args):
-        counts["splits"] += 1
-        return split(*args)
+    def wrapper(d, k, classes):
+        classes = list(classes)
+        counts["splits"] += len(classes)
+        return split(d, k, classes)
 
     monkeypatch.setattr(chains, "_split", wrapper)
     return counts

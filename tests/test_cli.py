@@ -687,9 +687,9 @@ def test_d3_records_exit_3_on_a_wrong_entry_at_the_last_split(monkeypatch, capsy
     # the table would read arg=28 record=9 ... arg=68617 record=25
     split = chains._split
 
-    def rotated(d, k, c, modulus, dk):
-        out = split(d, k, c, modulus, dk)
-        return out[1:] + out[:1] if k == 8 else out
+    def rotated(d, k, classes):
+        out = split(d, k, classes)
+        return [entries[1:] + entries[:1] for entries in out] if k == 8 else out
 
     monkeypatch.setattr(chains, "_split", rotated)
     code = main(["records", "--kind", "theta_d3", "--bound", "100000"])
@@ -722,7 +722,8 @@ def test_succ_records_exit_2_on_a_start_unresolved_at_the_cap(monkeypatch, capsy
 
 # A walk that never drops, and one in which every child stops: digit law 1
 # fails at prime and composite d alike.
-@pytest.mark.parametrize("kernel", [lambda u, d, m: [1] * (m + 1), lambda u, d, m: [0] * (m + 1)])
+@pytest.mark.parametrize("kernel", [lambda starts, d, m: [[1] * len(starts)] * (m + 1),
+                                    lambda starts, d, m: [[0] * len(starts)] * (m + 1)])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -969,7 +970,8 @@ def test_an_unusable_cache_directory_is_refused_before_the_command_runs(
 
 
 # dist checks the exact masses before it runs the sieve, so a broken phi never
-# reaches the _phi_law that chains._split caches.
+# reaches the _phi_law that chains._split caches; _split checks a whole level's
+# classes against it, a level at a time.
 @pytest.mark.parametrize("phi, message", [
     (lambda t: t, "stop masses exceed total probability 1"),
     (lambda t: Fraction(1, 7), "stop mass denominator does not divide d^(j+1)"),

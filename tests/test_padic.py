@@ -52,7 +52,7 @@ def survival_cases(draw):
 def test_chain_entry_matches_the_windowed_chain_and_the_unit_loop(case):
     p, k, level, residue = case
     pk = p**k
-    entries = [pk // math.gcd(_numerators(residue, pk, j)[-1], pk) for j in range(level)]
+    entries = [pk // math.gcd(_numerators([residue], pk, j)[-1][0], pk) for j in range(level)]
     assert tuple(entries) == chain_of(residue, pk, level - 1).denominators
     assert (entries == [pk] * level) == stepwise_locally_survives(*case)
 
@@ -108,10 +108,11 @@ def test_tree_raises_on_a_node_that_breaks_the_branching_law(monkeypatch, extra)
     # every extension of node 1 mod 3 at level 2 dies (childless) or survives (3 > phi)
     real = chains._numerators
 
-    def broken(u, d, m):
-        if m == 1 and u % 3 == 1:
-            return [1 if extra else 0] * (m + 1)
-        return real(u, d, m)
+    def broken(starts, d, m):
+        rows = real(starts, d, m)
+        if m == 1:
+            rows[-1] = [(1 if extra else 0) if u % 3 == 1 else v for u, v in zip(starts, rows[-1])]
+        return rows
 
     monkeypatch.setattr(chains, "_numerators", broken)
     with pytest.raises(InternalCheckError, match=r"class 1 mod 3 \(entry 3\)"):
