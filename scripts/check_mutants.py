@@ -56,6 +56,8 @@ NAMED = [
      "DigitWindow: residue need not lie below the window modulus"),
     ("src/ceildyn/window.py", "if 0 < u < d:", "if u < d:",
      "_window_theta: negative starts taken for fixed points"),
+    ("src/ceildyn/window.py", "log10_of_int(abs(u))", "log10_of_int(u)",
+     "track_magnitude: log10 taken of the signed numerator"),
 ]
 
 CHECK = re.compile(r"^( *)if .+:\n\1    raise InternalCheckError\b", re.M)

@@ -22,9 +22,9 @@ Censuses, distributions, record scans, progression counts and the p-adic
 trees share one chain-prefix sieve.  By the chain theorem, entries 0..m of
 the chain of c/d depend only on c mod d*d_0*...*d_(m-1), so a class c mod
 M_k = d*d_0*...*d_(k-1) has one entry k, d_k, and splits into d_k children
-mod M_k*d_k.  _split reads a whole level's entries k+1 off two lockstep
-_numerators walks and checks digit law 1 at every node: each e | d_k is the
-entry of exactly phi(e) children, for every d.  The root is 0 mod 1, entry d.
+mod M_k*d_k.  _split reads a level's entries k+1 off one lockstep walk per
+chunk and checks digit law 1 at every node: each e | d_k is the entry of
+exactly phi(e) children, for every d.  The root is 0 mod 1, entry d.
 _stop_classes (census, dist, theta_d3 records) keeps the children with
 entry > 1 and settles those with entry 1 (theta = k+1) as whole
 progressions, for every integer numerator, since the chain theorem moves a
@@ -54,7 +54,7 @@ from ceildyn.rational import InternalCheckError, euler_phi, factorize, prefix_re
 from ceildyn.window import _regrown_theta, _window_theta
 
 _ENUMERATE_CAP = 10_000_000  # largest progression modulus ap_count_for_chain sieves
-_CHUNK = 2048  # most classes one _split call walks, so a level's walk lists stay small
+_CHUNK = 1024  # classes per _split walk (of 2048 starts), so a level's walk lists stay small
 
 
 class Chain(NamedTuple("Chain", [("d_start", int), ("denominators", tuple)])):
@@ -205,8 +205,8 @@ def _split(d: int, k: int, classes: Iterable[tuple[int, int, int]]) -> Iterator[
     dk/gcd(a_0(k) + 1, dk), and a_0(k) runs over every residue mod dk as s
     does, so each e | dk is the entry of exactly phi(e) children (one stops).
 
-    Two lockstep walks, _CHUNK classes at a time, give every entry: u_(k+1)
-    of child s is a + s*(b - a) mod d, a and b those of children 0 and 1, so
+    One lockstep walk of children 0 and 1 of _CHUNK classes at a time gives
+    every entry: u_(k+1) of child s is a + s*(b - a) mod d, a and b theirs, so
     law 1 is checked once per key (a, b - a, dk); a failure raises
     InternalCheckError naming the first class with that key.  Sketch,
     derived here and not quoted from the paper: with x_j = u_j/d,
@@ -222,9 +222,8 @@ def _split(d: int, k: int, classes: Iterable[tuple[int, int, int]]) -> Iterator[
     checked: dict[tuple[int, int, int], list[int]] = {}  # key -> its entries, law 1 checked
     classes = iter(classes)
     while chunk := list(islice(classes, _CHUNK)):
-        firsts = _numerators([c for c, _, _ in chunk], d, k + 1)[-1]
-        seconds = _numerators([c + modulus for c, modulus, _ in chunk], d, k + 1)[-1]
-        for (c, modulus, dk), a, b in zip(chunk, firsts, seconds):
+        last = _numerators([c + modulus * s for s in (0, 1) for c, modulus, _ in chunk], d, k + 1)[-1]
+        for (c, modulus, dk), a, b in zip(chunk, last, last[len(chunk):]):
             if (entries := checked.get(key := (a, (b - a) % d, dk))) is None:
                 checked[key] = entries = [d // math.gcd(a + s * key[1], d) for s in range(dk)]
                 if (got := sorted(entries)) != _phi_law(dk):
@@ -366,6 +365,8 @@ def _stop_classes(d: int, lo: int, hi: int, depth: int):
     range, the root included, finishes its few starts one at a time through
     window._window_theta.  Any integer l will do; 0 < l < d is fixed: None.
     """
+    if d < 1 or lo > hi + 1 or depth < 0:
+        raise ValueError("the sieve needs d >= 1, lo <= hi + 1 and depth >= 0")
     n = hi - lo + 1
     live = [(0, 1, d)]  # (residue, modulus, entry k) of classes with theta > k
     for k in range(-1, depth):

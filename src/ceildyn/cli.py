@@ -554,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=_positive, default=32)
 
     p = sub.add_parser("theta", parents=[common], help="stopping time of num/den")
-    p.add_argument("--num", type=_positive, required=True)
+    p.add_argument("--num", type=int, required=True)
     p.add_argument("--den", type=_positive, required=True)
     p.add_argument("--window", type=_positive, default=None, help="digit window; exact if absent")
     p.add_argument("--auto-grow", action="store_true")

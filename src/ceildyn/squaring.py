@@ -93,11 +93,9 @@ def _limit_step(u: int, c: int, d: int, limit: int, steps_left: int) -> int:
 def stopping_time_exact(q, max_steps: int = 256) -> StoppingReport:
     """Smallest k >= 0 with the k-th iterate of x*ceil(x) an integer, read off
     trajectory(q, max_steps), which raises for max_steps < 0 and past the
-    print limit.  Requires q > 1 or q integral; other starts either never
-    resolve (the map fixes (0,1]) or are better walked with trajectory()."""
-    q = Fraction(q)
-    if q < 1 and q.denominator > 1:
-        raise ValueError("stopping_time_exact needs q > 1 or integral q; use trajectory()")
+    print limit.  Every rational q is taken: a start in (0, 1) is fixed, so
+    it is unresolved at max_steps; one in (-1, 0) reaches 0 at step 1; and
+    one at or below -1 joins a positive orbit after one step."""
     if (t := trajectory(q, max_steps)).truncated:
         return StoppingReport(theta=None, unresolved_at=max_steps)
     n = t.values()[-1].numerator

@@ -36,8 +36,8 @@ rational.prefix_records, regrowing each start their window leaves
 unresolved through _regrown_theta, which runs it with auto_grow and raises
 the one "start l/d is unresolved at window W" error.
 
-track_magnitude reports log10 of a deep iterate with a rigorous error
-bound: it iterates exactly until the iterate, not its numerator, passes a
+track_magnitude reports log10 |x| of a deep iterate x with a rigorous error
+bound: it iterates exactly until |x|, not its numerator, passes a
 digit cap; then log10 x_{k+1} = log10 x_k + log10 ceil(x_k) collapses to
 doubling, as log10(ceil(x)/x) <= log10(1 + 1/x) is below any representable
 tolerance.  The truncated ceiling corrections and the log extraction
@@ -95,8 +95,6 @@ def window_from_rational(l: int, d: int, M: int) -> DigitWindow:
     """Window for the start l/d holding M+1 valid base-d digits of the numerator."""
     if M < 1:
         raise ValueError("window size M must be >= 1")
-    if l < 1:
-        raise ValueError("numerator must be >= 1")
     return DigitWindow(d, l % d ** (M + 1), M + 1)
 
 
@@ -259,36 +257,37 @@ class MagnitudeTracker(NamedTuple):
 
 
 def track_magnitude(l: int, d: int, steps: int, digit_cap: int = 100_000) -> MagnitudeTracker:
-    """log10 of x_steps = u/d, the iterate of x -> x*ceil(x) from l/d after `steps` steps.
+    """log10 |x_steps|, x_steps = u/d the iterate of x -> x*ceil(x) from l/d
+    after `steps` steps; -Infinity when x_steps = 0.
 
-    log10_value is log10 of the iterate itself, not of its digit count.
-    error_bound is an absolute bound on |log10_value - log10 x_steps|; it
-    covers the log extraction and, past digit_cap, the dropped ceiling
-    corrections amplified by the doubling.
+    log10_value is log10 |x_steps| itself, not its digit count.  error_bound
+    bounds |log10_value - log10 |x_steps||; it covers the log extraction
+    and, past digit_cap, the dropped ceiling corrections amplified by the
+    doubling, and the floor correction of a start -y past the cap (a start
+    -y <= -1 steps to y*floor(y) >= 1, a positive orbit).
     """
-    if d < 1 or l < d:
-        raise ValueError("magnitude tracking needs a start l/d >= 1")
+    if d < 1:
+        raise ValueError("magnitude tracking needs d >= 1")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if digit_cap < 64:
         raise ValueError("digit_cap must be >= 64")
     bit_cap = int(digit_cap * 3.3219280948873626) + 64
-    u = l
-    done = 0
+    u, done = l, 0
     while done < steps and u.bit_length() - d.bit_length() <= bit_cap:
         u = u * (-(-u // d))
         done += 1
     with localcontext() as ctx:
         ctx.prec = 60
-        log_now = +(log10_of_int(u) - log10_of_int(d))
+        log_now = +(log10_of_int(abs(u)) - log10_of_int(d)) if u else Decimal("-Infinity")
         if done == steps:
             return MagnitudeTracker(log_now, 2 * _LOG10_INT_ERR)
         rest = steps - done
         amp = Decimal(2) ** rest
         value = +(log_now * amp)
-        # x = u/d > 2^bit_cap > 10^digit_cap for any d; every dropped
-        # ceiling correction is below 10^-(digit_cap - 12) and gets
-        # amplified by at most 2^rest.
+        # |x| = |u|/d > 2^bit_cap > 10^digit_cap for any d; every dropped
+        # ceiling correction, and a negative start's floor correction, is
+        # below 10^-(digit_cap - 12) and gets amplified by at most 2^rest.
         ceil_slack = amp * Decimal(10) ** -(digit_cap - 12)
         err = +(amp * (2 * _LOG10_INT_ERR) + ceil_slack)
         return MagnitudeTracker(value, err)

@@ -673,7 +673,7 @@ def test_split_matches_the_walk_of_every_child(d, path):
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=7),
        st.integers(min_value=1, max_value=60), st.integers(min_value=0))
-@example(3, 12, 5000, 0)  # level 11: 4096 classes, two chunks' worth
+@example(3, 12, 5000, 0)  # level 11: 4096 classes, four chunks' worth
 @example(12, 2, 5000, 0)  # level 1: 65 classes over the moduli 24, 36, 48, 72 and 144
 @example(30, 3, 5000, 0)  # level 2: 4659 classes over 19 moduli
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import MULT_RECORDS
 from test_chains import (
@@ -405,6 +405,9 @@ def test_exact_walks_stop_at_the_print_limit(argv, err):
     ("theta --num 5 --den 2 --max-steps 1 --auto-grow", 0, "theta=2 reached=60\n", ""),
     ("theta --num 200 --den 199 --auto-grow", 2, "", "error: the integer reached has about "
      "9.914682639000e+433 digits, above the 2000000 the CLI prints; use --window for theta alone\n"),
+    # -200/199 steps to 200/199, so it reaches the same integer one step later
+    ("theta --num -200 --den 199 --auto-grow", 2, "", "error: the integer reached has about "
+     "9.914682639000e+433 digits, above the 2000000 the CLI prints; use --window for theta alone\n"),
 ])
 def test_auto_grow_without_window_grows_from_max_steps(argv, code, out, err):
     # the window grows from --max-steps, and the exact walk runs to the theta it finds
@@ -416,6 +419,23 @@ def _main_output(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=2000))
+@settings(max_examples=100, deadline=None)
+@example(d=3, n=7)  # -7/3 steps to 14/3: theta 3 and 2, both reaching 560
+def test_theta_below_minus_1_is_one_more_than_at_its_successor(d, n):
+    # x = -y <= -1 steps to y*floor(y) >= 1: one step more to the same integer
+    assume(n > d and n % d and window._window_theta(-n, d, 14) is not None)
+    successor = Fraction(n * (n // d), d)
+    code, out, err = _main_output(["theta", "--num", str(-n), "--den", str(d), "--format", "csv"])
+    after = _main_output(["theta", "--num", str(successor.numerator), "--den",
+                          str(successor.denominator), "--format", "csv"])
+    assert (code, err) == (0, "") and after[::2] == (0, "")
+    (_, theta, *rest), (_, theta_after, *rest_after) = (
+        line.split(",") for line in (out.splitlines()[1], after[1].splitlines()[1]))
+    assert (int(theta), rest) == (int(theta_after) + 1, rest_after)
+    assert rest[-1] == "false"
 
 
 def _deciding_look_ahead(decided: list[int]):

@@ -8,7 +8,7 @@ from functools import partial
 
 import pytest
 
-from ceildyn.chains import Chain, alpha_d, alpha_d_divisor_form, beta_d, chain_of
+from ceildyn.chains import Chain, alpha_d, alpha_d_divisor_form, beta_d, chain_of, squaring_records, stop_counts
 from ceildyn.multmaps import (
     conjugate_g,
     exceptional_census,
@@ -30,6 +30,11 @@ REFUSALS = [
     (partial(alpha_d, 1), "d must be >= 2"),
     (partial(alpha_d_divisor_form, 1), "d must be >= 2"),
     (partial(beta_d, 1), "d must be >= 2"),
+    (partial(stop_counts, -3, 1, 10, 5), "the sieve needs d >= 1, lo <= hi + 1 and depth >= 0"),
+    (partial(stop_counts, 0, 1, 10, 5), "the sieve needs d >= 1, lo <= hi + 1 and depth >= 0"),
+    (partial(stop_counts, 3, 10, 1, 5), "the sieve needs d >= 1, lo <= hi + 1 and depth >= 0"),
+    (partial(stop_counts, 3, 1, 10, -1), "the sieve needs d >= 1, lo <= hi + 1 and depth >= 0"),
+    (partial(squaring_records, 0, 1, 10), "the sieve needs d >= 1, lo <= hi + 1 and depth >= 0"),
     (partial(stopping_time_mult, Fraction(3, 2), 1, 0), "max_steps must be >= 1"),
     (partial(mult_records, Fraction(3, 2), 1, 5, 0), "max_steps must be >= 1"),
     (partial(exceptional_sieve, conjugate_g(Fraction(3, 2)), 0), "depth_k must be >= 1"),
@@ -45,9 +50,8 @@ REFUSALS = [
     (partial(theta_denominator2, 0), "l must be >= 1"),
     (partial(DigitWindow, 3, 0, 0), "a window must retain at least one valid digit"),
     (partial(window_from_rational, 5, 3, 0), "window size M must be >= 1"),
-    (partial(window_from_rational, 0, 3, 5), "numerator must be >= 1"),
     (partial(log10_of_int, 0), "log10_of_int needs n >= 1"),
-    (partial(track_magnitude, 1, 2, 3), "magnitude tracking needs a start l/d >= 1"),
+    (partial(track_magnitude, 1, 0, 3), "magnitude tracking needs d >= 1"),
     (partial(track_magnitude, 3, 2, -1), "steps must be >= 0"),
     (partial(track_magnitude, 3, 2, 1, digit_cap=63), "digit_cap must be >= 64"),
 ]

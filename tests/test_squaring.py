@@ -65,9 +65,12 @@ def test_six_fifths_reaches_a_57735_digit_integer():
     assert digits10(rep.reached) == 57735
 
 
-def test_subunit_starts_are_rejected():
-    with pytest.raises(ValueError):
-        stopping_time_exact(Fraction(2, 3))
+def test_starts_below_one_take_the_exact_walks_answer():
+    # (0, 1) is fixed, (-1, 0) steps to 0, and -y <= -1 steps to y*floor(y) >= 1
+    assert stopping_time_exact(Fraction(2, 3)) == StoppingReport(theta=None, unresolved_at=256)
+    assert stopping_time_exact(Fraction(0, 5)) == StoppingReport(theta=0, reached=0)
+    assert stopping_time_exact(Fraction(-1, 3)) == StoppingReport(theta=1, reached=0)
+    assert stopping_time_exact(Fraction(-7, 3)) == StoppingReport(theta=3, reached=560)
 
 
 def test_budget_exhaustion_reports_unresolved():
@@ -157,10 +160,6 @@ def test_print_limit_stops_where_the_fraction_walk_does(l, d, max_steps, data):
     with patch.object(squaring, "_MAX_STR_DIGITS", digits):
         expected = _outcome(lambda: list(_fraction_walk(q, max_steps)))
         assert _outcome(lambda: trajectory(q, max_steps).steps) == expected
-        if q < 1 and q.denominator > 1:
-            with pytest.raises(ValueError, match="needs q > 1"):
-                stopping_time_exact(q, max_steps)
-            return
         report = _outcome(stopping_time_exact, q, max_steps)
     if isinstance(expected, str):
         assert report == expected

@@ -80,13 +80,11 @@ def test_windowed_residues_match_exact_numerators(d, l):
 
 
 @given(
-    st.integers(min_value=2, max_value=9),
-    st.integers(min_value=1, max_value=600),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=-600, max_value=600),
 )
 @settings(max_examples=80)
 def test_windowed_theta_agrees_with_exact(d, l):
-    if l < d:
-        return
     exact = stopping_time_exact(Fraction(l, d), max_steps=12)
     windowed = stopping_time_windowed(l, d, 13)
     if exact.resolved:
@@ -138,14 +136,12 @@ def test_wide_window_kernel_decides_the_successor_record_at_199():
 
 
 @given(
-    st.integers(min_value=2, max_value=12),
-    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=-3000, max_value=3000),
     st.integers(min_value=1, max_value=5),
 )
 @settings(max_examples=100)
 def test_window_kernel_matches_exact_iteration(d, l, W):
-    if l < d:
-        return
     assert _window_theta(l, d, W) == stopping_time_exact(Fraction(l, d), max_steps=W).theta
 
 
@@ -329,11 +325,14 @@ def test_magnitude_tracker_deep_run_interval_is_tight():
     assert mt.error_bound / mt.log10_value < Decimal("1e-15")
 
 
-@pytest.mark.parametrize(
-    "l, d, steps", [(7**100 + 1, 7**100, 14), (10**80 + 1, 10**80, 16)], ids=["d=7^100", "d=10^80"]
-)
+@pytest.mark.parametrize("l, d, steps", [
+    (7**100 + 1, 7**100, 14), (10**80 + 1, 10**80, 16),
+    (-(10**90 + 1), 3, 3), (-(10**90 + 2), 7, 4), (-(2**300 + 5), 2, 5), (-200, 199, 12),
+], ids=["d=7^100", "d=10^80", "-(10^90+1)/3", "-(10^90+2)/7", "-(2^300+5)/2", "-200/199"])
 def test_magnitude_tracker_bound_holds_at_large_denominators(l, d, steps):
-    # the switch to doubling waits for the iterate u/d, not its numerator u, to pass the cap
+    # the switch to doubling waits for the iterate u/d, not its numerator u, to
+    # pass the cap; -y <= -1 steps to y*floor(y) >= 1, so a negative start past
+    # the cap doubles from -y, and its one floor correction must stay in the bound
     mt = track_magnitude(l, d, steps, digit_cap=64)
     assert mt.error_bound > 2 * window._LOG10_INT_ERR  # the doubling phase ran
     u = l
@@ -341,5 +340,10 @@ def test_magnitude_tracker_bound_holds_at_large_denominators(l, d, steps):
         u *= -(-u // d)
     with localcontext() as ctx:
         ctx.prec = 80
-        true = (Decimal(u) / Decimal(d)).log10()
+        true = (Decimal(abs(u)) / Decimal(d)).log10()
     assert abs(mt.log10_value - true) <= mt.error_bound
+
+
+def test_magnitude_tracker_of_zero_is_minus_infinity():
+    assert track_magnitude(-1, 3, 1).log10_value == Decimal("-Infinity")  # -1/3 steps to 0
+    assert track_magnitude(0, 5, 0).log10_value == Decimal("-Infinity")
